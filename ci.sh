@@ -209,12 +209,28 @@ VEGA_THREADS=1 cargo test -q -p vega-serve --test batch_e2e
 VEGA_THREADS=4 cargo test -q -p vega-serve --test batch_e2e
 
 # Serve bench smoke: on the score workload with a deploy-shaped model, the
-# one-pass prefill scorer must beat the token-stepped loop it replaced, and
-# the batch engine must serve score at parity with the replica engine (both
-# route scoring through the same multi-position prefill path).
+# one-pass prefill scorer must beat the token-stepped loop it replaced, the
+# batch engine must serve score at parity with the replica engine (both
+# route scoring through the same multi-position prefill path), and scoring
+# a request's candidates on one decode session (one encoder pass) must beat
+# one forced_logprob per candidate.
 echo "== serve bench smoke =="
 VEGA_SERVE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_serve.json" \
   cargo bench -p vega-bench --bench serve | tee "$SMOKE_DIR/serve-bench.txt"
 grep -q "serve: smoke=ok" "$SMOKE_DIR/serve-bench.txt"
+
+# End-to-end benchmark: vegabench is a package of its own (an empty
+# `[workspace]`, path dependencies on `crates/*`), so the workspace build
+# above never compiles it. Build and unit-test it, then run every workload
+# once, briefly. A run exits non-zero when any served or generated output
+# mismatched its direct in-process twin, which fails this stage.
+echo "== vegabench =="
+cargo test --release --offline --manifest-path vegabench/Cargo.toml
+for w in fig7 serve-backend serve-score; do
+  cargo run --release --quiet --offline --manifest-path vegabench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 > "$SMOKE_DIR/vegabench-$w.txt"
+  tail -n 1 "$SMOKE_DIR/vegabench-$w.txt"
+done
+echo "vegabench: ok"
 
 echo "ci: all checks passed"

@@ -24,17 +24,23 @@
 //! * **prefill vs stepped** — in-process, the one-pass `forced_logprob`
 //!   against the token-at-a-time `begin_decode`/`step` loop it replaced
 //!   (bit-identical logprob asserted first), interleaved round-robin with
-//!   per-path minima so a steal burst cannot land on one side of the ratio.
+//!   per-path minima so a steal burst cannot land on one side of the ratio;
+//! * **session vs per-call** — in-process, on the `score` request shape of
+//!   the end-to-end benchmark (8 candidates x 10 tokens against one
+//!   48-token source): every candidate scored on one decode state, so the
+//!   source is encoded once, against one `forced_logprob` per candidate,
+//!   each re-encoding it (bit-identical logprobs asserted first; same
+//!   interleaved-min timing).
 //!
 //! Writes `BENCH_serve.json` (override with `VEGA_BENCH_OUT`;
 //! `VEGA_SERVE_BENCH_FAST=1` shrinks the rep count for the CI smoke run).
-//! Prints `serve: smoke=ok` only if both floors hold.
+//! Prints `serve: smoke=ok` only if all three floors hold.
 
 use std::time::Instant;
 use vega::{Vega, VegaConfig};
-use vega_model::CodeBe;
+use vega_model::{CodeBe, Special};
 use vega_nn::kernel::softmax_row;
-use vega_nn::{Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::{forced_pair, Seq2Seq, Transformer, TransformerConfig};
 use vega_obs::json::Json;
 use vega_serve::{Client, Engine, EngineMode, ServeConfig, Server};
 
@@ -53,6 +59,19 @@ const BATCH_PARITY_FLOOR: f64 = 0.75;
 /// weight-matrix stream vs 1). Falling toward 1x means `forced_logprob`
 /// stopped using `step_many`.
 const PREFILL_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// The end-to-end benchmark's `score` request shape: candidates per
+/// request, tokens per candidate, and source tokens.
+const SESSION_CANDS: usize = 8;
+const SESSION_CAND_LEN: usize = 10;
+const SESSION_SRC_LEN: usize = 48;
+
+/// Floor for scoring a request's candidates on one decode state (one
+/// encoder pass) against one `forced_logprob` per candidate (an encoder
+/// pass each). On this shape one encoder pass costs about three candidate
+/// prefills, so ~2.8x is expected; falling toward 1x means scoring went
+/// back to encoding once per candidate.
+const SESSION_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Small-scale pipeline config, zero training epochs: only the corpus
 /// artifacts (vocabulary, templates, catalog) matter here; the bench model's
@@ -254,7 +273,7 @@ fn main() {
     // before `step_many` existed, on the same deploy-shaped model.
     let vocab_n = vocab.len();
     let mut model = Transformer::new(deploy_cfg(vocab_n));
-    let src: Vec<usize> = (0..48)
+    let src: Vec<usize> = (0..SESSION_SRC_LEN)
         .map(|t| 4 + (splitmix(0xBEEF ^ t as u64) % 16) as usize)
         .collect();
     let nn_pairs: Vec<(Vec<usize>, Vec<usize>)> = candidates_for(0)
@@ -308,13 +327,66 @@ fn main() {
             stepped_secs = stepped_secs.min(s);
         }
     }
-    vega_par::set_threads(0);
     let score_tokens = (CANDS * CAND_LEN) as f64;
     let prefill_speedup = stepped_secs / prefill_secs;
     println!(
         "prefill: {:>8.0} tok/s | stepped: {:>8.0} tok/s | prefill speedup {prefill_speedup:.2}x",
         score_tokens / prefill_secs,
         score_tokens / stepped_secs,
+    );
+
+    // In-process: encode once per request. One decode state (one encoder
+    // pass; its `forced_logprob` resets to the just-encoded state) scores
+    // every candidate, against one `Seq2Seq::forced_logprob` call (one
+    // encoder pass) per candidate.
+    let (bos, eos) = (vocab.special(Special::Bos), vocab.special(Special::Eos));
+    let session_pairs: Vec<(Vec<usize>, Vec<usize>)> = (0..SESSION_CANDS)
+        .map(|c| {
+            let cand: Vec<usize> = (0..SESSION_CAND_LEN)
+                .map(|t| 4 + (splitmix(0x5E55 << 32 | (c as u64) << 16 | t as u64) % 16) as usize)
+                .collect();
+            forced_pair(&cand, bos, eos)
+        })
+        .collect();
+    let session_once = |m: &Transformer| -> Vec<u32> {
+        let mut st = m.begin_decode(&src);
+        session_pairs
+            .iter()
+            .map(|(tin, tout)| st.forced_logprob(tin, tout).to_bits())
+            .collect()
+    };
+    let per_call_once = |m: &mut Transformer| -> Vec<u32> {
+        session_pairs
+            .iter()
+            .map(|(tin, tout)| m.forced_logprob(&src, tin, tout).to_bits())
+            .collect()
+    };
+    assert_eq!(
+        session_once(&model),
+        per_call_once(&mut model),
+        "session scoring diverged from one forced_logprob per candidate"
+    );
+    let (mut session_secs, mut per_call_secs) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..rounds + 1 {
+        let t0 = Instant::now();
+        std::hint::black_box(session_once(&model));
+        let s = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        std::hint::black_box(per_call_once(&mut model));
+        let p = t0.elapsed().as_secs_f64();
+        if round > 0 {
+            session_secs = session_secs.min(s);
+            per_call_secs = per_call_secs.min(p);
+        }
+    }
+    vega_par::set_threads(0);
+    let session_speedup = per_call_secs / session_secs;
+    println!(
+        "session: {:>7.1} ms/request | per-call: {:>7.1} ms/request | session speedup \
+         {session_speedup:.2}x ({SESSION_CANDS}x{SESSION_CAND_LEN}-token candidates, \
+         {SESSION_SRC_LEN}-token source)",
+        session_secs * 1e3,
+        per_call_secs * 1e3,
     );
 
     let out_path =
@@ -366,18 +438,46 @@ fn main() {
             ),
         ),
         ("prefill_scoring_speedup", Json::num_f64(prefill_speedup)),
+        (
+            "session_scoring_shape",
+            Json::obj([
+                ("candidates", Json::num_usize(SESSION_CANDS)),
+                ("candidate_tokens", Json::num_usize(SESSION_CAND_LEN)),
+                ("source_tokens", Json::num_usize(SESSION_SRC_LEN)),
+            ]),
+        ),
+        (
+            "session_scoring",
+            Json::Arr(
+                [("session", session_secs), ("per_call", per_call_secs)]
+                    .into_iter()
+                    .map(|(path, secs)| {
+                        Json::obj([
+                            ("path", Json::str(path)),
+                            ("seconds_per_request", Json::num_f64(secs)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("session_scoring_speedup", Json::num_f64(session_speedup)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
     println!(
-        "wrote {out_path} (batch parity {parity:.2}x, prefill scoring speedup {prefill_speedup:.2}x)"
+        "wrote {out_path} (batch parity {parity:.2}x, prefill scoring speedup {prefill_speedup:.2}x, \
+         session scoring speedup {session_speedup:.2}x)"
     );
-    if parity >= BATCH_PARITY_FLOOR && prefill_speedup >= PREFILL_SPEEDUP_FLOOR {
+    if parity >= BATCH_PARITY_FLOOR
+        && prefill_speedup >= PREFILL_SPEEDUP_FLOOR
+        && session_speedup >= SESSION_SPEEDUP_FLOOR
+    {
         println!("serve: smoke=ok");
     } else {
         println!(
             "serve: smoke=FAIL (batch engine under {BATCH_PARITY_FLOOR}x parity with the replica \
-             engine on score, or prefill scoring under {PREFILL_SPEEDUP_FLOOR}x the token-stepped \
-             loop)"
+             engine on score, prefill scoring under {PREFILL_SPEEDUP_FLOOR}x the token-stepped \
+             loop, or session scoring under {SESSION_SPEEDUP_FLOOR}x one forced_logprob per \
+             candidate)"
         );
         std::process::exit(1);
     }

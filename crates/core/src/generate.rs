@@ -19,7 +19,7 @@ use crate::template::{FunctionTemplate, PatTok, StmtTemplate};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 use vega_cpplite::{lex, parse_function, Function, Stmt, StmtKind, Token};
-use vega_model::{split_ident, CodeBe, DecodeAbort, TargetNorm};
+use vega_model::{split_ident, CodeBe, DecodeAbort, DecodeSession, TargetNorm};
 
 /// One generated statement with its confidence.
 #[derive(Debug, Clone)]
@@ -390,8 +390,11 @@ pub fn try_generate_function(
             &values,
             max_input_len,
         );
+        // One encoding of the feature vector serves the head decode and
+        // every candidate score below.
+        let mut session = model.session(&input);
         // 1. Presence + confidence: the first decoded token is the score.
-        let head_decode = model.try_generate(&input, 2, deadline)?;
+        let head_decode = session.try_generate(2, deadline)?;
         let score = head_decode
             .first()
             .and_then(|&id| model.vocab.score_of(id))
@@ -421,7 +424,16 @@ pub fn try_generate_function(
         // each SV_k … heavily depends on the statement's context").
         let score_id = head_decode.first().copied();
         let (head, out_ids) = realize_statement(
-            model, &norm, &input, node, node_id, feats, ix, score_id, &mut state, deadline,
+            model,
+            &mut session,
+            &norm,
+            node,
+            node_id,
+            feats,
+            ix,
+            score_id,
+            &mut state,
+            deadline,
         )?;
         let line = Stmt::new(node.kind, head.clone(), Vec::new()).head_line();
         // A realization no candidate could make parseable is recorded but
@@ -517,13 +529,14 @@ fn slot_candidate_runs(
 
 /// Realizes a statement's head by filling each slot with the candidate the
 /// model scores highest (sequential left-to-right choice, remaining slots
-/// held at their prior-best). Fallible because candidate scoring runs the
-/// model, which can abort at `deadline` when routed through a backend.
+/// held at their prior-best), scoring on the statement's `session`.
+/// Fallible because candidate scoring runs the model, which can abort at
+/// `deadline` when routed through a backend.
 #[allow(clippy::too_many_arguments)]
 fn realize_statement(
-    model: &mut CodeBe,
+    model: &CodeBe,
+    session: &mut DecodeSession<'_>,
     norm: &TargetNorm,
-    input: &[usize],
     node: &StmtTemplate,
     node_id: usize,
     feats: &TemplateFeatures,
@@ -595,8 +608,7 @@ fn realize_statement(
                     continue;
                 }
                 let ids = with_score(&realize_ids(model, &trial));
-                let lp =
-                    model.try_sequence_logprob(input, &ids, deadline)? / ids.len().max(1) as f32;
+                let lp = session.try_sequence_logprob(&ids, deadline)? / ids.len().max(1) as f32;
                 if best.is_none() || lp > best.unwrap().0 {
                     best = Some((lp, ci));
                 }

@@ -10,7 +10,10 @@ use crate::backend::{BackendHandle, DecodeAbort};
 use crate::vocab::{Special, Vocab};
 use std::sync::Arc;
 use std::time::Instant;
-use vega_nn::{BatchDecode, GruConfig, GruSeq2Seq, Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::{
+    BatchDecode, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,
+    TransformerConfig,
+};
 use vega_obs::json::{Json, JsonError};
 use vega_obs::{CurvePoint, TrainingCurve};
 
@@ -95,6 +98,59 @@ pub struct CodeBe {
     draft: Option<Arc<GruSeq2Seq>>,
     /// Speculation depth k (tokens drafted per verifier pass).
     spec_depth: usize,
+}
+
+/// One encoded input serving many decode calls; see [`CodeBe::session`].
+pub struct DecodeSession<'a> {
+    input: &'a [usize],
+    bos: usize,
+    eos: usize,
+    state: SessionState<'a>,
+}
+
+enum SessionState<'a> {
+    /// A decode backend is installed: calls forward to it unchanged.
+    Backend(&'a BackendHandle),
+    Transformer(Box<DecodeState<'a>>),
+    Gru(Box<GruDecodeState<'a>>),
+}
+
+impl DecodeSession<'_> {
+    /// Greedy generation of at most `max_len` tokens, from the session's
+    /// encoding — the session form of [`CodeBe::try_generate`].
+    ///
+    /// # Errors
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
+    pub fn try_generate(
+        &mut self,
+        max_len: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Vec<usize>, DecodeAbort> {
+        let (bos, eos) = (self.bos, self.eos);
+        match &mut self.state {
+            SessionState::Backend(b) => b.backend().generate(self.input, max_len, deadline),
+            SessionState::Transformer(st) => Ok(st.greedy(bos, eos, max_len)),
+            SessionState::Gru(st) => Ok(st.greedy(bos, eos, max_len)),
+        }
+    }
+
+    /// Log-probability of the model emitting `output`, from the session's
+    /// encoding — the session form of [`CodeBe::try_sequence_logprob`].
+    ///
+    /// # Errors
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
+    pub fn try_sequence_logprob(
+        &mut self,
+        output: &[usize],
+        deadline: Option<Instant>,
+    ) -> Result<f32, DecodeAbort> {
+        let (tgt_in, tgt_out) = vega_nn::forced_pair(output, self.bos, self.eos);
+        match &mut self.state {
+            SessionState::Backend(b) => b.backend().sequence_logprob(self.input, output, deadline),
+            SessionState::Transformer(st) => Ok(st.forced_logprob(&tgt_in, &tgt_out)),
+            SessionState::Gru(st) => Ok(st.forced_logprob(&tgt_in, &tgt_out)),
+        }
+    }
 }
 
 /// Deterministic shuffling/masking RNG (splitmix64, private copy).
@@ -310,14 +366,6 @@ impl CodeBe {
         self.backend.is_some()
     }
 
-    /// A clone of the installed decode backend handle, if any. Callers that
-    /// want several decode calls in flight at once (the serve-side `score`
-    /// op fanning candidates into a batching broker) clone the handle and
-    /// call it from their own threads instead of serializing on `&mut self`.
-    pub fn backend_handle(&self) -> Option<BackendHandle> {
-        self.backend.clone()
-    }
-
     /// Installs (or with `None`, removes) a speculative-decoding draft model
     /// with depth `k` tokens per verifier pass. The draft must share this
     /// model's vocabulary (same subword table) — drafts are only consulted
@@ -373,7 +421,9 @@ impl CodeBe {
     /// boundaries when a decode backend is installed. Without a backend the
     /// in-process path runs to completion and never aborts (generation of a
     /// single function is short; deadlines are enforced by the callers that
-    /// install backends).
+    /// install backends). This is the one entry point that speculates (see
+    /// [`CodeBe::set_speculative`]); otherwise it is a one-call
+    /// [`CodeBe::session`].
     ///
     /// # Errors
     /// Returns [`DecodeAbort::Expired`] when the backend stopped at the
@@ -384,17 +434,14 @@ impl CodeBe {
         max_len: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<usize>, DecodeAbort> {
-        if let Some(b) = &self.backend {
-            return b.backend().generate(input, max_len, deadline);
-        }
-        let bos = self.vocab.special(Special::Bos);
-        let eos = self.vocab.special(Special::Eos);
-        if let Some(draft) = &self.draft {
+        if let (None, Some(draft)) = (&self.backend, &self.draft) {
             if self.spec_depth > 0 {
+                let bos = self.vocab.special(Special::Bos);
+                let eos = self.vocab.special(Special::Eos);
                 match &self.model {
                     ModelKind::Transformer(t) => {
                         // Exact by construction: the stream is bit-identical
-                        // to the plain greedy branch below.
+                        // to the plain greedy session below.
                         let (out, _report) = vega_nn::speculative_greedy(
                             t,
                             draft,
@@ -422,7 +469,7 @@ impl CodeBe {
                 }
             }
         }
-        Ok(self.model.as_seq2seq().greedy(input, bos, eos, max_len))
+        self.session(input).try_generate(max_len, deadline)
     }
 
     /// Log-probability of the model emitting `output` for `input` —
@@ -437,7 +484,8 @@ impl CodeBe {
     }
 
     /// Forced-sequence log-probability with an optional deadline; deadline
-    /// semantics match [`CodeBe::try_generate`].
+    /// semantics match [`CodeBe::try_generate`]. A one-call
+    /// [`CodeBe::session`].
     ///
     /// # Errors
     /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
@@ -447,15 +495,36 @@ impl CodeBe {
         output: &[usize],
         deadline: Option<Instant>,
     ) -> Result<f32, DecodeAbort> {
-        if let Some(b) = &self.backend {
-            return b.backend().sequence_logprob(input, output, deadline);
+        self.session(input).try_sequence_logprob(output, deadline)
+    }
+
+    /// Opens a decode session over `input`: the input is encoded **once**
+    /// here, and the session then answers any mix of
+    /// [`DecodeSession::try_generate`] and
+    /// [`DecodeSession::try_sequence_logprob`] calls from that encoding,
+    /// each bit-identical to the per-call [`CodeBe::try_generate`] /
+    /// [`CodeBe::try_sequence_logprob`]. Stage 3 opens one per statement
+    /// (head decode plus every candidate score), and serve's `score` op one
+    /// per request.
+    ///
+    /// With a decode backend installed nothing is encoded locally: every
+    /// call forwards unchanged to the backend. Session decodes never
+    /// speculate — speculation is exact, so the output is the same, and the
+    /// short decodes a session serves would only waste draft work.
+    pub fn session<'a>(&'a self, input: &'a [usize]) -> DecodeSession<'a> {
+        let state = match (&self.backend, &self.model) {
+            (Some(b), _) => SessionState::Backend(b),
+            (None, ModelKind::Transformer(t)) => {
+                SessionState::Transformer(Box::new(t.begin_decode(input)))
+            }
+            (None, ModelKind::Gru(g)) => SessionState::Gru(Box::new(g.begin_decode(input))),
+        };
+        DecodeSession {
+            input,
+            bos: self.vocab.special(Special::Bos),
+            eos: self.vocab.special(Special::Eos),
+            state,
         }
-        let bos = self.vocab.special(Special::Bos);
-        let eos = self.vocab.special(Special::Eos);
-        Ok(self
-            .model
-            .as_seq2seq()
-            .sequence_logprob(input, output, bos, eos))
     }
 
     /// Starts a batch of `capacity` incremental decode slots over this

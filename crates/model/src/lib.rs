@@ -24,7 +24,7 @@ mod vocab;
 pub use backend::{BackendHandle, DecodeAbort, DecodeBackend};
 pub use ckpt::{tmp_path, CkptError, CKPT_FORMAT};
 pub use ckpt2::{encode_v2, CkptFormat, CKPT_FORMAT_V2, V2_MAGIC};
-pub use codebe::{CodeBe, ModelChoice, TrainConfig};
+pub use codebe::{CodeBe, DecodeSession, ModelChoice, TrainConfig};
 pub use subtok::{
     pieces_to_spellings, spellings_to_source, split_ident, string_to_pieces, token_to_pieces,
     tokens_to_pieces, TargetNorm, TGT_SENTINELS, WORD_START,

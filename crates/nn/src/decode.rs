@@ -6,7 +6,7 @@
 //! parameter-clone allocation for work that is pure inference. This module is
 //! the O(T)-per-token replacement: a [`DecodeState`] holds
 //!
-//! * the encoder output, computed **once** per decode,
+//! * the encoder output, computed **once** per state,
 //! * per-decoder-layer **cross-attention K/V**, projected once from the
 //!   encoder output,
 //! * per-layer **self-attention K/V caches** that grow by one row per emitted
@@ -17,6 +17,12 @@
 //! [`GruDecodeState`] is the analogous path for the GRU baseline: the
 //! recurrent hidden state is carried across steps instead of being rebuilt
 //! from scratch on a fresh graph at every token.
+//!
+//! Both states carry the two whole-sequence loops, `greedy` and
+//! `forced_logprob`, and `reset` to the just-encoded state before each, so
+//! one state answers any mix of decodes and scores of its source after a
+//! single encoder pass. `Seq2Seq::greedy` / `forced_logprob` are
+//! `begin_decode` followed by the same loops.
 //!
 //! # Bit-identity
 //!
@@ -60,7 +66,7 @@ use std::sync::Arc;
 /// worker picked the job up, so a thread-local tally that the serve engine
 /// resets before calling `generate_function` and snapshots after is an exact
 /// per-request attribution — no locks, no ids threaded through the model
-/// layer. Both greedy decode loops (transformer and GRU) bump it alongside
+/// layer. The greedy decode loop (both model families) bumps it alongside
 /// the global counters.
 pub mod tally {
     use std::cell::Cell;
@@ -138,6 +144,58 @@ pub(crate) fn project_logits_row(xn: &[f32], w: &Tensor, wt: &Tensor, b: &[f32],
         row_matmul_into(xn, w, out);
     }
     add_assign(out, b);
+}
+
+// ---------------------------------------------------------------------------
+// Decode loops (shared by the transformer and GRU states)
+// ---------------------------------------------------------------------------
+
+/// The greedy loop both model families run: starts from `bos`, feeds each
+/// emitted token back through `next` (which steps the state and returns the
+/// argmax of the new logits row), and stops at `eos`, at `cap` tokens
+/// including `bos`, or on a degenerate tail. Returns the emitted ids
+/// without `bos`/`eos`.
+fn greedy_loop(
+    bos: usize,
+    eos: usize,
+    cap: usize,
+    mut next: impl FnMut(usize) -> Option<usize>,
+) -> Vec<usize> {
+    let mut out: Vec<usize> = vec![bos];
+    let obs = vega_obs::global();
+    while out.len() < cap {
+        let t0 = std::time::Instant::now();
+        let last = *out.last().expect("out starts with bos");
+        let token = next(last).unwrap_or(eos);
+        let dt = t0.elapsed().as_secs_f64();
+        obs.observe("decode.step_seconds", dt);
+        obs.counter_add("decode.tokens", 1);
+        tally::bump(dt);
+        if token == eos {
+            break;
+        }
+        out.push(token);
+        if crate::seq2seq::looks_degenerate(&out) {
+            break;
+        }
+    }
+    out.remove(0);
+    out
+}
+
+/// The forced scorer's reduction both model families run: `fill(r, probs)`
+/// writes the logits row for position `r`, and the sum of
+/// `ln softmax(row)[tgt_out[r]]` over the positions is returned.
+fn forced_sum(vocab: usize, tgt_out: &[usize], mut fill: impl FnMut(usize, &mut [f32])) -> f32 {
+    let mut probs = vec![0.0f32; vocab];
+    let mut lp = 0.0f32;
+    for (r, &to) in tgt_out.iter().enumerate() {
+        fill(r, &mut probs);
+        softmax_row(&mut probs);
+        lp += probs[to].max(1e-12).ln();
+    }
+    vega_obs::global().counter_add("decode.scored_tokens", tgt_out.len() as u64);
+    lp
 }
 
 /// Batched [`project_logits_row`]: one logits row per listed slot (`xn` at
@@ -273,8 +331,10 @@ impl Transformer {
     /// cross-attention K/V once, and allocates the self-attention caches and
     /// scratch buffers. Subsequent [`DecodeState::step`] calls cost one
     /// token-row pass through the decoder instead of a full-prefix re-run.
+    /// Each call is one encoder pass, counted in `decode.encoder_runs`.
     pub fn begin_decode(&self, src: &[usize]) -> DecodeState<'_> {
         let src = &src[..src.len().min(self.cfg.max_len)];
+        vega_obs::global().counter_add("decode.encoder_runs", 1);
         let enc = self.encode_fwd(src);
         let d = self.cfg.d_model;
         let dh = d / self.cfg.n_heads;
@@ -337,6 +397,13 @@ impl Transformer {
 /// cross-attention K/V (computed once), growing per-layer self-attention K/V
 /// caches, and reusable scratch rows. Create with
 /// [`Transformer::begin_decode`], advance with [`DecodeState::step`].
+///
+/// One state serves any number of whole decodes of its source:
+/// [`DecodeState::greedy`] and [`DecodeState::forced_logprob`] each
+/// [`reset`](DecodeState::reset) to the just-encoded state first, so every
+/// call after the first skips the encoder and the cross-attention K/V
+/// projections and is still bit-identical to a fresh `begin_decode` — the
+/// "encode once per statement" path behind `vega-model`'s decode session.
 pub struct DecodeState<'m> {
     model: &'m Transformer,
     /// The output projection pre-transposed to `vocab × d`, snapshotted from
@@ -757,6 +824,42 @@ impl DecodeState<'_> {
         }
         self.len = len;
     }
+
+    /// Rolls back to the just-encoded state (`truncate(0)`): every decoded
+    /// position is dropped, the encoder-derived cross-attention K/V stay.
+    pub fn reset(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Greedy decode from the just-encoded state: starts from `bos`, stops
+    /// at `eos` or `max_len` (capped at the model's). Returns the generated
+    /// ids without `bos`/`eos` — exactly what [`Seq2Seq::greedy`] returns
+    /// for this state's source.
+    ///
+    /// [`Seq2Seq::greedy`]: crate::Seq2Seq::greedy
+    pub fn greedy(&mut self, bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
+        self.reset();
+        let cap = max_len.min(self.model.cfg.max_len);
+        greedy_loop(bos, eos, cap, |t| crate::seq2seq::argmax(self.step(t)))
+    }
+
+    /// Teacher-forced log-probability of `tgt_out` given the shifted decoder
+    /// input `tgt_in`, from the just-encoded state — exactly what
+    /// [`Seq2Seq::forced_logprob`] returns for this state's source. The
+    /// whole forced prefix is known up front, so it is fed in one
+    /// [`DecodeState::step_many`] prefill pass.
+    ///
+    /// [`Seq2Seq::forced_logprob`]: crate::Seq2Seq::forced_logprob
+    pub fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
+        self.reset();
+        let (tgt_in, tgt_out) =
+            crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.model.cfg.max_len);
+        let vocab = self.model.cfg.vocab;
+        let rows = self.step_many(tgt_in);
+        forced_sum(vocab, tgt_out, |r, probs| {
+            probs.copy_from_slice(&rows[r * vocab..(r + 1) * vocab]);
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -767,14 +870,17 @@ impl GruSeq2Seq {
     /// Starts an incremental GRU decode over `src` (clamped to `max_len`):
     /// runs the encoder once and seeds the decoder hidden state, which is
     /// then carried across [`GruDecodeState::step`] calls instead of being
-    /// recomputed from scratch per token on a fresh graph.
+    /// recomputed from scratch per token on a fresh graph. Each call is one
+    /// encoder pass, counted in `decode.encoder_runs`.
     pub fn begin_decode(&self, src: &[usize]) -> GruDecodeState<'_> {
         let src = &src[..src.len().min(self.cfg.max_len)];
+        vega_obs::global().counter_add("decode.encoder_runs", 1);
         let d = self.cfg.d_model;
         let mut st = GruDecodeState {
             model: self,
             wt: self.out_proj_t(),
             h: vec![0.0; d],
+            h0: Vec::new(),
             xin: vec![0.0; 2 * d],
             z: vec![0.0; d],
             r: vec![0.0; d],
@@ -786,6 +892,7 @@ impl GruSeq2Seq {
         for &id in src {
             st.cell_fwd(&self.enc, emb.row(id));
         }
+        st.h0 = st.save();
         st
     }
 
@@ -803,11 +910,16 @@ impl GruSeq2Seq {
 /// Incremental decoder state for a [`GruSeq2Seq`]: the recurrent hidden
 /// state plus reusable gate scratch. Create with
 /// [`GruSeq2Seq::begin_decode`], advance with [`GruDecodeState::step`].
+/// Like [`DecodeState`], one state serves any number of whole decodes of
+/// its source ([`GruDecodeState::reset`] restores the post-encoder hidden
+/// state).
 pub struct GruDecodeState<'m> {
     model: &'m GruSeq2Seq,
     /// Pre-transposed output projection, snapshotted like `DecodeState`'s.
     wt: Arc<Tensor>,
     h: Vec<f32>,
+    /// The hidden state the encoder left, restored by `reset`.
+    h0: Vec<f32>,
     xin: Vec<f32>,
     z: Vec<f32>,
     r: Vec<f32>,
@@ -885,6 +997,31 @@ impl GruDecodeState<'_> {
     /// Panics if `h` was saved from a different width.
     pub fn restore(&mut self, h: &[f32]) {
         self.h.copy_from_slice(h);
+    }
+
+    /// Rolls back to the just-encoded state: restores the hidden state the
+    /// encoder left (the recurrent analog of [`DecodeState::reset`]).
+    pub fn reset(&mut self) {
+        self.h.copy_from_slice(&self.h0);
+    }
+
+    /// Greedy decode from the just-encoded state (see
+    /// [`DecodeState::greedy`]).
+    pub fn greedy(&mut self, bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
+        self.reset();
+        let cap = max_len.min(self.model.cfg.max_len);
+        greedy_loop(bos, eos, cap, |t| crate::seq2seq::argmax(self.step(t)))
+    }
+
+    /// Teacher-forced log-probability from the just-encoded state (see
+    /// [`DecodeState::forced_logprob`]), one recurrent step per position.
+    pub fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
+        self.reset();
+        let (tgt_in, tgt_out) =
+            crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.model.cfg.max_len);
+        forced_sum(self.model.cfg.vocab, tgt_out, |r, probs| {
+            probs.copy_from_slice(self.step(tgt_in[r]));
+        })
     }
 }
 
@@ -1078,8 +1215,9 @@ impl BatchDecode for BatchDecodeState<'_> {
 
     fn join(&mut self, src: &[usize]) -> Option<usize> {
         let s = self.slots.iter().position(Option::is_none)?;
-        // `begin_decode` runs the encoder and projects cross K/V exactly as
-        // the single path does; the batch adopts its per-session state and
+        // `begin_decode` runs the encoder (counting it in
+        // `decode.encoder_runs`) and projects cross K/V exactly as the
+        // single path does; the batch adopts its per-session state and
         // discards the single-session scratch.
         let st = self.model.begin_decode(src);
         self.slots[s] = Some(TfSlot {
@@ -1355,8 +1493,8 @@ impl BatchDecode for GruBatchDecodeState<'_> {
     fn join(&mut self, src: &[usize]) -> Option<usize> {
         let s = self.slots.iter().position(Option::is_none)?;
         let d = self.model.cfg.d_model;
-        // The single-session path runs the encoder bit-for-bit; adopt its
-        // seeded hidden state.
+        // The single-session path runs (and counts) the encoder
+        // bit-for-bit; adopt its seeded hidden state.
         let st = self.model.begin_decode(src);
         self.h[s * d..(s + 1) * d].copy_from_slice(&st.h);
         self.slots[s] = Some(GruSlot { len: 0 });

@@ -298,8 +298,7 @@ impl GruSeq2Seq {
 impl Seq2Seq for GruSeq2Seq {
     fn train_pair(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
         let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
+        let (tgt_in, tgt_out) = crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.cfg.max_len);
         let me = self.clone_descriptors();
         let mut g = Graph::new(&mut self.store);
         let h = Self::encode(&me.0, me.1, &mut g, src, me.2);
@@ -320,28 +319,7 @@ impl Seq2Seq for GruSeq2Seq {
     }
 
     fn greedy(&mut self, src: &[usize], bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
-        let cap = max_len.min(self.cfg.max_len);
-        let mut st = self.begin_decode(src);
-        let mut out = vec![bos];
-        let obs = vega_obs::global();
-        while out.len() < cap {
-            let t0 = std::time::Instant::now();
-            let last = *out.last().expect("out starts with bos");
-            let next = crate::seq2seq::argmax(st.step(last)).unwrap_or(eos);
-            let dt = t0.elapsed().as_secs_f64();
-            obs.observe("decode.step_seconds", dt);
-            obs.counter_add("decode.tokens", 1);
-            crate::decode::tally::bump(dt);
-            if next == eos {
-                break;
-            }
-            out.push(next);
-            if crate::seq2seq::looks_degenerate(&out) {
-                break;
-            }
-        }
-        out.remove(0);
-        out
+        self.begin_decode(src).greedy(bos, eos, max_len)
     }
 
     fn save_json(&self) -> String {
@@ -349,19 +327,7 @@ impl Seq2Seq for GruSeq2Seq {
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
-        let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
-        let mut probs = vec![0.0f32; self.cfg.vocab];
-        let mut st = self.begin_decode(src);
-        let mut lp = 0.0f32;
-        for (&ti, &to) in tgt_in.iter().zip(tgt_out.iter()) {
-            probs.copy_from_slice(st.step(ti));
-            crate::decode::softmax_row(&mut probs);
-            lp += probs[to].max(1e-12).ln();
-        }
-        vega_obs::global().counter_add("decode.scored_tokens", n as u64);
-        lp
+        self.begin_decode(src).forced_logprob(tgt_in, tgt_out)
     }
 }
 
@@ -412,8 +378,7 @@ impl GruSeq2Seq {
         tgt_out: &[usize],
     ) -> f32 {
         let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
+        let (tgt_in, tgt_out) = crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.cfg.max_len);
         let me = self.clone_descriptors();
         let hs = {
             let mut g = Graph::new(&mut self.store);

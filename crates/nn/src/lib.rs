@@ -57,7 +57,7 @@ pub use graph::{Graph, NodeId};
 pub use gru::{GruConfig, GruSeq2Seq};
 pub use kernel::{Isa, Kernel, KernelMode};
 pub use params::{Init, ParamId, ParamStore};
-pub use seq2seq::{argmax, looks_degenerate, train_until, Seq2Seq};
+pub use seq2seq::{argmax, forced_pair, looks_degenerate, train_until, Seq2Seq};
 pub use speculate::{speculative_greedy, SpecReport};
 pub use storage::{ByteRegion, TensorTable};
 pub use tensor::Tensor;

@@ -33,23 +33,37 @@ pub trait Seq2Seq {
 
     /// Log-probability of emitting `tgt` (with BOS/EOS handling) given `src`.
     fn sequence_logprob(&mut self, src: &[usize], tgt: &[usize], bos: usize, eos: usize) -> f32 {
-        let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
-        tgt_in.push(bos);
-        tgt_in.extend_from_slice(tgt);
-        let mut tgt_out = tgt.to_vec();
-        tgt_out.push(eos);
+        let (tgt_in, tgt_out) = forced_pair(tgt, bos, eos);
         self.forced_logprob(src, &tgt_in, &tgt_out)
     }
 
     /// Teacher-forced training loss for `(src, tgt)` with BOS prepended.
     fn train_example(&mut self, src: &[usize], tgt: &[usize], bos: usize, eos: usize) -> f32 {
-        let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
-        tgt_in.push(bos);
-        tgt_in.extend_from_slice(tgt);
-        let mut tgt_out = tgt.to_vec();
-        tgt_out.push(eos);
+        let (tgt_in, tgt_out) = forced_pair(tgt, bos, eos);
         self.train_pair(src, &tgt_in, &tgt_out)
     }
+}
+
+/// Clamps a teacher-forced pair to its common length, capped at `max_len`.
+pub(crate) fn clamp_forced<'a>(
+    tgt_in: &'a [usize],
+    tgt_out: &'a [usize],
+    max_len: usize,
+) -> (&'a [usize], &'a [usize]) {
+    let n = tgt_in.len().min(tgt_out.len()).min(max_len);
+    (&tgt_in[..n], &tgt_out[..n])
+}
+
+/// The teacher-forced pair for emitting `tgt`: the shifted decoder input
+/// `bos, tgt..` and the target output `tgt.., eos`.
+pub fn forced_pair(tgt: &[usize], bos: usize, eos: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
+    tgt_in.push(bos);
+    tgt_in.extend_from_slice(tgt);
+    let mut tgt_out = Vec::with_capacity(tgt.len() + 1);
+    tgt_out.extend_from_slice(tgt);
+    tgt_out.push(eos);
+    (tgt_in, tgt_out)
 }
 
 /// NaN-safe argmax over a logits row, tie-breaking to the **lowest** token

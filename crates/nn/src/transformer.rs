@@ -341,8 +341,7 @@ impl Transformer {
 impl Seq2Seq for Transformer {
     fn train_pair(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
         let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
+        let (tgt_in, tgt_out) = crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.cfg.max_len);
         // Detach the tiny layer descriptors so `store` can be lent mutably.
         let me = self.clone_shallow();
         let mut g = Graph::new(&mut self.store);
@@ -364,28 +363,7 @@ impl Seq2Seq for Transformer {
     }
 
     fn greedy(&mut self, src: &[usize], bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
-        let cap = max_len.min(self.cfg.max_len);
-        let mut st = self.begin_decode(src);
-        let mut out: Vec<usize> = vec![bos];
-        let obs = vega_obs::global();
-        while out.len() < cap {
-            let t0 = std::time::Instant::now();
-            let last = *out.last().expect("out starts with bos");
-            let next = crate::seq2seq::argmax(st.step(last)).unwrap_or(eos);
-            let dt = t0.elapsed().as_secs_f64();
-            obs.observe("decode.step_seconds", dt);
-            obs.counter_add("decode.tokens", 1);
-            crate::decode::tally::bump(dt);
-            if next == eos {
-                break;
-            }
-            out.push(next);
-            if crate::seq2seq::looks_degenerate(&out) {
-                break;
-            }
-        }
-        out.remove(0);
-        out
+        self.begin_decode(src).greedy(bos, eos, max_len)
     }
 
     fn save_json(&self) -> String {
@@ -393,25 +371,10 @@ impl Seq2Seq for Transformer {
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
-        let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
-        let vocab = self.cfg.vocab;
-        let mut probs = vec![0.0f32; vocab];
-        // The whole forced prefix is known up front, so score it in one
-        // multi-position pass (prompt prefill) instead of n single steps.
-        // Bit-identical to the token-at-a-time loop: `step_many` is pinned
-        // against repeated `step` by the spec-equivalence suite.
-        let mut st = self.begin_decode(src);
-        let rows = st.step_many(tgt_in);
-        let mut lp = 0.0f32;
-        for (r, &to) in tgt_out.iter().enumerate() {
-            probs.copy_from_slice(&rows[r * vocab..(r + 1) * vocab]);
-            crate::decode::softmax_row(&mut probs);
-            lp += probs[to].max(1e-12).ln();
-        }
-        vega_obs::global().counter_add("decode.scored_tokens", n as u64);
-        lp
+        // One prefill pass over the whole forced prefix; bit-identical to the
+        // token-at-a-time loop (`step_many` is pinned against repeated `step`
+        // by the spec-equivalence suite).
+        self.begin_decode(src).forced_logprob(tgt_in, tgt_out)
     }
 }
 
@@ -470,8 +433,7 @@ impl Transformer {
         tgt_out: &[usize],
     ) -> f32 {
         let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
+        let (tgt_in, tgt_out) = crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.cfg.max_len);
         let me = self.clone_shallow();
         let xn = {
             let mut g = Graph::new(&mut self.store);

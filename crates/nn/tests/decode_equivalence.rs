@@ -7,9 +7,14 @@
 //! token streams, teacher-forced log-probabilities (by `to_bits`), and raw
 //! logits rows between the two paths, for trained and untrained weights,
 //! both model families, and the truncation / degenerate-exit edge cases.
+//! One state reused across a greedy decode, many forced scores and another
+//! greedy decode must answer exactly as a fresh `begin_decode` per call.
 //! `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`.
 
-use vega_nn::{GruConfig, GruSeq2Seq, Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::{
+    forced_pair, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,
+    TransformerConfig,
+};
 
 /// Deterministic pseudo-random token ids in `[lo, hi)` (splitmix64).
 fn tokens(seed: u64, n: usize, lo: usize, hi: usize) -> Vec<usize> {
@@ -226,4 +231,147 @@ fn gru_forced_steps_matches_graph() {
         m.forced_steps(&src, &feed),
         m.forced_steps_graph(&src, &feed)
     );
+}
+
+// ---------------------------------------------------------------------------
+// One state, many decodes (the encode-once session path)
+// ---------------------------------------------------------------------------
+
+/// The whole-sequence loops both decode states carry.
+trait Session {
+    fn greedy(&mut self, bos: usize, eos: usize, max_len: usize) -> Vec<usize>;
+    fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32;
+}
+
+impl Session for DecodeState<'_> {
+    fn greedy(&mut self, bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
+        DecodeState::greedy(self, bos, eos, max_len)
+    }
+    fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
+        DecodeState::forced_logprob(self, tgt_in, tgt_out)
+    }
+}
+
+impl Session for GruDecodeState<'_> {
+    fn greedy(&mut self, bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
+        GruDecodeState::greedy(self, bos, eos, max_len)
+    }
+    fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
+        GruDecodeState::forced_logprob(self, tgt_in, tgt_out)
+    }
+}
+
+/// Forced pairs of mixed lengths: a long one before short ones (so a reset
+/// that left stale rows would show), an unframed empty pair, an empty
+/// candidate framed as `sequence_logprob` frames it, and one past `max_len`.
+fn session_candidates(vocab: usize, max_len: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    vec![
+        forced_pair(&tokens(81, 10, 2, vocab), 0, 1),
+        (
+            tokens(82, max_len + 5, 2, vocab),
+            tokens(83, max_len + 3, 2, vocab),
+        ),
+        (Vec::new(), Vec::new()),
+        forced_pair(&tokens(84, 3, 2, vocab), 0, 1),
+        forced_pair(&[], 0, 1),
+        forced_pair(&tokens(85, 7, 2, vocab), 0, 1),
+    ]
+}
+
+/// Drives `reused` through a greedy decode, every candidate's forced score,
+/// and a greedy decode again; each answer must equal a `fresh()` state's
+/// (one `begin_decode` per call) bit for bit.
+fn assert_reuse_matches_fresh<S: Session>(
+    mut reused: S,
+    fresh: impl Fn() -> S,
+    vocab: usize,
+    max_len: usize,
+) {
+    let want = fresh().greedy(0, 1, max_len);
+    assert_eq!(reused.greedy(0, 1, max_len), want, "first greedy");
+    for (i, (tgt_in, tgt_out)) in session_candidates(vocab, max_len).iter().enumerate() {
+        let got = reused.forced_logprob(tgt_in, tgt_out);
+        let want = fresh().forced_logprob(tgt_in, tgt_out);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "candidate {i}: reused state scored {got}, fresh state {want}"
+        );
+    }
+    assert_eq!(reused.greedy(0, 1, max_len), want, "greedy after scoring");
+}
+
+#[test]
+fn transformer_tiny_state_reuse_matches_fresh_bitwise() {
+    let t = trained_copy_transformer();
+    for src in [vec![5usize, 6], vec![2, 3, 4]] {
+        assert_reuse_matches_fresh(
+            t.begin_decode(&src),
+            || t.begin_decode(&src),
+            t.cfg.vocab,
+            t.cfg.max_len,
+        );
+    }
+}
+
+#[test]
+fn transformer_small_state_reuse_matches_fresh_bitwise() {
+    let t = Transformer::new(TransformerConfig::small(64));
+    let src = tokens(86, 48, 2, 64);
+    assert_reuse_matches_fresh(
+        t.begin_decode(&src),
+        || t.begin_decode(&src),
+        t.cfg.vocab,
+        t.cfg.max_len,
+    );
+}
+
+#[test]
+fn gru_state_reuse_matches_fresh_bitwise() {
+    let m = GruSeq2Seq::new(GruConfig::small(64));
+    let src = tokens(87, 30, 2, 64);
+    assert_reuse_matches_fresh(
+        m.begin_decode(&src),
+        || m.begin_decode(&src),
+        m.cfg.vocab,
+        m.cfg.max_len,
+    );
+}
+
+#[test]
+fn state_reuse_matches_graph_reference() {
+    // Anchor the reused path to the graph reference too, not only to itself
+    // (the graph path cannot decode zero positions, so the unframed empty
+    // pair sits this one out).
+    let mut t = Transformer::new(TransformerConfig::small(64));
+    let src = tokens(88, 20, 2, 64);
+    let mut cands = session_candidates(64, t.cfg.max_len);
+    cands.retain(|(i, o)| !i.is_empty() && !o.is_empty());
+    let got: Vec<u32> = {
+        let mut st = t.begin_decode(&src);
+        cands
+            .iter()
+            .map(|(i, o)| st.forced_logprob(i, o).to_bits())
+            .collect()
+    };
+    for ((tgt_in, tgt_out), bits) in cands.iter().zip(got) {
+        assert_eq!(
+            t.forced_logprob_graph(&src, tgt_in, tgt_out).to_bits(),
+            bits
+        );
+    }
+    let mut g = GruSeq2Seq::new(GruConfig::small(64));
+    let got: Vec<u32> = {
+        let mut st = g.begin_decode(&src);
+        cands
+            .iter()
+            .map(|(i, o)| st.forced_logprob(i, o).to_bits())
+            .collect()
+    };
+    for ((tgt_in, tgt_out), bits) in cands.iter().zip(got) {
+        assert_eq!(
+            g.forced_logprob_graph(&src, tgt_in, tgt_out).to_bits(),
+            bits
+        );
+    }
 }

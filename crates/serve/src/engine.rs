@@ -237,13 +237,14 @@ impl Engine {
     /// from (the same frame the cache key covers). Returns one logprob per
     /// candidate, in order.
     ///
-    /// When the replica routes decode through a batching backend, all
-    /// candidates are scored **concurrently** — each joins the running
-    /// batch at a token boundary, so one request's candidates amortize
-    /// weight reads against each other and against other requests. Without
-    /// a backend, candidates are scored sequentially on the replica with a
-    /// deadline check between candidates (matching replica-mode generate,
-    /// which enforces deadlines at dispatch boundaries).
+    /// All candidates are scored on one [`CodeBe::session`] over the
+    /// signature input, so the request runs the encoder **once** however
+    /// many candidates it carries; each score is bit-identical to a
+    /// per-candidate [`CodeBe::try_sequence_logprob`]. Candidates are scored
+    /// in order with a deadline check between them (matching replica-mode
+    /// generate, which enforces deadlines at dispatch boundaries). On a
+    /// replica that carries a decode backend, the session forwards each
+    /// candidate to it unchanged.
     ///
     /// # Errors
     /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
@@ -291,38 +292,21 @@ impl Engine {
             &self.vega.catalog,
             self.vega.max_input_len(),
         );
-        if let Some(handle) = model.backend_handle() {
-            std::thread::scope(|scope| {
-                let joins: Vec<_> = candidates
-                    .iter()
-                    .map(|cand| {
-                        let handle = handle.clone();
-                        let sig = &sig_input;
-                        scope.spawn(move || handle.backend().sequence_logprob(sig, cand, deadline))
-                    })
-                    .collect();
-                joins
-                    .into_iter()
-                    .map(|j| j.join().expect("score worker panicked"))
-                    .collect::<Result<Vec<f32>, DecodeAbort>>()
-            })
-            .map_err(abort_error)
-        } else {
-            let mut scores = Vec::with_capacity(candidates.len());
-            for cand in candidates {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(abort_error(DecodeAbort::Expired));
-                    }
+        let mut session = model.session(&sig_input);
+        let mut scores = Vec::with_capacity(candidates.len());
+        for cand in candidates {
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    return Err(abort_error(DecodeAbort::Expired));
                 }
-                scores.push(
-                    model
-                        .try_sequence_logprob(&sig_input, cand, deadline)
-                        .map_err(abort_error)?,
-                );
             }
-            Ok(scores)
+            scores.push(
+                session
+                    .try_sequence_logprob(cand, deadline)
+                    .map_err(abort_error)?,
+            );
         }
+        Ok(scores)
     }
 
     /// Generates one function on a one-off replica (the reference path the

@@ -113,9 +113,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// The most candidates one `score` request may carry. Caps the fan-out a
-/// single connection can force on the decode broker (each candidate holds a
-/// batch slot for its whole forced decode).
+/// The most candidates one `score` request may carry. Caps the work one
+/// request can force on its connection thread, which scores the candidates
+/// one after another on one decode session.
 pub const MAX_SCORE_CANDIDATES: usize = 16;
 
 /// Machine-readable error kinds (`error` field of failure responses).

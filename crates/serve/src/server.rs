@@ -990,13 +990,14 @@ fn handle_backend(
 /// weights, so the clone copies tensor descriptors, not weight data).
 ///
 /// Scoring never routes through the batch broker, even under the batch
-/// engine: every candidate token is known up front, so `forced_logprob`
-/// scores the whole sequence in one multi-position `step_many` pass that
-/// amortizes weight reads *within* the request — feeding the broker's
-/// lockstep batch one token at a time instead measures ~1.5x slower on the
-/// deploy-shaped bench (see `benches/serve.rs`). The broker earns its keep
-/// on *generation*, where each next token is unknown until the previous one
-/// is decoded.
+/// engine: the replica carries no decode backend, so
+/// [`Engine::try_score_with`] encodes the signature input once in a decode
+/// session and scores each candidate in one multi-position `step_many`
+/// prefill pass over that encoding — amortizing weight reads *within* the
+/// request, where feeding the broker's lockstep batch one token at a time
+/// measures ~1.5x slower on the deploy-shaped bench (see
+/// `benches/serve.rs`). The broker earns its keep on *generation*, where
+/// each next token is unknown until the previous one is decoded.
 #[allow(clippy::too_many_arguments)]
 fn handle_score(
     shared: &Shared,
