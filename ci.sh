@@ -11,6 +11,11 @@ cargo fmt --check
 echo "== build =="
 cargo build --release --workspace
 
+# API docs build warning-free: a broken or public-to-private intra-doc link
+# fails the gate.
+echo "== rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # The suite runs twice so the determinism promise is exercised at both a
 # sequential and a parallel vega-par pool size (outputs must be identical).
 echo "== test (VEGA_THREADS=1) =="

@@ -45,7 +45,7 @@ pub fn fib(n: i64) -> IrFunction {
     b.finish()
 }
 
-/// Sum a[0..n] after initializing a[i] = i*3.
+/// Sum `a[0..n]` after initializing `a[i] = i*3`.
 pub fn vecsum(n: i64) -> IrFunction {
     let mut b = IrBuilder::new("vecsum");
     let base = b.constant(16);

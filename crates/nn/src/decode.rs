@@ -24,6 +24,23 @@
 //! single encoder pass. `Seq2Seq::greedy` / `forced_logprob` are
 //! `begin_decode` followed by the same loops.
 //!
+//! # One forward
+//!
+//! Every transformer decode path runs the same decoder forward over *rows*.
+//! A row is a session's K/V cache, a position in it, the token fed there
+//! and a scratch row to compute in. [`DecodeState::step`] is one row,
+//! [`DecodeState::step_many`] is one row per token of one session, and a
+//! [`BatchDecodeState`] step is one row per fed slot. The GRU paths (the
+//! encoder pass, [`GruDecodeState::step`] and the batch step) share one
+//! GRU cell over rows in the same way, and every path, the graph
+//! references included, shares one logits projection.
+//!
+//! The row count picks the loop, never the result. One row takes the
+//! per-`k` [`row_matmul_into`] and the row-major dot-form logits loop;
+//! several rows take the k-tiled loop, which streams each weight matrix
+//! once for all of them, and the weight-major logits loop. Per row both
+//! are the same f32 operations in the same order.
+//!
 //! # Bit-identity
 //!
 //! Every kernel here replays the *same f32 operations in the same order* as
@@ -50,14 +67,16 @@
 //!   shapes verbatim (same reduction order, same `(x - mean) / std * g + b`
 //!   association).
 
-use crate::gru::{GruCell, GruSeq2Seq};
+use crate::gru::{GruCell, GruConfig, GruSeq2Seq};
 use crate::kernel::{with_kernel, Kernel, K_TILE};
+use crate::params::ParamId;
 use crate::tensor::Tensor;
-use crate::transformer::{AttnParams, FfParams, LnParams, Transformer};
+use crate::transformer::{AttnParams, FfParams, LnParams, Transformer, TransformerConfig};
 use std::sync::Arc;
 
 /// Per-thread decode attribution: how many tokens the *current thread* has
-/// decoded, and how long the decode steps took, since the last [`reset`].
+/// decoded, and how long the decode steps took, since the last
+/// [`reset`](crate::decode::tally::reset).
 ///
 /// The global obs registry aggregates `decode.tokens` /
 /// `decode.step_seconds` across every thread in the process, which is right
@@ -127,23 +146,119 @@ pub(crate) use crate::kernel::{add_assign, dot, layer_norm_row, row_matmul_into}
 /// f32 sequence instead of reimplementing it.
 pub use crate::kernel::softmax_row;
 
-/// One logits row `out = xn · w + b`, branching on
-/// [`crate::kernel::dot_form_logits`]: dot-form reads the pre-transposed
+/// `out[s] = a[s] · b` for every scratch row `s` in `rows`, where `a` holds
+/// one row per scratch index at stride `b.rows` and `out` one at stride
+/// `b.cols` — the matmul behind every decode path.
+///
+/// One row runs [`row_matmul_into`]'s per-`k` loop. Several rows run a
+/// k-blocked loop: weight rows are streamed sequentially (so the hardware
+/// prefetcher sees one linear pass over the matrix) in blocks of
+/// [`K_TILE`], and inside a block every row consumes all [`K_TILE`] weight
+/// rows while they are cache-hot — the weight bytes cross the cache
+/// hierarchy **once** for all rows instead of once per row. When a row's
+/// [`K_TILE`] activations are all nonzero the fused path folds all eight
+/// rank-1 updates into one pass over the output row (eight FMAs per
+/// load/store instead of one); otherwise the per-k path applies exactly the
+/// nonzero terms.
+///
+/// Per row, the accumulation into any output element is element-by-element
+/// in ascending `k` with the exact zero-skip (the fused [`Kernel::fma_tile`]
+/// path's `+=` chain is the same rounding sequence), i.e. bit-identical to
+/// [`row_matmul_into`] on that row alone; blocking only reorders work
+/// *across* rows, and no f32 op mixes rows.
+fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (kdim, odim) = (b.rows, b.cols);
+    if let [s] = *rows {
+        let (a, out) = (
+            &a[s * kdim..(s + 1) * kdim],
+            &mut out[s * odim..(s + 1) * odim],
+        );
+        return row_matmul_into(a, b, out);
+    }
+    for &s in rows {
+        out[s * odim..(s + 1) * odim].fill(0.0);
+    }
+    with_kernel!(kr => {
+        let mut kb = 0;
+        while kb + K_TILE <= kdim {
+            let wrows: [&[f32]; K_TILE] = std::array::from_fn(|t| b.row(kb + t));
+            for &s in rows {
+                let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
+                let orow = &mut out[s * odim..(s + 1) * odim];
+                if avs.iter().all(|&av| av != 0.0) {
+                    kr.fma_tile(&avs, &wrows, orow);
+                } else {
+                    for (&av, row) in avs.iter().zip(wrows.iter()) {
+                        if av == 0.0 {
+                            continue;
+                        }
+                        kr.axpy(av, row, orow);
+                    }
+                }
+            }
+            kb += K_TILE;
+        }
+        // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
+        for k in kb..kdim {
+            let brow = b.row(k);
+            for &s in rows {
+                let av = a[s * kdim + k];
+                if av == 0.0 {
+                    continue;
+                }
+                kr.axpy(av, brow, &mut out[s * odim..(s + 1) * odim]);
+            }
+        }
+    });
+}
+
+/// The logits projection every decode path and both graph references run:
+/// `out[s] = xn[s] · w + b` for every scratch row `s` in `rows` (`xn` at
+/// stride `w.rows`, `out` at stride `w.cols`), branching on
+/// [`crate::kernel::dot_form_logits`]. Dot-form reads the pre-transposed
 /// weight `wt` (`vocab × d`) one contiguous row per vocab id through the
-/// fixed-tree [`Kernel::dot`] (the AVX2 win the matmul bench measures);
-/// axpy-form is the classic [`row_matmul_into`] column sweep (faster in
-/// scalar mode, whose serial-chain `dot` loses ~4×). Every decode *and*
-/// graph-reference path funnels through this same branch, so within one
-/// (kernel mode, dot-form) setting the two sides stay bit-identical.
-pub(crate) fn project_logits_row(xn: &[f32], w: &Tensor, wt: &Tensor, b: &[f32], out: &mut [f32]) {
-    if crate::kernel::dot_form_logits() {
-        for (v, o) in out.iter_mut().enumerate() {
+/// fixed-tree [`Kernel::dot`] (the AVX2 win the matmul bench measures):
+/// row-major for one row, weight-major for several, so each transposed
+/// weight row crosses the cache hierarchy once for all of them.
+/// Axpy-form is [`rows_matmul_into`] (faster in scalar mode, whose
+/// serial-chain `dot` loses ~4×). Per row the f32 sequence is the same
+/// either way, so within one (kernel mode, dot-form) setting every path
+/// stays bit-identical.
+pub(crate) fn project_logits(
+    rows: &[usize],
+    xn: &[f32],
+    w: &Tensor,
+    wt: &Tensor,
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let (d, vocab) = (w.rows, w.cols);
+    if !crate::kernel::dot_form_logits() {
+        rows_matmul_into(rows, xn, w, out);
+    } else if let [s] = *rows {
+        let xn = &xn[s * d..(s + 1) * d];
+        for (v, o) in out[s * vocab..(s + 1) * vocab].iter_mut().enumerate() {
             *o = dot(xn, wt.row(v));
         }
     } else {
-        row_matmul_into(xn, w, out);
+        for v in 0..vocab {
+            let wr = wt.row(v);
+            for &s in rows {
+                out[s * vocab + v] = dot(&xn[s * d..(s + 1) * d], wr);
+            }
+        }
     }
-    add_assign(out, b);
+    for &s in rows {
+        add_assign(&mut out[s * vocab..(s + 1) * vocab], b);
+    }
+}
+
+/// Grows `v` to at least `n` zeroed elements; never shrinks, so scratch
+/// sized for the largest chunk so far is reused without allocating.
+fn grow(v: &mut Vec<f32>, n: usize) {
+    if v.len() < n {
+        v.resize(n, 0.0);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,36 +311,6 @@ fn forced_sum(vocab: usize, tgt_out: &[usize], mut fill: impl FnMut(usize, &mut 
     }
     vega_obs::global().counter_add("decode.scored_tokens", tgt_out.len() as u64);
     lp
-}
-
-/// Batched [`project_logits_row`]: one logits row per listed slot (`xn` at
-/// stride `w.rows`, `out` at stride `w.cols`). The dot-form loop is
-/// weight-major — each transposed weight row crosses the cache hierarchy
-/// once for the whole batch, mirroring [`batch_row_matmul_into`]'s
-/// amortization — and per slot the f32 sequence is exactly the single-row
-/// helper's, so batch and single logits agree bitwise.
-pub(crate) fn project_logits_rows(
-    slots: &[usize],
-    xn: &[f32],
-    w: &Tensor,
-    wt: &Tensor,
-    b: &[f32],
-    out: &mut [f32],
-) {
-    let (d, vocab) = (w.rows, w.cols);
-    if crate::kernel::dot_form_logits() {
-        for v in 0..vocab {
-            let wr = wt.row(v);
-            for &s in slots {
-                out[s * vocab + v] = dot(&xn[s * d..(s + 1) * d], wr);
-            }
-        }
-    } else {
-        batch_row_matmul_into(slots, xn, w, out);
-    }
-    for &s in slots {
-        add_assign(&mut out[s * vocab..(s + 1) * vocab], b);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,58 +410,257 @@ impl Transformer {
         }
         x
     }
+}
 
-    /// Starts an incremental decode session over `src` (clamped to
-    /// `max_len`): encodes once, projects every decoder layer's
-    /// cross-attention K/V once, and allocates the self-attention caches and
-    /// scratch buffers. Subsequent [`DecodeState::step`] calls cost one
-    /// token-row pass through the decoder instead of a full-prefix re-run.
-    /// Each call is one encoder pass, counted in `decode.encoder_runs`.
-    pub fn begin_decode(&self, src: &[usize]) -> DecodeState<'_> {
+// ---------------------------------------------------------------------------
+// Transformer fast path: one decoder forward over rows
+// ---------------------------------------------------------------------------
+
+/// One session's decoder cache, for a [`DecodeState`] or a batch slot:
+/// encoder-derived cross-attention K/V (fixed) and self-attention K/V that
+/// grow by one row per fed position.
+#[derive(Default)]
+struct KvCache {
+    /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed.
+    cross_k: Vec<Vec<Tensor>>,
+    cross_v: Vec<Vec<Tensor>>,
+    /// `[layer][head]`: cached self-attention keys/values, one row per
+    /// decoded position (pre-reserved to `max_len` rows).
+    self_k: Vec<Vec<Tensor>>,
+    self_v: Vec<Vec<Tensor>>,
+    /// Positions fed so far.
+    len: usize,
+}
+
+/// One row of a decoder forward: `token` fed at position `pos` of session
+/// cache `cache`, computed in scratch row `at`.
+#[derive(Clone, Copy)]
+struct Row {
+    cache: usize,
+    pos: usize,
+    token: usize,
+    at: usize,
+}
+
+/// Scratch for [`Transformer::decode_rows`]: one row per scratch index at
+/// the natural stride of each buffer, grown lazily to the largest index
+/// used, so the steady-state decode loop allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    /// The rows of the next forward, set by the caller.
+    rows: Vec<Row>,
+    /// `rows`' scratch indices, in row order.
+    ids: Vec<usize>,
+    x: Vec<f32>,
+    xn: Vec<f32>,
+    q: Vec<f32>,
+    kv: Vec<f32>,
+    heads: Vec<f32>,
+    tmp_d: Vec<f32>,
+    ff: Vec<f32>,
+    logits: Vec<f32>,
+    /// One attention row, reused by every row and head in turn.
+    scores: Vec<f32>,
+}
+
+impl Scratch {
+    /// Grows every buffer to hold scratch rows `0..n`.
+    fn ensure(&mut self, cfg: &TransformerConfig, n: usize) {
+        let d = cfg.d_model;
+        let dh = d / cfg.n_heads;
+        for (v, width) in [
+            (&mut self.x, d),
+            (&mut self.xn, d),
+            (&mut self.q, dh),
+            (&mut self.kv, dh),
+            (&mut self.heads, d),
+            (&mut self.tmp_d, d),
+            (&mut self.ff, cfg.d_ff),
+            (&mut self.logits, cfg.vocab),
+        ] {
+            grow(v, n * width);
+        }
+        grow(&mut self.scores, cfg.max_len);
+    }
+}
+
+impl Transformer {
+    /// Encodes `src` (clamped to `max_len`) into a fresh session cache: the
+    /// encoder runs once (counted in `decode.encoder_runs`), each decoder
+    /// layer's cross-attention K/V is projected once, and the
+    /// self-attention caches are reserved to `max_len` rows.
+    fn encode_cache(&self, src: &[usize]) -> KvCache {
         let src = &src[..src.len().min(self.cfg.max_len)];
         vega_obs::global().counter_add("decode.encoder_runs", 1);
         let enc = self.encode_fwd(src);
-        let d = self.cfg.d_model;
-        let dh = d / self.cfg.n_heads;
-        let mut cross_k = Vec::with_capacity(self.dec_layers.len());
-        let mut cross_v = Vec::with_capacity(self.dec_layers.len());
-        let mut self_k = Vec::with_capacity(self.dec_layers.len());
-        let mut self_v = Vec::with_capacity(self.dec_layers.len());
+        let cross = |ws: &[ParamId]| -> Vec<Tensor> {
+            ws.iter()
+                .map(|&w| enc.matmul(self.store.value(w), false))
+                .collect()
+        };
+        let dh = self.cfg.d_model / self.cfg.n_heads;
+        let empty = || -> Vec<Tensor> {
+            let rows = self.cfg.max_len;
+            (0..self.cfg.n_heads)
+                .map(|_| Tensor::with_row_capacity(dh, rows))
+                .collect()
+        };
+        let mut c = KvCache::default();
         for layer in &self.dec_layers {
-            let mut lk = Vec::with_capacity(self.cfg.n_heads);
-            let mut lv = Vec::with_capacity(self.cfg.n_heads);
-            let mut sk = Vec::with_capacity(self.cfg.n_heads);
-            let mut sv = Vec::with_capacity(self.cfg.n_heads);
-            for h in 0..self.cfg.n_heads {
-                lk.push(enc.matmul(self.store.value(layer.cross_attn.wk[h]), false));
-                lv.push(enc.matmul(self.store.value(layer.cross_attn.wv[h]), false));
-                let empty = || Tensor::with_row_capacity(dh, self.cfg.max_len);
-                sk.push(empty());
-                sv.push(empty());
-            }
-            cross_k.push(lk);
-            cross_v.push(lv);
-            self_k.push(sk);
-            self_v.push(sv);
+            c.cross_k.push(cross(&layer.cross_attn.wk));
+            c.cross_v.push(cross(&layer.cross_attn.wv));
+            c.self_k.push(empty());
+            c.self_v.push(empty());
         }
+        c
+    }
+
+    /// The decoder forward behind every transformer decode path: feeds each
+    /// of `sc.rows` through every decoder layer and the logits projection,
+    /// leaving row `r`'s logits in scratch row `r.at`.
+    ///
+    /// Per layer and head, every row's self-attention K/V is appended to its
+    /// session cache (in row order) before any row attends, and row `r` then
+    /// attends over the first `r.pos + 1` positions of its cache. So a
+    /// session's rows must be listed at ascending positions starting at its
+    /// length; its later rows exist in the cache but are never read, exactly
+    /// as the graph path's `-1e9` mask zeroes them out, and every row is
+    /// bit-identical to feeding its session one token at a time.
+    ///
+    /// # Panics
+    /// Panics if a row's position is at or past `max_len` (the graph path
+    /// would index the positional table out of range at the same point).
+    fn decode_rows(&self, wt: &Tensor, caches: &mut [KvCache], sc: &mut Scratch) {
+        let cfg = &self.cfg;
+        let d = cfg.d_model;
+        let dh = d / cfg.n_heads;
+        let d_ff = cfg.d_ff;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut n = 0;
+        for r in &sc.rows {
+            assert!(r.pos < cfg.max_len, "decode past max_len");
+            n = n.max(r.at + 1);
+        }
+        sc.ensure(cfg, n);
+        let Scratch {
+            rows,
+            ids,
+            x,
+            xn,
+            q,
+            kv,
+            heads,
+            tmp_d,
+            ff,
+            logits,
+            scores,
+        } = sc;
+        ids.clear();
+        ids.extend(rows.iter().map(|r| r.at));
+        let ids: &[usize] = ids;
+        let w = |p: ParamId| self.store.value(p);
+        // Token + positional embedding per row.
+        for r in rows.iter() {
+            let (te, pe) = (w(self.tok_emb).row(r.token), w(self.pos_emb).row(r.pos));
+            for (c, o) in x[r.at * d..(r.at + 1) * d].iter_mut().enumerate() {
+                *o = te[c] + pe[c];
+            }
+        }
+        let norm = |p: &LnParams, x: &[f32], xn: &mut [f32]| {
+            let (g, b) = (w(p.gain).as_slice(), w(p.bias).as_slice());
+            for &a in ids {
+                layer_norm_row(&x[a * d..(a + 1) * d], g, b, &mut xn[a * d..(a + 1) * d]);
+            }
+        };
+        let residual = |x: &mut [f32], y: &[f32]| {
+            for &a in ids {
+                add_assign(&mut x[a * d..(a + 1) * d], &y[a * d..(a + 1) * d]);
+            }
+        };
+        // One head's attention for one row: `out = softmax(q · kᵀ · scale) · v`
+        // over the first `n` rows of `k` and `v`.
+        let mut attend = |q: &[f32], k: &Tensor, v: &Tensor, n: usize, out: &mut [f32]| {
+            let scores = &mut scores[..n];
+            for (j, sc) in scores.iter_mut().enumerate() {
+                *sc = dot(q, k.row(j)) * scale;
+            }
+            softmax_row(scores);
+            row_matmul_into(scores, v, out);
+        };
+        let head = |h: usize, a: usize| a * d + h * dh..a * d + (h + 1) * dh;
+        for (l, layer) in self.dec_layers.iter().enumerate() {
+            // Self-attention: append every row's K/V, then attend each row
+            // over its own causal prefix.
+            norm(&layer.ln1, x, xn);
+            let p = &layer.self_attn;
+            for h in 0..cfg.n_heads {
+                rows_matmul_into(ids, xn, w(p.wq[h]), q);
+                rows_matmul_into(ids, xn, w(p.wk[h]), kv);
+                for r in rows.iter() {
+                    caches[r.cache].self_k[l][h].push_row(&kv[r.at * dh..(r.at + 1) * dh]);
+                }
+                rows_matmul_into(ids, xn, w(p.wv[h]), kv);
+                for r in rows.iter() {
+                    caches[r.cache].self_v[l][h].push_row(&kv[r.at * dh..(r.at + 1) * dh]);
+                }
+                for r in rows.iter() {
+                    let c = &caches[r.cache];
+                    let (k, v) = (&c.self_k[l][h], &c.self_v[l][h]);
+                    let q = &q[r.at * dh..(r.at + 1) * dh];
+                    attend(q, k, v, r.pos + 1, &mut heads[head(h, r.at)]);
+                }
+            }
+            rows_matmul_into(ids, heads, w(p.wo), tmp_d);
+            residual(x, tmp_d);
+            // Cross-attention against each session's fixed encoder K/V.
+            norm(&layer.ln2, x, xn);
+            let p = &layer.cross_attn;
+            for h in 0..cfg.n_heads {
+                rows_matmul_into(ids, xn, w(p.wq[h]), q);
+                for r in rows.iter() {
+                    let c = &caches[r.cache];
+                    let (k, v) = (&c.cross_k[l][h], &c.cross_v[l][h]);
+                    let q = &q[r.at * dh..(r.at + 1) * dh];
+                    attend(q, k, v, k.rows, &mut heads[head(h, r.at)]);
+                }
+            }
+            rows_matmul_into(ids, heads, w(p.wo), tmp_d);
+            residual(x, tmp_d);
+            // Feed-forward.
+            norm(&layer.ln3, x, xn);
+            rows_matmul_into(ids, xn, w(layer.ff.w1), ff);
+            for &a in ids {
+                let f = &mut ff[a * d_ff..(a + 1) * d_ff];
+                add_assign(f, w(layer.ff.b1).as_slice());
+                for v in f.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            rows_matmul_into(ids, ff, w(layer.ff.w2), tmp_d);
+            for &a in ids {
+                add_assign(&mut tmp_d[a * d..(a + 1) * d], w(layer.ff.b2).as_slice());
+            }
+            residual(x, tmp_d);
+        }
+        norm(&self.final_ln, x, xn);
+        project_logits(ids, xn, w(self.w_out), wt, w(self.b_out).as_slice(), logits);
+        for r in rows.iter() {
+            caches[r.cache].len += 1;
+        }
+    }
+
+    /// Starts an incremental decode session over `src` (clamped to
+    /// `max_len`): encodes once and projects every decoder layer's
+    /// cross-attention K/V once. Subsequent [`DecodeState::step`] calls cost
+    /// one token-row pass through the decoder instead of a full-prefix
+    /// re-run. Each call is one encoder pass, counted in
+    /// `decode.encoder_runs`.
+    pub fn begin_decode(&self, src: &[usize]) -> DecodeState<'_> {
         DecodeState {
             model: self,
             wt: self.out_proj_t(),
-            cross_k,
-            cross_v,
-            self_k,
-            self_v,
-            len: 0,
-            x: vec![0.0; d],
-            xn: vec![0.0; d],
-            q: vec![0.0; dh],
-            kv_row: vec![0.0; dh],
-            scores: vec![0.0; self.cfg.max_len.max(enc.rows)],
-            heads: vec![0.0; d],
-            tmp_d: vec![0.0; d],
-            ff: vec![0.0; self.cfg.d_ff],
-            logits: vec![0.0; self.cfg.vocab],
-            many: ManyScratch::default(),
+            cache: self.encode_cache(src),
+            sc: Scratch::default(),
         }
     }
 
@@ -410,75 +694,19 @@ pub struct DecodeState<'m> {
     /// the model's epoch-keyed cache once per session (weights are immutable
     /// while the state borrows the model, so it cannot go stale mid-decode).
     wt: Arc<Tensor>,
-    /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed.
-    cross_k: Vec<Vec<Tensor>>,
-    cross_v: Vec<Vec<Tensor>>,
-    /// `[layer][head]`: cached self-attention keys/values, one row per
-    /// decoded position (pre-reserved to `max_len` rows).
-    self_k: Vec<Vec<Tensor>>,
-    self_v: Vec<Vec<Tensor>>,
-    len: usize,
-    // Scratch rows, reused every step.
-    x: Vec<f32>,
-    xn: Vec<f32>,
-    q: Vec<f32>,
-    kv_row: Vec<f32>,
-    scores: Vec<f32>,
-    heads: Vec<f32>,
-    tmp_d: Vec<f32>,
-    ff: Vec<f32>,
-    logits: Vec<f32>,
-    /// Flat multi-position scratch for [`DecodeState::step_many`], grown
-    /// lazily to the largest chunk fed (plain `step` never touches it).
-    many: ManyScratch,
-}
-
-/// Flat per-position scratch for [`DecodeState::step_many`]: one row per
-/// chunk position at the natural stride for each buffer, mirroring
-/// [`BatchDecodeState`]'s layout with positions in place of slots.
-#[derive(Default)]
-struct ManyScratch {
-    ids: Vec<usize>,
-    x: Vec<f32>,
-    xn: Vec<f32>,
-    q: Vec<f32>,
-    kv_row: Vec<f32>,
-    heads: Vec<f32>,
-    tmp_d: Vec<f32>,
-    ff: Vec<f32>,
-    logits: Vec<f32>,
-}
-
-impl ManyScratch {
-    fn ensure(&mut self, t: usize, d: usize, dh: usize, d_ff: usize, vocab: usize) {
-        fn grow(v: &mut Vec<f32>, n: usize) {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
-        }
-        if self.ids.len() != t {
-            self.ids = (0..t).collect();
-        }
-        grow(&mut self.x, t * d);
-        grow(&mut self.xn, t * d);
-        grow(&mut self.q, t * dh);
-        grow(&mut self.kv_row, t * dh);
-        grow(&mut self.heads, t * d);
-        grow(&mut self.tmp_d, t * d);
-        grow(&mut self.ff, t * d_ff);
-        grow(&mut self.logits, t * vocab);
-    }
+    cache: KvCache,
+    sc: Scratch,
 }
 
 impl DecodeState<'_> {
     /// Number of tokens fed so far.
     pub fn len(&self) -> usize {
-        self.len
+        self.cache.len
     }
 
     /// True before the first [`DecodeState::step`].
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cache.len == 0
     }
 
     /// Feeds `token` at the next position and returns the logits row for it —
@@ -489,321 +717,36 @@ impl DecodeState<'_> {
     /// Panics if more than `max_len` tokens are fed (the graph path would
     /// index the positional table out of range at the same point).
     pub fn step(&mut self, token: usize) -> &[f32] {
-        let m = self.model;
-        let d = m.cfg.d_model;
-        let n_heads = m.cfg.n_heads;
-        let dh = d / n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        assert!(self.len < m.cfg.max_len, "decode past max_len");
-        let pos = self.len.min(m.cfg.max_len - 1);
-        // Token + positional embedding for this row.
-        let te = m.store.value(m.tok_emb).row(token);
-        let pe = m.store.value(m.pos_emb).row(pos);
-        for c in 0..d {
-            self.x[c] = te[c] + pe[c];
-        }
-        for (l, layer) in m.dec_layers.iter().enumerate() {
-            // Self-attention over the cached prefix plus this row.
-            layer_norm_row(
-                &self.x,
-                m.store.value(layer.ln1.gain).as_slice(),
-                m.store.value(layer.ln1.bias).as_slice(),
-                &mut self.xn,
-            );
-            for h in 0..n_heads {
-                row_matmul_into(&self.xn, m.store.value(layer.self_attn.wq[h]), &mut self.q);
-                let (sk, sv) = (&mut self.self_k[l][h], &mut self.self_v[l][h]);
-                row_matmul_into(
-                    &self.xn,
-                    m.store.value(layer.self_attn.wk[h]),
-                    &mut self.kv_row,
-                );
-                sk.push_row(&self.kv_row);
-                row_matmul_into(
-                    &self.xn,
-                    m.store.value(layer.self_attn.wv[h]),
-                    &mut self.kv_row,
-                );
-                sv.push_row(&self.kv_row);
-                let t1 = sk.rows;
-                for j in 0..t1 {
-                    self.scores[j] = dot(&self.q, sk.row(j)) * scale;
-                }
-                softmax_row(&mut self.scores[..t1]);
-                row_matmul_into(
-                    &self.scores[..t1],
-                    sv,
-                    &mut self.heads[h * dh..(h + 1) * dh],
-                );
-            }
-            row_matmul_into(
-                &self.heads,
-                m.store.value(layer.self_attn.wo),
-                &mut self.tmp_d,
-            );
-            add_assign(&mut self.x, &self.tmp_d);
-            // Cross-attention against the fixed encoder K/V.
-            layer_norm_row(
-                &self.x,
-                m.store.value(layer.ln2.gain).as_slice(),
-                m.store.value(layer.ln2.bias).as_slice(),
-                &mut self.xn,
-            );
-            for h in 0..n_heads {
-                row_matmul_into(&self.xn, m.store.value(layer.cross_attn.wq[h]), &mut self.q);
-                let (ck, cv) = (&self.cross_k[l][h], &self.cross_v[l][h]);
-                for j in 0..ck.rows {
-                    self.scores[j] = dot(&self.q, ck.row(j)) * scale;
-                }
-                softmax_row(&mut self.scores[..ck.rows]);
-                row_matmul_into(
-                    &self.scores[..ck.rows],
-                    cv,
-                    &mut self.heads[h * dh..(h + 1) * dh],
-                );
-            }
-            row_matmul_into(
-                &self.heads,
-                m.store.value(layer.cross_attn.wo),
-                &mut self.tmp_d,
-            );
-            add_assign(&mut self.x, &self.tmp_d);
-            // Feed-forward.
-            layer_norm_row(
-                &self.x,
-                m.store.value(layer.ln3.gain).as_slice(),
-                m.store.value(layer.ln3.bias).as_slice(),
-                &mut self.xn,
-            );
-            row_matmul_into(&self.xn, m.store.value(layer.ff.w1), &mut self.ff);
-            add_assign(&mut self.ff, m.store.value(layer.ff.b1).as_slice());
-            for v in self.ff.iter_mut() {
-                *v = v.max(0.0);
-            }
-            row_matmul_into(&self.ff, m.store.value(layer.ff.w2), &mut self.tmp_d);
-            add_assign(&mut self.tmp_d, m.store.value(layer.ff.b2).as_slice());
-            add_assign(&mut self.x, &self.tmp_d);
-        }
-        layer_norm_row(
-            &self.x,
-            m.store.value(m.final_ln.gain).as_slice(),
-            m.store.value(m.final_ln.bias).as_slice(),
-            &mut self.xn,
-        );
-        project_logits_row(
-            &self.xn,
-            m.store.value(m.w_out),
-            &self.wt,
-            m.store.value(m.b_out).as_slice(),
-            &mut self.logits,
-        );
-        self.len += 1;
-        &self.logits
+        self.step_many(&[token])
     }
 
     /// Feeds `tokens` at the next `tokens.len()` positions in **one**
     /// causal-masked multi-position pass and returns their logits rows,
     /// flattened (`tokens.len() × vocab`, row `i` for `tokens[i]`).
     ///
-    /// Bit-identical to calling [`DecodeState::step`] once per token: the
-    /// batched projections reuse [`batch_row_matmul_into`] (per-row
-    /// bit-identical to the single-row kernel), K/V rows are appended in
-    /// position order, and each position attends only over its causal prefix
-    /// of the shared cache — later rows exist but are never read, exactly as
-    /// the graph path's `-1e9` mask zeroes them out. This is the verify pass
-    /// of speculative decoding and the one-pass prompt prefill for forced
+    /// Bit-identical to calling [`DecodeState::step`] once per token: it is
+    /// the same decoder forward with one row per token, every weight matrix
+    /// is read once for the whole chunk, and each position attends only over
+    /// its causal prefix of the shared cache. This is the verify pass of
+    /// speculative decoding and the one-pass prompt prefill for forced
     /// scoring; per-position cost amortizes every weight read over the chunk.
     ///
     /// # Panics
     /// Panics if the chunk would run past `max_len`.
     pub fn step_many(&mut self, tokens: &[usize]) -> &[f32] {
-        let m = self.model;
-        let d = m.cfg.d_model;
-        let n_heads = m.cfg.n_heads;
-        let dh = d / n_heads;
-        let vocab = m.cfg.vocab;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let t = tokens.len();
-        assert!(self.len + t <= m.cfg.max_len, "decode past max_len");
-        self.many.ensure(t, d, dh, m.cfg.d_ff, vocab);
-        let len_before = self.len;
-        // Token + positional embedding per position.
-        let tok = m.store.value(m.tok_emb);
-        let pos_t = m.store.value(m.pos_emb);
-        for (i, &token) in tokens.iter().enumerate() {
-            let te = tok.row(token);
-            let pe = pos_t.row((len_before + i).min(m.cfg.max_len - 1));
-            let x = &mut self.many.x[i * d..(i + 1) * d];
-            for c in 0..d {
-                x[c] = te[c] + pe[c];
-            }
-        }
-        for (l, layer) in m.dec_layers.iter().enumerate() {
-            // Self-attention: project and append ALL chunk K/V rows first
-            // (row j depends only on its own input), then attend each
-            // position over its own causal prefix `len_before + i + 1`.
-            for &i in &self.many.ids {
-                layer_norm_row(
-                    &self.many.x[i * d..(i + 1) * d],
-                    m.store.value(layer.ln1.gain).as_slice(),
-                    m.store.value(layer.ln1.bias).as_slice(),
-                    &mut self.many.xn[i * d..(i + 1) * d],
-                );
-            }
-            for h in 0..n_heads {
-                batch_row_matmul_into(
-                    &self.many.ids,
-                    &self.many.xn,
-                    m.store.value(layer.self_attn.wq[h]),
-                    &mut self.many.q,
-                );
-                batch_row_matmul_into(
-                    &self.many.ids,
-                    &self.many.xn,
-                    m.store.value(layer.self_attn.wk[h]),
-                    &mut self.many.kv_row,
-                );
-                for &i in &self.many.ids {
-                    self.self_k[l][h].push_row(&self.many.kv_row[i * dh..(i + 1) * dh]);
-                }
-                batch_row_matmul_into(
-                    &self.many.ids,
-                    &self.many.xn,
-                    m.store.value(layer.self_attn.wv[h]),
-                    &mut self.many.kv_row,
-                );
-                for &i in &self.many.ids {
-                    self.self_v[l][h].push_row(&self.many.kv_row[i * dh..(i + 1) * dh]);
-                }
-                for &i in &self.many.ids {
-                    let (sk, sv) = (&self.self_k[l][h], &self.self_v[l][h]);
-                    let t1 = len_before + i + 1;
-                    let scores = &mut self.scores[..t1];
-                    let q = &self.many.q[i * dh..(i + 1) * dh];
-                    for (j, sc) in scores.iter_mut().enumerate() {
-                        *sc = dot(q, sk.row(j)) * scale;
-                    }
-                    softmax_row(scores);
-                    row_matmul_into(
-                        scores,
-                        sv,
-                        &mut self.many.heads[i * d + h * dh..i * d + (h + 1) * dh],
-                    );
-                }
-            }
-            batch_row_matmul_into(
-                &self.many.ids,
-                &self.many.heads,
-                m.store.value(layer.self_attn.wo),
-                &mut self.many.tmp_d,
-            );
-            for &i in &self.many.ids {
-                add_assign(
-                    &mut self.many.x[i * d..(i + 1) * d],
-                    &self.many.tmp_d[i * d..(i + 1) * d],
-                );
-            }
-            // Cross-attention against the fixed encoder K/V.
-            for &i in &self.many.ids {
-                layer_norm_row(
-                    &self.many.x[i * d..(i + 1) * d],
-                    m.store.value(layer.ln2.gain).as_slice(),
-                    m.store.value(layer.ln2.bias).as_slice(),
-                    &mut self.many.xn[i * d..(i + 1) * d],
-                );
-            }
-            for h in 0..n_heads {
-                batch_row_matmul_into(
-                    &self.many.ids,
-                    &self.many.xn,
-                    m.store.value(layer.cross_attn.wq[h]),
-                    &mut self.many.q,
-                );
-                for &i in &self.many.ids {
-                    let (ck, cv) = (&self.cross_k[l][h], &self.cross_v[l][h]);
-                    let scores = &mut self.scores[..ck.rows];
-                    let q = &self.many.q[i * dh..(i + 1) * dh];
-                    for (j, sc) in scores.iter_mut().enumerate() {
-                        *sc = dot(q, ck.row(j)) * scale;
-                    }
-                    softmax_row(scores);
-                    row_matmul_into(
-                        scores,
-                        cv,
-                        &mut self.many.heads[i * d + h * dh..i * d + (h + 1) * dh],
-                    );
-                }
-            }
-            batch_row_matmul_into(
-                &self.many.ids,
-                &self.many.heads,
-                m.store.value(layer.cross_attn.wo),
-                &mut self.many.tmp_d,
-            );
-            for &i in &self.many.ids {
-                add_assign(
-                    &mut self.many.x[i * d..(i + 1) * d],
-                    &self.many.tmp_d[i * d..(i + 1) * d],
-                );
-            }
-            // Feed-forward.
-            for &i in &self.many.ids {
-                layer_norm_row(
-                    &self.many.x[i * d..(i + 1) * d],
-                    m.store.value(layer.ln3.gain).as_slice(),
-                    m.store.value(layer.ln3.bias).as_slice(),
-                    &mut self.many.xn[i * d..(i + 1) * d],
-                );
-            }
-            let d_ff = m.cfg.d_ff;
-            batch_row_matmul_into(
-                &self.many.ids,
-                &self.many.xn,
-                m.store.value(layer.ff.w1),
-                &mut self.many.ff,
-            );
-            for &i in &self.many.ids {
-                let ff = &mut self.many.ff[i * d_ff..(i + 1) * d_ff];
-                add_assign(ff, m.store.value(layer.ff.b1).as_slice());
-                for v in ff.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            batch_row_matmul_into(
-                &self.many.ids,
-                &self.many.ff,
-                m.store.value(layer.ff.w2),
-                &mut self.many.tmp_d,
-            );
-            for &i in &self.many.ids {
-                let tmp = &mut self.many.tmp_d[i * d..(i + 1) * d];
-                add_assign(tmp, m.store.value(layer.ff.b2).as_slice());
-            }
-            for &i in &self.many.ids {
-                add_assign(
-                    &mut self.many.x[i * d..(i + 1) * d],
-                    &self.many.tmp_d[i * d..(i + 1) * d],
-                );
-            }
-        }
-        for &i in &self.many.ids {
-            layer_norm_row(
-                &self.many.x[i * d..(i + 1) * d],
-                m.store.value(m.final_ln.gain).as_slice(),
-                m.store.value(m.final_ln.bias).as_slice(),
-                &mut self.many.xn[i * d..(i + 1) * d],
-            );
-        }
-        project_logits_rows(
-            &self.many.ids,
-            &self.many.xn,
-            m.store.value(m.w_out),
-            &self.wt,
-            m.store.value(m.b_out).as_slice(),
-            &mut self.many.logits,
-        );
-        self.len += t;
-        &self.many.logits[..t * vocab]
+        let len = self.cache.len;
+        self.sc.rows.clear();
+        self.sc
+            .rows
+            .extend(tokens.iter().enumerate().map(|(i, &token)| Row {
+                cache: 0,
+                pos: len + i,
+                token,
+                at: i,
+            }));
+        let caches = std::slice::from_mut(&mut self.cache);
+        self.model.decode_rows(&self.wt, caches, &mut self.sc);
+        &self.sc.logits[..tokens.len() * self.model.cfg.vocab]
     }
 
     /// Rolls the session back to `len` fed tokens, popping the newer
@@ -816,13 +759,14 @@ impl DecodeState<'_> {
     /// # Panics
     /// Panics if `len` exceeds the current length.
     pub fn truncate(&mut self, len: usize) {
-        assert!(len <= self.len, "truncate beyond current length");
-        for layer in self.self_k.iter_mut().chain(self.self_v.iter_mut()) {
+        assert!(len <= self.cache.len, "truncate beyond current length");
+        let c = &mut self.cache;
+        for layer in c.self_k.iter_mut().chain(c.self_v.iter_mut()) {
             for cache in layer.iter_mut() {
                 cache.truncate_rows(len);
             }
         }
-        self.len = len;
+        c.len = len;
     }
 
     /// Rolls back to the just-encoded state (`truncate(0)`): every decoded
@@ -863,35 +807,144 @@ impl DecodeState<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// GRU fast path
+// GRU fast path: one cell over rows
 // ---------------------------------------------------------------------------
 
+/// Scratch for [`GruSeq2Seq::cell_rows`] and the GRU logits, one row per
+/// hidden row at the natural stride of each buffer, grown lazily like
+/// [`Scratch`].
+#[derive(Default)]
+struct GruScratch {
+    /// The hidden rows the last cell update fed, in feed order.
+    ids: Vec<usize>,
+    /// Cell input rows `[x, h]`, then `[x, r ⊙ h]`.
+    xin: Vec<f32>,
+    z: Vec<f32>,
+    r: Vec<f32>,
+    hcand: Vec<f32>,
+    logits: Vec<f32>,
+}
+
+impl GruScratch {
+    /// Grows every buffer to hold rows `0..n`.
+    fn ensure(&mut self, cfg: &GruConfig, n: usize) {
+        let d = cfg.d_model;
+        for (v, width) in [
+            (&mut self.xin, 2 * d),
+            (&mut self.z, d),
+            (&mut self.r, d),
+            (&mut self.hcand, d),
+            (&mut self.logits, cfg.vocab),
+        ] {
+            grow(v, n * width);
+        }
+    }
+}
+
+/// Adds `bias` to each listed row of `out` (stride `bias.len()`) and
+/// applies `f` elementwise: one GRU gate's activation.
+fn gate(rows: &[usize], out: &mut [f32], bias: &[f32], f: impl Fn(f32) -> f32) {
+    let d = bias.len();
+    for &s in rows {
+        let o = &mut out[s * d..(s + 1) * d];
+        add_assign(o, bias);
+        for v in o.iter_mut() {
+            *v = f(*v);
+        }
+    }
+}
+
 impl GruSeq2Seq {
+    /// The GRU cell behind every GRU path (the encoder pass,
+    /// [`GruDecodeState::step`] and the batch step): for each `(row, token)`
+    /// in `feeds`, `h[row] ← cell(emb[token], h[row])`, replaying the graph
+    /// path's `cell_step` op sequence bit for bit per row. `h` holds one
+    /// hidden row of width `d_model` per row index; the fed rows are left in
+    /// `sc.ids`.
+    fn cell_rows(
+        &self,
+        cell: &GruCell,
+        feeds: &[(usize, usize)],
+        h: &mut [f32],
+        sc: &mut GruScratch,
+    ) {
+        let d = self.cfg.d_model;
+        sc.ensure(&self.cfg, h.len() / d);
+        sc.ids.clear();
+        sc.ids.extend(feeds.iter().map(|&(s, _)| s));
+        let w = |p: ParamId| self.store.value(p);
+        for &(s, token) in feeds {
+            let xin = &mut sc.xin[s * 2 * d..(s + 1) * 2 * d];
+            xin[..d].copy_from_slice(w(self.emb).row(token));
+            xin[d..].copy_from_slice(&h[s * d..(s + 1) * d]);
+        }
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wz), &mut sc.z);
+        gate(&sc.ids, &mut sc.z, w(cell.bz).as_slice(), sigmoid);
+        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wr), &mut sc.r);
+        gate(&sc.ids, &mut sc.r, w(cell.br).as_slice(), sigmoid);
+        // The candidate reads [x, r ⊙ h]; x is still in place.
+        for &s in &sc.ids {
+            for i in 0..d {
+                sc.xin[s * 2 * d + d + i] = sc.r[s * d + i] * h[s * d + i];
+            }
+        }
+        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wh), &mut sc.hcand);
+        gate(&sc.ids, &mut sc.hcand, w(cell.bh).as_slice(), f32::tanh);
+        // h' = (1 - z) ⊙ h + z ⊙ ĥ, associated exactly as the graph ops are:
+        // keep = (−z + 1) ⊙ h, new = z ⊙ ĥ, h' = keep + new.
+        for &s in &sc.ids {
+            let row = s * d..(s + 1) * d;
+            let (z, hc) = (&sc.z[row.clone()], &sc.hcand[row.clone()]);
+            for ((h, &z), &hc) in h[row].iter_mut().zip(z).zip(hc) {
+                let keep = (z * -1.0 + 1.0) * *h;
+                let new = z * hc;
+                *h = keep + new;
+            }
+        }
+    }
+
+    /// Runs the encoder over `src` (clamped to `max_len`) from a zero hidden
+    /// state into row `row` of `h`: one encoder pass, counted in
+    /// `decode.encoder_runs`.
+    fn encode_into(&self, src: &[usize], row: usize, h: &mut [f32], sc: &mut GruScratch) {
+        let src = &src[..src.len().min(self.cfg.max_len)];
+        vega_obs::global().counter_add("decode.encoder_runs", 1);
+        let d = self.cfg.d_model;
+        h[row * d..(row + 1) * d].fill(0.0);
+        for &id in src {
+            self.cell_rows(&self.enc, &[(row, id)], h, sc);
+        }
+    }
+
+    /// One decoder step over rows: the decoder cell, then the logits of
+    /// every fed row into `sc.logits`.
+    fn decode_rows(
+        &self,
+        wt: &Tensor,
+        feeds: &[(usize, usize)],
+        h: &mut [f32],
+        sc: &mut GruScratch,
+    ) {
+        self.cell_rows(&self.dec, feeds, h, sc);
+        let (w, b) = (self.store.value(self.w_out), self.store.value(self.b_out));
+        project_logits(&sc.ids, h, w, wt, b.as_slice(), &mut sc.logits);
+    }
+
     /// Starts an incremental GRU decode over `src` (clamped to `max_len`):
     /// runs the encoder once and seeds the decoder hidden state, which is
     /// then carried across [`GruDecodeState::step`] calls instead of being
     /// recomputed from scratch per token on a fresh graph. Each call is one
     /// encoder pass, counted in `decode.encoder_runs`.
     pub fn begin_decode(&self, src: &[usize]) -> GruDecodeState<'_> {
-        let src = &src[..src.len().min(self.cfg.max_len)];
-        vega_obs::global().counter_add("decode.encoder_runs", 1);
-        let d = self.cfg.d_model;
         let mut st = GruDecodeState {
             model: self,
             wt: self.out_proj_t(),
-            h: vec![0.0; d],
+            h: vec![0.0; self.cfg.d_model],
             h0: Vec::new(),
-            xin: vec![0.0; 2 * d],
-            z: vec![0.0; d],
-            r: vec![0.0; d],
-            hcand: vec![0.0; d],
-            rh: vec![0.0; d],
-            logits: vec![0.0; self.cfg.vocab],
+            sc: GruScratch::default(),
         };
-        let emb = self.store.value(self.emb);
-        for &id in src {
-            st.cell_fwd(&self.enc, emb.row(id));
-        }
+        self.encode_into(src, 0, &mut st.h, &mut st.sc);
         st.h0 = st.save();
         st
     }
@@ -920,66 +973,16 @@ pub struct GruDecodeState<'m> {
     h: Vec<f32>,
     /// The hidden state the encoder left, restored by `reset`.
     h0: Vec<f32>,
-    xin: Vec<f32>,
-    z: Vec<f32>,
-    r: Vec<f32>,
-    hcand: Vec<f32>,
-    rh: Vec<f32>,
-    logits: Vec<f32>,
+    sc: GruScratch,
 }
 
 impl GruDecodeState<'_> {
-    /// One GRU cell update `h ← cell(x, h)`, replaying the graph path's
-    /// `cell_step` op sequence bit for bit.
-    fn cell_fwd(&mut self, cell: &GruCell, x: &[f32]) {
-        let m = self.model;
-        let d = m.cfg.d_model;
-        self.xin[..d].copy_from_slice(x);
-        self.xin[d..].copy_from_slice(&self.h);
-        row_matmul_into(&self.xin, m.store.value(cell.wz), &mut self.z);
-        add_assign(&mut self.z, m.store.value(cell.bz).as_slice());
-        for v in self.z.iter_mut() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        row_matmul_into(&self.xin, m.store.value(cell.wr), &mut self.r);
-        add_assign(&mut self.r, m.store.value(cell.br).as_slice());
-        for v in self.r.iter_mut() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        for i in 0..d {
-            self.rh[i] = self.r[i] * self.h[i];
-        }
-        self.xin[..d].copy_from_slice(x);
-        self.xin[d..].copy_from_slice(&self.rh);
-        row_matmul_into(&self.xin, m.store.value(cell.wh), &mut self.hcand);
-        add_assign(&mut self.hcand, m.store.value(cell.bh).as_slice());
-        for v in self.hcand.iter_mut() {
-            *v = v.tanh();
-        }
-        // h' = (1 - z) ⊙ h + z ⊙ ĥ, associated exactly as the graph ops are:
-        // keep = (−z + 1) ⊙ h, new = z ⊙ ĥ, h' = keep + new.
-        for i in 0..d {
-            let keep = (self.z[i] * -1.0 + 1.0) * self.h[i];
-            let new = self.z[i] * self.hcand[i];
-            self.h[i] = keep + new;
-        }
-    }
-
     /// Feeds `token` through the decoder cell and returns its logits row —
     /// bit-identical to the last row of the graph path's full-prefix decode.
     pub fn step(&mut self, token: usize) -> &[f32] {
-        let m = self.model;
-        let emb = m.store.value(m.emb);
-        let x: Vec<f32> = emb.row(token).to_vec();
-        self.cell_fwd(&m.dec, &x);
-        project_logits_row(
-            &self.h,
-            m.store.value(m.w_out),
-            &self.wt,
-            m.store.value(m.b_out).as_slice(),
-            &mut self.logits,
-        );
-        &self.logits
+        self.model
+            .decode_rows(&self.wt, &[(0, token)], &mut self.h, &mut self.sc);
+        &self.sc.logits[..self.model.cfg.vocab]
     }
 
     /// Snapshots the recurrent hidden state. With [`GruDecodeState::restore`]
@@ -1029,65 +1032,6 @@ impl GruDecodeState<'_> {
 // Batched decode (N sessions in lockstep through shared weights)
 // ---------------------------------------------------------------------------
 
-/// Batched row matmul: for every slot `s` in `slots`,
-/// `out[s] = a[s] · b`, where `a` holds one row per slot at stride `b.rows`
-/// and `out` one row per slot at stride `b.cols`.
-///
-/// The loop nest is k-blocked: weight rows are streamed sequentially (so the
-/// hardware prefetcher sees one linear pass over the matrix per step) in
-/// blocks of [`K_TILE`], and inside a block every slot consumes all
-/// [`K_TILE`] rows while they are cache-hot — the weight bytes cross the
-/// cache hierarchy **once** per step for the whole batch instead of once
-/// per session, which is what amortizes weight reads N× over a batch. When
-/// a slot's [`K_TILE`] activations are all nonzero the fused path folds all
-/// eight rank-1 updates into one pass over the output row (eight FMAs per
-/// load/store instead of one); otherwise the per-k path applies exactly the
-/// nonzero terms.
-///
-/// Per slot, the accumulation into any output element is element-by-element
-/// in ascending `k` with the exact zero-skip (the fused [`Kernel::fma_tile`]
-/// path's `+=` chain is the same rounding sequence), i.e. bit-identical to
-/// [`row_matmul_into`] on that slot's row alone; blocking only reorders
-/// work *across* slots, and no f32 op mixes slots.
-fn batch_row_matmul_into(slots: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
-    let (kdim, odim) = (b.rows, b.cols);
-    for &s in slots {
-        out[s * odim..(s + 1) * odim].fill(0.0);
-    }
-    with_kernel!(kr => {
-        let mut kb = 0;
-        while kb + K_TILE <= kdim {
-            let rows: [&[f32]; K_TILE] = std::array::from_fn(|t| b.row(kb + t));
-            for &s in slots {
-                let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
-                let orow = &mut out[s * odim..(s + 1) * odim];
-                if avs.iter().all(|&av| av != 0.0) {
-                    kr.fma_tile(&avs, &rows, orow);
-                } else {
-                    for (&av, row) in avs.iter().zip(rows.iter()) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        kr.axpy(av, row, orow);
-                    }
-                }
-            }
-            kb += K_TILE;
-        }
-        // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
-        for k in kb..kdim {
-            let brow = b.row(k);
-            for &s in slots {
-                let av = a[s * kdim + k];
-                if av == 0.0 {
-                    continue;
-                }
-                kr.axpy(av, brow, &mut out[s * odim..(s + 1) * odim]);
-            }
-        }
-    });
-}
-
 /// A fixed-capacity batch of independent incremental decode sessions that
 /// step in lockstep through shared weights.
 ///
@@ -1133,49 +1077,34 @@ pub trait BatchDecode {
     fn slot_len(&self, slot: usize) -> usize;
 }
 
-/// Asserts `feeds` is a valid step: no duplicate slots (`seen` is a
-/// scratch bitmap of at least `capacity` bools, reset here).
-fn check_feeds(feeds: &[(usize, usize)], seen: &mut [bool]) {
+/// Asserts `feeds` is a valid step: every fed slot is live and none is
+/// listed twice (`seen` is a scratch bitmap of `live.len()` bools, reset
+/// here).
+fn check_feeds(feeds: &[(usize, usize)], live: &[bool], seen: &mut [bool]) {
     seen.fill(false);
     for &(s, _) in feeds {
+        assert!(live[s], "step on a free slot");
         assert!(!seen[s], "slot {s} fed twice in one step");
         seen[s] = true;
     }
 }
 
-/// Per-slot state of a transformer batch session: the same cross-attention
-/// projections and self-attention caches a [`DecodeState`] holds, minus the
-/// shared scratch (which lives once per batch, not per slot).
-struct TfSlot {
-    cross_k: Vec<Vec<Tensor>>,
-    cross_v: Vec<Vec<Tensor>>,
-    self_k: Vec<Vec<Tensor>>,
-    self_v: Vec<Vec<Tensor>>,
-    len: usize,
-}
-
 /// Batched incremental decoder for a [`Transformer`]: N sessions share one
-/// pass over every weight matrix per step (see [`batch_row_matmul_into`])
-/// while keeping per-slot K/V caches. Create with
+/// pass over every weight matrix per step, each slot with its own K/V
+/// cache, bit-identical per slot to a [`DecodeState`]. Create with
 /// [`Transformer::begin_batch_decode`]; drive through the [`BatchDecode`]
 /// trait.
 pub struct BatchDecodeState<'m> {
     model: &'m Transformer,
     /// Pre-transposed output projection, snapshotted once per batch.
     wt: Arc<Tensor>,
-    slots: Vec<Option<TfSlot>>,
-    occupied: usize,
-    // Shared scratch, one row per slot (flat, stride = row width).
-    x: Vec<f32>,
-    xn: Vec<f32>,
-    q: Vec<f32>,
-    kv_row: Vec<f32>,
-    scores: Vec<f32>,
-    heads: Vec<f32>,
-    tmp_d: Vec<f32>,
-    ff: Vec<f32>,
-    logits: Vec<f32>,
+    /// One cache per slot (empty while the slot is free).
+    caches: Vec<KvCache>,
+    /// Which slots hold a session.
+    live: Vec<bool>,
     seen: Vec<bool>,
+    /// Scratch row `s` belongs to slot `s`.
+    sc: Scratch,
 }
 
 impl Transformer {
@@ -1183,258 +1112,63 @@ impl Transformer {
     /// is allocated once here; joins allocate only per-slot K/V state.
     pub fn begin_batch_decode(&self, capacity: usize) -> BatchDecodeState<'_> {
         let cap = capacity.max(1);
-        let d = self.cfg.d_model;
-        let dh = d / self.cfg.n_heads;
+        let mut sc = Scratch::default();
+        sc.ensure(&self.cfg, cap);
         BatchDecodeState {
             model: self,
             wt: self.out_proj_t(),
-            slots: (0..cap).map(|_| None).collect(),
-            occupied: 0,
-            x: vec![0.0; cap * d],
-            xn: vec![0.0; cap * d],
-            q: vec![0.0; cap * dh],
-            kv_row: vec![0.0; cap * dh],
-            scores: vec![0.0; cap * self.cfg.max_len],
-            heads: vec![0.0; cap * d],
-            tmp_d: vec![0.0; cap * d],
-            ff: vec![0.0; cap * self.cfg.d_ff],
-            logits: vec![0.0; cap * self.cfg.vocab],
+            caches: (0..cap).map(|_| KvCache::default()).collect(),
+            live: vec![false; cap],
             seen: vec![false; cap],
+            sc,
         }
     }
 }
 
 impl BatchDecode for BatchDecodeState<'_> {
     fn capacity(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
     fn active(&self) -> usize {
-        self.occupied
+        self.live.iter().filter(|&&l| l).count()
     }
 
     fn join(&mut self, src: &[usize]) -> Option<usize> {
-        let s = self.slots.iter().position(Option::is_none)?;
-        // `begin_decode` runs the encoder (counting it in
-        // `decode.encoder_runs`) and projects cross K/V exactly as the
-        // single path does; the batch adopts its per-session state and
-        // discards the single-session scratch.
-        let st = self.model.begin_decode(src);
-        self.slots[s] = Some(TfSlot {
-            cross_k: st.cross_k,
-            cross_v: st.cross_v,
-            self_k: st.self_k,
-            self_v: st.self_v,
-            len: 0,
-        });
-        self.occupied += 1;
+        let s = self.live.iter().position(|&l| !l)?;
+        self.live[s] = true;
+        self.caches[s] = self.model.encode_cache(src);
         Some(s)
     }
 
     fn retire(&mut self, slot: usize) {
-        if self.slots[slot].take().is_some() {
-            self.occupied -= 1;
-        }
+        self.live[slot] = false;
+        self.caches[slot] = KvCache::default();
     }
 
     fn step(&mut self, feeds: &[(usize, usize)]) {
-        let m = self.model;
-        let d = m.cfg.d_model;
-        let n_heads = m.cfg.n_heads;
-        let dh = d / n_heads;
-        let max_len = m.cfg.max_len;
-        let scale = 1.0 / (dh as f32).sqrt();
-        check_feeds(feeds, &mut self.seen);
-        let ids: Vec<usize> = feeds.iter().map(|&(s, _)| s).collect();
-        // Token + positional embedding per slot.
-        let tok = m.store.value(m.tok_emb);
-        let pos_t = m.store.value(m.pos_emb);
-        for &(s, token) in feeds {
-            let slot = self.slots[s].as_ref().expect("step on a free slot");
-            assert!(slot.len < max_len, "decode past max_len");
-            let te = tok.row(token);
-            let pe = pos_t.row(slot.len.min(max_len - 1));
-            let x = &mut self.x[s * d..(s + 1) * d];
-            for c in 0..d {
-                x[c] = te[c] + pe[c];
-            }
-        }
-        for (l, layer) in m.dec_layers.iter().enumerate() {
-            // Self-attention over each slot's cached prefix plus this row.
-            for &s in &ids {
-                layer_norm_row(
-                    &self.x[s * d..(s + 1) * d],
-                    m.store.value(layer.ln1.gain).as_slice(),
-                    m.store.value(layer.ln1.bias).as_slice(),
-                    &mut self.xn[s * d..(s + 1) * d],
-                );
-            }
-            for h in 0..n_heads {
-                batch_row_matmul_into(
-                    &ids,
-                    &self.xn,
-                    m.store.value(layer.self_attn.wq[h]),
-                    &mut self.q,
-                );
-                batch_row_matmul_into(
-                    &ids,
-                    &self.xn,
-                    m.store.value(layer.self_attn.wk[h]),
-                    &mut self.kv_row,
-                );
-                for &s in &ids {
-                    let slot = self.slots[s].as_mut().expect("active slot");
-                    slot.self_k[l][h].push_row(&self.kv_row[s * dh..(s + 1) * dh]);
-                }
-                batch_row_matmul_into(
-                    &ids,
-                    &self.xn,
-                    m.store.value(layer.self_attn.wv[h]),
-                    &mut self.kv_row,
-                );
-                for &s in &ids {
-                    let slot = self.slots[s].as_mut().expect("active slot");
-                    slot.self_v[l][h].push_row(&self.kv_row[s * dh..(s + 1) * dh]);
-                }
-                for &s in &ids {
-                    let slot = self.slots[s].as_ref().expect("active slot");
-                    let (sk, sv) = (&slot.self_k[l][h], &slot.self_v[l][h]);
-                    let t1 = sk.rows;
-                    let scores = &mut self.scores[s * max_len..s * max_len + t1];
-                    let q = &self.q[s * dh..(s + 1) * dh];
-                    for (j, sc) in scores.iter_mut().enumerate() {
-                        *sc = dot(q, sk.row(j)) * scale;
-                    }
-                    softmax_row(scores);
-                    row_matmul_into(
-                        scores,
-                        sv,
-                        &mut self.heads[s * d + h * dh..s * d + (h + 1) * dh],
-                    );
-                }
-            }
-            batch_row_matmul_into(
-                &ids,
-                &self.heads,
-                m.store.value(layer.self_attn.wo),
-                &mut self.tmp_d,
-            );
-            for &s in &ids {
-                add_assign(
-                    &mut self.x[s * d..(s + 1) * d],
-                    &self.tmp_d[s * d..(s + 1) * d],
-                );
-            }
-            // Cross-attention against each slot's fixed encoder K/V.
-            for &s in &ids {
-                layer_norm_row(
-                    &self.x[s * d..(s + 1) * d],
-                    m.store.value(layer.ln2.gain).as_slice(),
-                    m.store.value(layer.ln2.bias).as_slice(),
-                    &mut self.xn[s * d..(s + 1) * d],
-                );
-            }
-            for h in 0..n_heads {
-                batch_row_matmul_into(
-                    &ids,
-                    &self.xn,
-                    m.store.value(layer.cross_attn.wq[h]),
-                    &mut self.q,
-                );
-                for &s in &ids {
-                    let slot = self.slots[s].as_ref().expect("active slot");
-                    let (ck, cv) = (&slot.cross_k[l][h], &slot.cross_v[l][h]);
-                    let scores = &mut self.scores[s * max_len..s * max_len + ck.rows];
-                    let q = &self.q[s * dh..(s + 1) * dh];
-                    for (j, sc) in scores.iter_mut().enumerate() {
-                        *sc = dot(q, ck.row(j)) * scale;
-                    }
-                    softmax_row(scores);
-                    row_matmul_into(
-                        scores,
-                        cv,
-                        &mut self.heads[s * d + h * dh..s * d + (h + 1) * dh],
-                    );
-                }
-            }
-            batch_row_matmul_into(
-                &ids,
-                &self.heads,
-                m.store.value(layer.cross_attn.wo),
-                &mut self.tmp_d,
-            );
-            for &s in &ids {
-                add_assign(
-                    &mut self.x[s * d..(s + 1) * d],
-                    &self.tmp_d[s * d..(s + 1) * d],
-                );
-            }
-            // Feed-forward.
-            for &s in &ids {
-                layer_norm_row(
-                    &self.x[s * d..(s + 1) * d],
-                    m.store.value(layer.ln3.gain).as_slice(),
-                    m.store.value(layer.ln3.bias).as_slice(),
-                    &mut self.xn[s * d..(s + 1) * d],
-                );
-            }
-            let d_ff = m.cfg.d_ff;
-            batch_row_matmul_into(&ids, &self.xn, m.store.value(layer.ff.w1), &mut self.ff);
-            for &s in &ids {
-                let ff = &mut self.ff[s * d_ff..(s + 1) * d_ff];
-                add_assign(ff, m.store.value(layer.ff.b1).as_slice());
-                for v in ff.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            batch_row_matmul_into(&ids, &self.ff, m.store.value(layer.ff.w2), &mut self.tmp_d);
-            for &s in &ids {
-                let tmp = &mut self.tmp_d[s * d..(s + 1) * d];
-                add_assign(tmp, m.store.value(layer.ff.b2).as_slice());
-            }
-            for &s in &ids {
-                add_assign(
-                    &mut self.x[s * d..(s + 1) * d],
-                    &self.tmp_d[s * d..(s + 1) * d],
-                );
-            }
-        }
-        for &s in &ids {
-            layer_norm_row(
-                &self.x[s * d..(s + 1) * d],
-                m.store.value(m.final_ln.gain).as_slice(),
-                m.store.value(m.final_ln.bias).as_slice(),
-                &mut self.xn[s * d..(s + 1) * d],
-            );
-        }
-        project_logits_rows(
-            &ids,
-            &self.xn,
-            m.store.value(m.w_out),
-            &self.wt,
-            m.store.value(m.b_out).as_slice(),
-            &mut self.logits,
-        );
-        for &s in &ids {
-            self.slots[s].as_mut().expect("active slot").len += 1;
-        }
+        check_feeds(feeds, &self.live, &mut self.seen);
+        let caches = &self.caches;
+        self.sc.rows.clear();
+        self.sc.rows.extend(feeds.iter().map(|&(s, token)| Row {
+            cache: s,
+            pos: caches[s].len,
+            token,
+            at: s,
+        }));
+        self.model
+            .decode_rows(&self.wt, &mut self.caches, &mut self.sc);
     }
 
     fn logits(&self, slot: usize) -> &[f32] {
-        assert!(self.slots[slot].is_some(), "logits of a free slot");
+        assert!(self.live[slot], "logits of a free slot");
         let vocab = self.model.cfg.vocab;
-        &self.logits[slot * vocab..(slot + 1) * vocab]
+        &self.sc.logits[slot * vocab..(slot + 1) * vocab]
     }
 
     fn slot_len(&self, slot: usize) -> usize {
-        self.slots[slot].as_ref().map_or(0, |s| s.len)
+        self.caches[slot].len
     }
-}
-
-/// Per-slot state of a GRU batch session: just the recurrent hidden vector
-/// (held in the batch's flat `h` buffer) and its length.
-struct GruSlot {
-    len: usize,
 }
 
 /// Batched incremental decoder for a [`GruSeq2Seq`]; the GRU analog of
@@ -1443,147 +1177,73 @@ pub struct GruBatchDecodeState<'m> {
     model: &'m GruSeq2Seq,
     /// Pre-transposed output projection, snapshotted once per batch.
     wt: Arc<Tensor>,
-    slots: Vec<Option<GruSlot>>,
-    occupied: usize,
     /// Hidden states, one row of width `d_model` per slot.
     h: Vec<f32>,
-    // Shared scratch, one row per slot.
-    x: Vec<f32>,
-    xin: Vec<f32>,
-    z: Vec<f32>,
-    r: Vec<f32>,
-    hcand: Vec<f32>,
-    rh: Vec<f32>,
-    logits: Vec<f32>,
+    /// Tokens fed per slot (0 while the slot is free).
+    lens: Vec<usize>,
+    /// Which slots hold a session.
+    live: Vec<bool>,
     seen: Vec<bool>,
+    /// Scratch row `s` belongs to slot `s`.
+    sc: GruScratch,
 }
 
 impl GruSeq2Seq {
     /// Starts an empty batch of `capacity` incremental GRU decode slots.
     pub fn begin_batch_decode(&self, capacity: usize) -> GruBatchDecodeState<'_> {
         let cap = capacity.max(1);
-        let d = self.cfg.d_model;
+        let mut sc = GruScratch::default();
+        sc.ensure(&self.cfg, cap);
         GruBatchDecodeState {
             model: self,
             wt: self.out_proj_t(),
-            slots: (0..cap).map(|_| None).collect(),
-            occupied: 0,
-            h: vec![0.0; cap * d],
-            x: vec![0.0; cap * d],
-            xin: vec![0.0; cap * 2 * d],
-            z: vec![0.0; cap * d],
-            r: vec![0.0; cap * d],
-            hcand: vec![0.0; cap * d],
-            rh: vec![0.0; cap * d],
-            logits: vec![0.0; cap * self.cfg.vocab],
+            h: vec![0.0; cap * self.cfg.d_model],
+            lens: vec![0; cap],
+            live: vec![false; cap],
             seen: vec![false; cap],
+            sc,
         }
     }
 }
 
 impl BatchDecode for GruBatchDecodeState<'_> {
     fn capacity(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
     fn active(&self) -> usize {
-        self.occupied
+        self.live.iter().filter(|&&l| l).count()
     }
 
     fn join(&mut self, src: &[usize]) -> Option<usize> {
-        let s = self.slots.iter().position(Option::is_none)?;
-        let d = self.model.cfg.d_model;
-        // The single-session path runs (and counts) the encoder
-        // bit-for-bit; adopt its seeded hidden state.
-        let st = self.model.begin_decode(src);
-        self.h[s * d..(s + 1) * d].copy_from_slice(&st.h);
-        self.slots[s] = Some(GruSlot { len: 0 });
-        self.occupied += 1;
+        let s = self.live.iter().position(|&l| !l)?;
+        self.live[s] = true;
+        self.model.encode_into(src, s, &mut self.h, &mut self.sc);
         Some(s)
     }
 
     fn retire(&mut self, slot: usize) {
-        if self.slots[slot].take().is_some() {
-            self.occupied -= 1;
-        }
+        self.live[slot] = false;
+        self.lens[slot] = 0;
     }
 
     fn step(&mut self, feeds: &[(usize, usize)]) {
-        let m = self.model;
-        let d = m.cfg.d_model;
-        check_feeds(feeds, &mut self.seen);
-        let ids: Vec<usize> = feeds.iter().map(|&(s, _)| s).collect();
-        let emb = m.store.value(m.emb);
-        for &(s, token) in feeds {
-            assert!(self.slots[s].is_some(), "step on a free slot");
-            self.x[s * d..(s + 1) * d].copy_from_slice(emb.row(token));
-        }
-        // One decoder cell update per slot, phase-batched: each weight
-        // matrix is read once for all slots, each slot's f32 sequence is
-        // exactly `GruDecodeState::cell_fwd`.
-        let cell = &m.dec;
-        for &s in &ids {
-            self.xin[s * 2 * d..s * 2 * d + d].copy_from_slice(&self.x[s * d..(s + 1) * d]);
-            self.xin[s * 2 * d + d..(s + 1) * 2 * d].copy_from_slice(&self.h[s * d..(s + 1) * d]);
-        }
-        batch_row_matmul_into(&ids, &self.xin, m.store.value(cell.wz), &mut self.z);
-        for &s in &ids {
-            let z = &mut self.z[s * d..(s + 1) * d];
-            add_assign(z, m.store.value(cell.bz).as_slice());
-            for v in z.iter_mut() {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-        batch_row_matmul_into(&ids, &self.xin, m.store.value(cell.wr), &mut self.r);
-        for &s in &ids {
-            let r = &mut self.r[s * d..(s + 1) * d];
-            add_assign(r, m.store.value(cell.br).as_slice());
-            for v in r.iter_mut() {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-        for &s in &ids {
-            for i in 0..d {
-                self.rh[s * d + i] = self.r[s * d + i] * self.h[s * d + i];
-            }
-            self.xin[s * 2 * d + d..(s + 1) * 2 * d].copy_from_slice(&self.rh[s * d..(s + 1) * d]);
-        }
-        batch_row_matmul_into(&ids, &self.xin, m.store.value(cell.wh), &mut self.hcand);
-        for &s in &ids {
-            let hc = &mut self.hcand[s * d..(s + 1) * d];
-            add_assign(hc, m.store.value(cell.bh).as_slice());
-            for v in hc.iter_mut() {
-                *v = v.tanh();
-            }
-        }
-        for &s in &ids {
-            for i in 0..d {
-                let keep = (self.z[s * d + i] * -1.0 + 1.0) * self.h[s * d + i];
-                let new = self.z[s * d + i] * self.hcand[s * d + i];
-                self.h[s * d + i] = keep + new;
-            }
-        }
-        project_logits_rows(
-            &ids,
-            &self.h,
-            m.store.value(m.w_out),
-            &self.wt,
-            m.store.value(m.b_out).as_slice(),
-            &mut self.logits,
-        );
-        for &s in &ids {
-            self.slots[s].as_mut().expect("active slot").len += 1;
+        check_feeds(feeds, &self.live, &mut self.seen);
+        self.model
+            .decode_rows(&self.wt, feeds, &mut self.h, &mut self.sc);
+        for &(s, _) in feeds {
+            self.lens[s] += 1;
         }
     }
 
     fn logits(&self, slot: usize) -> &[f32] {
-        assert!(self.slots[slot].is_some(), "logits of a free slot");
+        assert!(self.live[slot], "logits of a free slot");
         let vocab = self.model.cfg.vocab;
-        &self.logits[slot * vocab..(slot + 1) * vocab]
+        &self.sc.logits[slot * vocab..(slot + 1) * vocab]
     }
 
     fn slot_len(&self, slot: usize) -> usize {
-        self.slots[slot].as_ref().map_or(0, |s| s.len)
+        self.lens[slot]
     }
 }
 
@@ -1633,21 +1293,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_row_matmul_matches_scalar_kernel_bitwise() {
-        let b = Tensor::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.3 - 1.0).collect());
-        // Three slot rows at stride 4, one containing zeros (zero-skip path).
-        let a = vec![
-            0.5, 0.0, -1.25, 2.0, // slot 0
-            -0.1, 0.2, 0.3, -0.4, // slot 1
-            0.0, 0.0, 1.5, 0.0, // slot 2
-        ];
-        let mut batched = vec![7.0f32; 3 * 3];
-        batch_row_matmul_into(&[2, 0, 1], &a, &b, &mut batched);
-        for s in 0..3 {
-            let mut single = vec![0.0f32; 3];
-            row_matmul_into(&a[s * 4..(s + 1) * 4], &b, &mut single);
-            for (x, y) in batched[s * 3..(s + 1) * 3].iter().zip(&single) {
-                assert_eq!(x.to_bits(), y.to_bits());
+    fn rows_matmul_matches_row_kernel_bitwise() {
+        // kdim 12 = one K_TILE block plus a 4-row tail.
+        let b = Tensor::from_vec(12, 3, (0..36).map(|i| i as f32 * 0.3 - 5.0).collect());
+        // Three scratch rows at stride 12: row 1 has no zeros (fused tile
+        // path), rows 0 and 2 hold zeros (zero-skip path). Listing all three
+        // runs the k-tiled loop; listing one runs the per-k loop.
+        let a: Vec<f32> = (0..36)
+            .map(|i| {
+                if i % 5 == 0 && i / 12 != 1 {
+                    0.0
+                } else {
+                    (i as f32 * 0.37).sin() + 0.1
+                }
+            })
+            .collect();
+        for rows in [&[2, 0, 1][..], &[1]] {
+            let mut out = vec![7.0f32; 3 * 3];
+            rows_matmul_into(rows, &a, &b, &mut out);
+            for &s in rows {
+                let mut single = vec![0.0f32; 3];
+                row_matmul_into(&a[s * 12..(s + 1) * 12], &b, &mut single);
+                for (x, y) in out[s * 3..(s + 1) * 3].iter().zip(&single) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

@@ -184,9 +184,9 @@ impl GruSeq2Seq {
         let b = self.store.value(self.b_out);
         let wt = self.out_proj_t();
         let mut out = Tensor::zeros(hs.rows, self.cfg.vocab);
-        for r in 0..hs.rows {
-            crate::decode::project_logits_row(hs.row(r), w, &wt, b.as_slice(), out.row_mut(r));
-        }
+        let rows: Vec<usize> = (0..hs.rows).collect();
+        let out_rows = out.as_mut_slice();
+        crate::decode::project_logits(&rows, hs.as_slice(), w, &wt, b.as_slice(), out_rows);
         out
     }
 

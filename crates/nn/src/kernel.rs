@@ -2,8 +2,8 @@
 //! dispatch.
 //!
 //! Every hot f32 loop in the crate — the matmul kernels in
-//! [`Tensor::matmul`](crate::Tensor::matmul), the incremental decoder's
-//! per-token row ops, the batched decoder's k-tiled kernel, and the
+//! [`Tensor::matmul`](crate::Tensor::matmul), the decoder forward's row ops
+//! (its per-`k` single-row matmul and its k-tiled multi-row matmul), and the
 //! softmax/layer-norm reductions — routes through the [`Kernel`] trait
 //! defined here. Two implementations exist:
 //!
@@ -40,12 +40,13 @@
 //!   within floating-point tolerance (pinned by
 //!   `crates/nn/tests/kernel_conformance.rs`). [`Kernel::max`] is
 //!   order-insensitive on NaN-free data and returns an exact input element.
-//! * Within one mode, the graph path, the incremental decoder, and the
-//!   batched decoder stay bit-identical to each other: every path calls the
-//!   same kernel ops over the same slices. The masked-softmax prefix trick
-//!   (exp-underflowed lanes are exact zeros and must be no-ops) is why
-//!   [`softmax_row`]'s exp-sum stays sequential in every mode — a lane-tree
-//!   sum over a zero tail would *not* be a structural no-op.
+//! * Within one mode, the graph path and every decode path (single step,
+//!   multi-position and batched, all one decoder forward) stay
+//!   bit-identical to each other: every path calls the same kernel ops over
+//!   the same slices. The masked-softmax prefix trick (exp-underflowed
+//!   lanes are exact zeros and must be no-ops) is why [`softmax_row`]'s
+//!   exp-sum stays sequential in every mode — a lane-tree sum over a zero
+//!   tail would *not* be a structural no-op.
 //!
 //! Because modes differ bitwise, anything keyed on output bytes must carry
 //! the mode: serve cache keys embed [`active_name`], and cached artifacts
@@ -59,8 +60,8 @@
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// `k`-dimension block width of the batched decode kernel's fused step (see
-/// [`Kernel::fma_tile`] and `decode::batch_row_matmul_into`).
+/// `k`-dimension block width of the decoder forward's multi-row matmul
+/// loop (see [`Kernel::fma_tile`] and `decode::rows_matmul_into`).
 pub const K_TILE: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -748,14 +749,15 @@ mod avx2 {
 /// underflowed to exact zero must be exact no-ops).
 ///
 /// Kept as a plain per-`k` [`Kernel::axpy`] loop rather than the
-/// [`Kernel::fma_tile`] tiling the batched path uses: single-row outputs
-/// here are short (d_model-ish), so the chained-add tile is latency-bound
-/// and measured slower on AVX2, while the zero-skip matters (softmax tails).
+/// [`Kernel::fma_tile`] tiling the decoder forward uses for several rows:
+/// single-row outputs here are short (d_model-ish), so the chained-add tile
+/// is latency-bound and measured slower on AVX2, while the zero-skip
+/// matters (softmax tails). The forward's one-row matmul is this loop.
 pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
-    // `<=` rather than `==`: multi-position decode ([`DecodeState::step_many`])
-    // attends each position over a causal *prefix* of a K/V cache that
-    // already holds the whole chunk's rows. The loop below only ever reads
-    // rows `< a.len()`, so trailing rows of `b` are simply ignored.
+    // `<=` rather than `==`: the decoder forward attends each row over a
+    // causal *prefix* of a K/V cache that already holds every row of its
+    // session fed in the same pass. The loop below only ever reads rows
+    // `< a.len()`, so trailing rows of `b` are simply ignored.
     debug_assert!(a.len() <= b.rows, "row matmul inner dim");
     debug_assert_eq!(out.len(), b.cols, "row matmul out dim");
     out.fill(0.0);

@@ -331,9 +331,9 @@ impl Transformer {
         let b = self.store.value(self.b_out);
         let wt = self.out_proj_t();
         let mut out = Tensor::zeros(xn.rows, self.cfg.vocab);
-        for r in 0..xn.rows {
-            crate::decode::project_logits_row(xn.row(r), w, &wt, b.as_slice(), out.row_mut(r));
-        }
+        let rows: Vec<usize> = (0..xn.rows).collect();
+        let out_rows = out.as_mut_slice();
+        crate::decode::project_logits(&rows, xn.as_slice(), w, &wt, b.as_slice(), out_rows);
         out
     }
 }
