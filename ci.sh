@@ -51,9 +51,10 @@ VEGA_THREADS=4 cargo test -q -p vega-nn --test spec_equivalence
 # when the CPU reports it — a forced `VEGA_KERNEL=avx2` on a host without
 # AVX2 falls back to scalar with a logged notice, so the avx2 leg would be
 # vacuous there) must pass the kernel conformance property suite, the
-# per-mode determinism suite, and the decode/batch equivalence suites, at
-# pool sizes 1 and 4. The decode bench smoke below then pins the per-ISA
-# throughput rows and the AVX2-vs-scalar floors.
+# per-mode determinism suite, the decode/batch equivalence suites and the
+# root tier-1 contract cases (decode sessions, batched scoring, the one
+# decoder forward), at pool sizes 1 and 4. The decode bench smoke below
+# then pins the per-ISA throughput rows and the AVX2-vs-scalar floors.
 echo "== kernel matrix =="
 KERNEL_MODES="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -68,8 +69,20 @@ for km in $KERNEL_MODES; do
       --test kernel_conformance --test kernel_determinism \
       --test decode_equivalence --test batch_equivalence \
       --test spec_equivalence
+    VEGA_KERNEL=$km VEGA_THREADS=$vt cargo test -q --test contracts
   done
 done
+
+# Headline identity: the tiny headline run is a pure function of (seed,
+# kernel mode) — thread-invariant, but scalar and AVX2 differ in low bits —
+# so each mode's stdout must match its committed golden byte for byte.
+echo "== headline identity =="
+for km in $KERNEL_MODES; do
+  VEGA_KERNEL=$km target/release/vega-experiments headline --scale tiny \
+    --epochs 1 --pretrain 0 > "$SMOKE_DIR/headline-$km.txt"
+  diff "tests/golden/headline_tiny.$km.txt" "$SMOKE_DIR/headline-$km.txt"
+done
+echo "headline identity: ok"
 
 echo "== decode bench smoke =="
 VEGA_DECODE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_decode.json" \
@@ -216,9 +229,11 @@ VEGA_THREADS=4 cargo test -q -p vega-serve --test batch_e2e
 # Serve bench smoke: on the score workload with a deploy-shaped model, the
 # one-pass prefill scorer must beat the token-stepped loop it replaced, the
 # batch engine must serve score at parity with the replica engine (both
-# route scoring through the same multi-position prefill path), and scoring
+# route scoring through the same multi-position prefill path), scoring
 # a request's candidates on one decode session (one encoder pass) must beat
-# one forced_logprob per candidate.
+# one forced_logprob per candidate, and one batched forced_logprobs call
+# over the candidates must beat one forced_logprob per candidate on one
+# encoded state (the batched floor).
 echo "== serve bench smoke =="
 VEGA_SERVE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_serve.json" \
   cargo bench -p vega-bench --bench serve | tee "$SMOKE_DIR/serve-bench.txt"

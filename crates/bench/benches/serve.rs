@@ -30,17 +30,24 @@
 //!   48-token source): every candidate scored on one decode state, so the
 //!   source is encoded once, against one `forced_logprob` per candidate,
 //!   each re-encoding it (bit-identical logprobs asserted first; same
+//!   interleaved-min timing);
+//! * **batched vs per-candidate** — in-process, on the same shape and one
+//!   already-encoded decode state: one `forced_logprobs` call over the 8
+//!   candidates (their shared BOS fed once, then one 80-row forward on
+//!   forks of the session cache, so each weight matrix streams twice per
+//!   request) against one `forced_logprob` per candidate (an 11-row
+//!   forward each; bit-identical logprobs asserted first; same
 //!   interleaved-min timing).
 //!
 //! Writes `BENCH_serve.json` (override with `VEGA_BENCH_OUT`;
 //! `VEGA_SERVE_BENCH_FAST=1` shrinks the rep count for the CI smoke run).
-//! Prints `serve: smoke=ok` only if all three floors hold.
+//! Prints `serve: smoke=ok` only if all four floors hold.
 
 use std::time::Instant;
 use vega::{Vega, VegaConfig};
 use vega_model::{CodeBe, Special};
 use vega_nn::kernel::softmax_row;
-use vega_nn::{forced_pair, Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::{forced_pair, DecodeState, Seq2Seq, Transformer, TransformerConfig};
 use vega_obs::json::Json;
 use vega_serve::{Client, Engine, EngineMode, ServeConfig, Server};
 
@@ -68,10 +75,17 @@ const SESSION_SRC_LEN: usize = 48;
 
 /// Floor for scoring a request's candidates on one decode state (one
 /// encoder pass) against one `forced_logprob` per candidate (an encoder
-/// pass each). On this shape one encoder pass costs about three candidate
-/// prefills, so ~2.8x is expected; falling toward 1x means scoring went
-/// back to encoding once per candidate.
+/// pass each). On the k-tiled encoder one encoder pass costs about two
+/// candidate prefills, so ~2.0x is expected; falling toward 1x
+/// means scoring went back to encoding once per candidate.
 const SESSION_SPEEDUP_FLOOR: f64 = 1.5;
+
+/// Floor for one `forced_logprobs` call over a request's candidates against
+/// one `forced_logprob` per candidate, both on one encoded state. The
+/// batched call streams each weight matrix twice per request instead of
+/// once per candidate; ~1.3x is expected. Falling toward 1x
+/// means candidates went back to one decoder forward each.
+const BATCHED_SPEEDUP_FLOOR: f64 = 1.15;
 
 /// Small-scale pipeline config, zero training epochs: only the corpus
 /// artifacts (vocabulary, templates, catalog) matter here; the bench model's
@@ -379,7 +393,6 @@ fn main() {
             per_call_secs = per_call_secs.min(p);
         }
     }
-    vega_par::set_threads(0);
     let session_speedup = per_call_secs / session_secs;
     println!(
         "session: {:>7.1} ms/request | per-call: {:>7.1} ms/request | session speedup \
@@ -387,6 +400,49 @@ fn main() {
          {SESSION_SRC_LEN}-token source)",
         session_secs * 1e3,
         per_call_secs * 1e3,
+    );
+
+    // In-process: one decoder forward per request. On one encoded state,
+    // one `forced_logprobs` call over every candidate against one
+    // `forced_logprob` per candidate (each resets to the just-encoded
+    // state, so neither side pays the encoder).
+    let mut st = model.begin_decode(&src);
+    let batched_once = |st: &mut DecodeState| -> Vec<u32> {
+        let scores = st.forced_logprobs(&session_pairs);
+        scores.iter().map(|s| s.to_bits()).collect()
+    };
+    let per_candidate_once = |st: &mut DecodeState| -> Vec<u32> {
+        session_pairs
+            .iter()
+            .map(|(tin, tout)| st.forced_logprob(tin, tout).to_bits())
+            .collect()
+    };
+    assert_eq!(
+        batched_once(&mut st),
+        per_candidate_once(&mut st),
+        "batched scoring diverged from one forced_logprob per candidate"
+    );
+    let (mut batched_secs, mut per_cand_secs) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..rounds + 1 {
+        let t0 = Instant::now();
+        std::hint::black_box(batched_once(&mut st));
+        let b = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        std::hint::black_box(per_candidate_once(&mut st));
+        let p = t0.elapsed().as_secs_f64();
+        if round > 0 {
+            batched_secs = batched_secs.min(b);
+            per_cand_secs = per_cand_secs.min(p);
+        }
+    }
+    drop(st);
+    vega_par::set_threads(0);
+    let batched_speedup = per_cand_secs / batched_secs;
+    println!(
+        "batched: {:>7.1} ms/request | per-candidate: {:>7.1} ms/request | batched speedup \
+         {batched_speedup:.2}x (one encoded state)",
+        batched_secs * 1e3,
+        per_cand_secs * 1e3,
     );
 
     let out_path =
@@ -461,23 +517,41 @@ fn main() {
             ),
         ),
         ("session_scoring_speedup", Json::num_f64(session_speedup)),
+        (
+            "batched_scoring",
+            Json::Arr(
+                [("batched", batched_secs), ("per_candidate", per_cand_secs)]
+                    .into_iter()
+                    .map(|(path, secs)| {
+                        Json::obj([
+                            ("path", Json::str(path)),
+                            ("seconds_per_request", Json::num_f64(secs)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("batched_scoring_speedup", Json::num_f64(batched_speedup)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
     println!(
         "wrote {out_path} (batch parity {parity:.2}x, prefill scoring speedup {prefill_speedup:.2}x, \
-         session scoring speedup {session_speedup:.2}x)"
+         session scoring speedup {session_speedup:.2}x, batched scoring speedup \
+         {batched_speedup:.2}x)"
     );
     if parity >= BATCH_PARITY_FLOOR
         && prefill_speedup >= PREFILL_SPEEDUP_FLOOR
         && session_speedup >= SESSION_SPEEDUP_FLOOR
+        && batched_speedup >= BATCHED_SPEEDUP_FLOOR
     {
         println!("serve: smoke=ok");
     } else {
         println!(
             "serve: smoke=FAIL (batch engine under {BATCH_PARITY_FLOOR}x parity with the replica \
              engine on score, prefill scoring under {PREFILL_SPEEDUP_FLOOR}x the token-stepped \
-             loop, or session scoring under {SESSION_SPEEDUP_FLOOR}x one forced_logprob per \
-             candidate)"
+             loop, session scoring under {SESSION_SPEEDUP_FLOOR}x one forced_logprob per \
+             candidate, or batched scoring under {BATCHED_SPEEDUP_FLOOR}x one forced_logprob \
+             per candidate on one state)"
         );
         std::process::exit(1);
     }

@@ -529,7 +529,8 @@ fn slot_candidate_runs(
 
 /// Realizes a statement's head by filling each slot with the candidate the
 /// model scores highest (sequential left-to-right choice, remaining slots
-/// held at their prior-best), scoring on the statement's `session`.
+/// held at their prior-best), scoring on the statement's `session` with one
+/// batched call per slot.
 /// Fallible because candidate scoring runs the model, which can abort at
 /// `deadline` when routed through a backend.
 #[allow(clippy::too_many_arguments)]
@@ -600,15 +601,20 @@ fn realize_statement(
     for &sid in &slot_ids {
         let (_, runs) = &options[&sid];
         if runs.len() > 1 {
-            let mut best: Option<(f32, usize)> = None;
+            // The slot's eligible candidates, scored in one call.
+            let (mut cis, mut cands) = (Vec::new(), Vec::new());
             for (ci, cand) in runs.iter().enumerate() {
                 let mut trial = chosen.clone();
                 trial.insert(sid, cand.clone());
-                if !line_ok(&trial) {
-                    continue;
+                if line_ok(&trial) {
+                    cis.push(ci);
+                    cands.push(with_score(&realize_ids(model, &trial)));
                 }
-                let ids = with_score(&realize_ids(model, &trial));
-                let lp = session.try_sequence_logprob(&ids, deadline)? / ids.len().max(1) as f32;
+            }
+            let lps = session.try_sequence_logprobs(&cands, deadline)?;
+            let mut best: Option<(f32, usize)> = None;
+            for ((&ci, ids), lp) in cis.iter().zip(&cands).zip(lps) {
+                let lp = lp / ids.len().max(1) as f32;
                 if best.is_none() || lp > best.unwrap().0 {
                     best = Some((lp, ci));
                 }

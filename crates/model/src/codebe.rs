@@ -135,7 +135,8 @@ impl DecodeSession<'_> {
     }
 
     /// Log-probability of the model emitting `output`, from the session's
-    /// encoding — the session form of [`CodeBe::try_sequence_logprob`].
+    /// encoding — the session form of [`CodeBe::try_sequence_logprob`], and
+    /// the one-output case of [`DecodeSession::try_sequence_logprobs`].
     ///
     /// # Errors
     /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
@@ -144,11 +145,41 @@ impl DecodeSession<'_> {
         output: &[usize],
         deadline: Option<Instant>,
     ) -> Result<f32, DecodeAbort> {
-        let (tgt_in, tgt_out) = vega_nn::forced_pair(output, self.bos, self.eos);
+        Ok(self.try_sequence_logprobs(&[output], deadline)?[0])
+    }
+
+    /// Log-probabilities of the model emitting each of `outputs`, in order,
+    /// from the session's encoding, each bit-identical to
+    /// [`DecodeSession::try_sequence_logprob`] on that output alone. The
+    /// transformer scores them all in one decoder forward that feeds their
+    /// shared prefix once ([`vega_nn::DecodeState::forced_logprobs`]); the
+    /// GRU scores them one after another. With a decode backend installed,
+    /// each output is forwarded to it unchanged, one call per output.
+    ///
+    /// # Errors
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
+    pub fn try_sequence_logprobs<O: AsRef<[usize]>>(
+        &mut self,
+        outputs: &[O],
+        deadline: Option<Instant>,
+    ) -> Result<Vec<f32>, DecodeAbort> {
+        let (bos, eos) = (self.bos, self.eos);
+        let pairs = || -> Vec<(Vec<usize>, Vec<usize>)> {
+            outputs
+                .iter()
+                .map(|o| vega_nn::forced_pair(o.as_ref(), bos, eos))
+                .collect()
+        };
         match &mut self.state {
-            SessionState::Backend(b) => b.backend().sequence_logprob(self.input, output, deadline),
-            SessionState::Transformer(st) => Ok(st.forced_logprob(&tgt_in, &tgt_out)),
-            SessionState::Gru(st) => Ok(st.forced_logprob(&tgt_in, &tgt_out)),
+            SessionState::Backend(b) => outputs
+                .iter()
+                .map(|o| {
+                    b.backend()
+                        .sequence_logprob(self.input, o.as_ref(), deadline)
+                })
+                .collect(),
+            SessionState::Transformer(st) => Ok(st.forced_logprobs(&pairs())),
+            SessionState::Gru(st) => Ok(st.forced_logprobs(&pairs())),
         }
     }
 }
@@ -500,12 +531,13 @@ impl CodeBe {
 
     /// Opens a decode session over `input`: the input is encoded **once**
     /// here, and the session then answers any mix of
-    /// [`DecodeSession::try_generate`] and
-    /// [`DecodeSession::try_sequence_logprob`] calls from that encoding,
+    /// [`DecodeSession::try_generate`],
+    /// [`DecodeSession::try_sequence_logprob`] and
+    /// [`DecodeSession::try_sequence_logprobs`] calls from that encoding,
     /// each bit-identical to the per-call [`CodeBe::try_generate`] /
     /// [`CodeBe::try_sequence_logprob`]. Stage 3 opens one per statement
-    /// (head decode plus every candidate score), and serve's `score` op one
-    /// per request.
+    /// (head decode, then one batched score per slot's candidates), and
+    /// serve's `score` op one per request (one batched score).
     ///
     /// With a decode backend installed nothing is encoded locally: every
     /// call forwards unchanged to the backend. Session decodes never

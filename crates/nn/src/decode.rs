@@ -19,27 +19,32 @@
 //! from scratch on a fresh graph at every token.
 //!
 //! Both states carry the two whole-sequence loops, `greedy` and
-//! `forced_logprob`, and `reset` to the just-encoded state before each, so
-//! one state answers any mix of decodes and scores of its source after a
-//! single encoder pass. `Seq2Seq::greedy` / `forced_logprob` are
-//! `begin_decode` followed by the same loops.
+//! `forced_logprobs` (with `forced_logprob` its one-pair case), and `reset`
+//! to the just-encoded state before each, so one state answers any mix of
+//! decodes and scores of its source after a single encoder pass.
+//! `Seq2Seq::greedy` / `forced_logprob` are `begin_decode` followed by the
+//! same loops.
 //!
 //! # One forward
 //!
 //! Every transformer decode path runs the same decoder forward over *rows*.
 //! A row is a session's K/V cache, a position in it, the token fed there
 //! and a scratch row to compute in. [`DecodeState::step`] is one row,
-//! [`DecodeState::step_many`] is one row per token of one session, and a
-//! [`BatchDecodeState`] step is one row per fed slot. The GRU paths (the
-//! encoder pass, [`GruDecodeState::step`] and the batch step) share one
-//! GRU cell over rows in the same way, and every path, the graph
-//! references included, shares one logits projection.
+//! [`DecodeState::step_many`] is one row per token of one session, a
+//! [`BatchDecodeState`] step is one row per fed slot, and
+//! [`DecodeState::forced_logprobs`] is every candidate's positions past
+//! their shared prefix, each candidate on its own fork of the session
+//! cache. The GRU paths (the encoder pass, [`GruDecodeState::step`] and the
+//! batch step) share one GRU cell over rows in the same way, and every
+//! path, the graph references included, shares one logits projection.
 //!
 //! The row count picks the loop, never the result. One row takes the
 //! per-`k` [`row_matmul_into`] and the row-major dot-form logits loop;
 //! several rows take the k-tiled loop, which streams each weight matrix
 //! once for all of them, and the weight-major logits loop. Per row both
-//! are the same f32 operations in the same order.
+//! are the same f32 operations in the same order. The transformer encoder
+//! runs its weight products on the same k-tiled loop, one row per source
+//! position.
 //!
 //! # Bit-identity
 //!
@@ -71,7 +76,7 @@ use crate::gru::{GruCell, GruConfig, GruSeq2Seq};
 use crate::kernel::{with_kernel, Kernel, K_TILE};
 use crate::params::ParamId;
 use crate::tensor::Tensor;
-use crate::transformer::{AttnParams, FfParams, LnParams, Transformer, TransformerConfig};
+use crate::transformer::{FfParams, LnParams, Transformer, TransformerConfig};
 use std::sync::Arc;
 
 /// Per-thread decode attribution: how many tokens the *current thread* has
@@ -298,9 +303,10 @@ fn greedy_loop(
     out
 }
 
-/// The forced scorer's reduction both model families run: `fill(r, probs)`
-/// writes the logits row for position `r`, and the sum of
-/// `ln softmax(row)[tgt_out[r]]` over the positions is returned.
+/// The GRU's forced scorer: `fill(r, probs)` writes the logits row for
+/// position `r`, and the sum of `ln softmax(row)[tgt_out[r]]` over the
+/// positions, in position order, is returned. [`DecodeState`] sums its
+/// rows in the same order ([`DecodeState::forced_logprobs`]).
 fn forced_sum(vocab: usize, tgt_out: &[usize], mut fill: impl FnMut(usize, &mut [f32])) -> f32 {
     let mut probs = vec![0.0f32; vocab];
     let mut lp = 0.0f32;
@@ -309,106 +315,144 @@ fn forced_sum(vocab: usize, tgt_out: &[usize], mut fill: impl FnMut(usize, &mut 
         softmax_row(&mut probs);
         lp += probs[to].max(1e-12).ln();
     }
-    vega_obs::global().counter_add("decode.scored_tokens", tgt_out.len() as u64);
+    count_scored(tgt_out.len(), tgt_out.len());
     lp
 }
 
-// ---------------------------------------------------------------------------
-// Forward-only matrix helpers (encoder; runs once per decode)
-// ---------------------------------------------------------------------------
-
-/// Row-wise layer norm over a matrix, replicating `Graph::layer_norm`.
-fn layer_norm_rows(x: &Tensor, gain: &Tensor, bias: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(x.rows, x.cols);
-    for r in 0..x.rows {
-        layer_norm_row(x.row(r), gain.as_slice(), bias.as_slice(), out.row_mut(r));
-    }
-    out
+/// Records one forced-scoring call: `tokens` scored positions
+/// (`decode.scored_tokens`) computed from `rows` decoder rows
+/// (`decode.scored_rows`; fewer than `tokens` when candidates share a
+/// prefix).
+fn count_scored(tokens: usize, rows: usize) {
+    let obs = vega_obs::global();
+    obs.counter_add("decode.scored_tokens", tokens as u64);
+    obs.counter_add("decode.scored_rows", rows as u64);
 }
 
-/// Column concatenation, replicating `Graph::concat_cols`.
-fn concat_cols(a: &Tensor, b: &Tensor) -> Tensor {
-    debug_assert_eq!(a.rows, b.rows, "concat rows");
-    let mut out = Tensor::zeros(a.rows, a.cols + b.cols);
-    for r in 0..a.rows {
-        out.row_mut(r)[..a.cols].copy_from_slice(a.row(r));
-        out.row_mut(r)[a.cols..].copy_from_slice(b.row(r));
+// ---------------------------------------------------------------------------
+// Row helpers shared by the transformer encoder and decoder forward
+// ---------------------------------------------------------------------------
+
+/// One head's attention for one row, `out = softmax(q · kᵀ · scale) · v`
+/// over the first `n` rows of `k` and `v`, with `scores` (at least `n`
+/// long) as scratch — the graph path's scale-then-softmax-then-matmul
+/// sequence, per row.
+fn attend(
+    q: &[f32],
+    k: &Tensor,
+    v: &Tensor,
+    n: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+) {
+    let scores = &mut scores[..n];
+    for (j, sc) in scores.iter_mut().enumerate() {
+        *sc = dot(q, k.row(j)) * scale;
     }
-    out
+    softmax_row(scores);
+    row_matmul_into(scores, v, out);
 }
 
-/// Elementwise ReLU, replicating `Graph::relu`.
-fn relu(x: &Tensor) -> Tensor {
-    Tensor::from_vec(
-        x.rows,
-        x.cols,
-        x.as_slice().iter().map(|v| v.max(0.0)).collect(),
-    )
+/// `x[a] += y[a]` for every row `a` in `ids` (both at stride `d`): the
+/// residual connection.
+fn add_rows(ids: &[usize], d: usize, x: &mut [f32], y: &[f32]) {
+    for &a in ids {
+        add_assign(&mut x[a * d..(a + 1) * d], &y[a * d..(a + 1) * d]);
+    }
 }
 
 impl Transformer {
-    fn embed_with_pos_fwd(&self, ids: &[usize]) -> Tensor {
-        let tok = self.store.value(self.tok_emb);
-        let pos = self.store.value(self.pos_emb);
-        let mut te = Tensor::zeros(ids.len(), tok.cols);
-        let mut pe = Tensor::zeros(ids.len(), pos.cols);
-        for (r, &id) in ids.iter().enumerate() {
-            te.row_mut(r).copy_from_slice(tok.row(id));
-            pe.row_mut(r)
-                .copy_from_slice(pos.row(r.min(self.cfg.max_len - 1)));
+    /// `xn[a] = layer_norm(x[a])` for every row `a` in `ids`.
+    fn norm_rows(&self, p: &LnParams, ids: &[usize], x: &[f32], xn: &mut [f32]) {
+        let d = self.cfg.d_model;
+        let (g, b) = (self.store.value(p.gain), self.store.value(p.bias));
+        for &a in ids {
+            let (x, xn) = (&x[a * d..(a + 1) * d], &mut xn[a * d..(a + 1) * d]);
+            layer_norm_row(x, g.as_slice(), b.as_slice(), xn);
         }
-        te.add(&pe)
     }
 
-    /// Unmasked multi-head attention on plain tensors (encoder self-attention
-    /// uses `q_in == kv`), replaying the graph op sequence exactly.
-    fn attention_fwd(&self, q_in: &Tensor, kv: &Tensor, p: &AttnParams) -> Tensor {
-        let dh = self.cfg.d_model / self.cfg.n_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut concat: Option<Tensor> = None;
-        for h in 0..self.cfg.n_heads {
-            let q = q_in.matmul(self.store.value(p.wq[h]), false);
-            let k = kv.matmul(self.store.value(p.wk[h]), false);
-            let v = kv.matmul(self.store.value(p.wv[h]), false);
-            let scores = q.matmul(&k, true).scale(scale);
-            let a = scores.softmax_rows();
-            let head = a.matmul(&v, false);
-            concat = Some(match concat {
-                None => head,
-                Some(c) => concat_cols(&c, &head),
-            });
+    /// The feed-forward block for every row `a` in `ids`:
+    /// `out[a] = relu(xn[a] · w1 + b1) · w2 + b2`, with `ff` holding the
+    /// hidden rows.
+    fn feed_forward_rows(
+        &self,
+        p: &FfParams,
+        ids: &[usize],
+        xn: &[f32],
+        ff: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (d, d_ff) = (self.cfg.d_model, self.cfg.d_ff);
+        let w = |p: ParamId| self.store.value(p);
+        rows_matmul_into(ids, xn, w(p.w1), ff);
+        for &a in ids {
+            let f = &mut ff[a * d_ff..(a + 1) * d_ff];
+            add_assign(f, w(p.b1).as_slice());
+            for v in f.iter_mut() {
+                *v = v.max(0.0);
+            }
         }
-        concat
-            .expect("at least one attention head")
-            .matmul(self.store.value(p.wo), false)
+        rows_matmul_into(ids, ff, w(p.w2), out);
+        for &a in ids {
+            add_assign(&mut out[a * d..(a + 1) * d], w(p.b2).as_slice());
+        }
     }
 
-    fn feed_forward_fwd(&self, x: &Tensor, p: &FfParams) -> Tensor {
-        let h = x
-            .matmul(self.store.value(p.w1), false)
-            .add_row_broadcast(self.store.value(p.b1));
-        relu(&h)
-            .matmul(self.store.value(p.w2), false)
-            .add_row_broadcast(self.store.value(p.b2))
+    /// `a · w` as a new tensor with one row per row of `a` (listed in
+    /// `ids` as `0..n`, at stride `w.rows`), on the k-tiled loop.
+    fn project(&self, ids: &[usize], a: &[f32], w: ParamId) -> Tensor {
+        let w = self.store.value(w);
+        let mut out = vec![0.0f32; ids.len() * w.cols];
+        rows_matmul_into(ids, a, w, &mut out);
+        Tensor::from_vec(ids.len(), w.cols, out)
     }
 
-    fn ln_fwd(&self, x: &Tensor, p: &LnParams) -> Tensor {
-        layer_norm_rows(x, self.store.value(p.gain), self.store.value(p.bias))
-    }
-
-    /// Forward-only encoder pass (no autograd tape); bit-identical to the
-    /// graph path's `encode`.
+    /// Forward-only encoder pass (no autograd tape), one row per source
+    /// position; bit-identical to the graph path's `encode`. Every weight
+    /// product runs on [`rows_matmul_into`]'s k-tiled loop, so each weight
+    /// matrix streams once for the whole source.
     pub(crate) fn encode_fwd(&self, src: &[usize]) -> Tensor {
-        let mut x = self.embed_with_pos_fwd(src);
-        for layer in &self.enc_layers {
-            let xn = self.ln_fwd(&x, &layer.ln1);
-            let att = self.attention_fwd(&xn, &xn, &layer.attn);
-            x = x.add(&att);
-            let xn = self.ln_fwd(&x, &layer.ln2);
-            let ffo = self.feed_forward_fwd(&xn, &layer.ff);
-            x = x.add(&ffo);
+        let cfg = &self.cfg;
+        let (n, d) = (src.len(), cfg.d_model);
+        let dh = d / cfg.n_heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let ids: Vec<usize> = (0..n).collect();
+        let w = |p: ParamId| self.store.value(p);
+        let mut x = vec![0.0f32; n * d];
+        for (r, &id) in src.iter().enumerate() {
+            let te = w(self.tok_emb).row(id);
+            let pe = w(self.pos_emb).row(r.min(cfg.max_len - 1));
+            for (c, o) in x[r * d..(r + 1) * d].iter_mut().enumerate() {
+                *o = te[c] + pe[c];
+            }
         }
-        x
+        let (mut xn, mut heads, mut tmp) = (vec![0.0; n * d], vec![0.0; n * d], vec![0.0; n * d]);
+        let (mut q, mut ff, mut scores) =
+            (vec![0.0; n * dh], vec![0.0; n * cfg.d_ff], vec![0.0; n]);
+        for layer in &self.enc_layers {
+            // Unmasked self-attention: every row attends over every row.
+            self.norm_rows(&layer.ln1, &ids, &x, &mut xn);
+            let p = &layer.attn;
+            for h in 0..cfg.n_heads {
+                let (k, v) = (
+                    self.project(&ids, &xn, p.wk[h]),
+                    self.project(&ids, &xn, p.wv[h]),
+                );
+                rows_matmul_into(&ids, &xn, w(p.wq[h]), &mut q);
+                for r in 0..n {
+                    let out = &mut heads[r * d + h * dh..r * d + (h + 1) * dh];
+                    attend(&q[r * dh..(r + 1) * dh], &k, &v, n, scale, &mut scores, out);
+                }
+            }
+            rows_matmul_into(&ids, &heads, w(p.wo), &mut tmp);
+            add_rows(&ids, d, &mut x, &tmp);
+            self.norm_rows(&layer.ln2, &ids, &x, &mut xn);
+            self.feed_forward_rows(&layer.ff, &ids, &xn, &mut ff, &mut tmp);
+            add_rows(&ids, d, &mut x, &tmp);
+        }
+        Tensor::from_vec(n, d, x)
     }
 }
 
@@ -416,20 +460,41 @@ impl Transformer {
 // Transformer fast path: one decoder forward over rows
 // ---------------------------------------------------------------------------
 
-/// One session's decoder cache, for a [`DecodeState`] or a batch slot:
-/// encoder-derived cross-attention K/V (fixed) and self-attention K/V that
-/// grow by one row per fed position.
+/// One session's decoder cache, for a [`DecodeState`], a fork of one, or a
+/// batch slot: encoder-derived cross-attention K/V (fixed) and
+/// self-attention K/V that grow by one row per fed position.
 #[derive(Default)]
 struct KvCache {
-    /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed.
-    cross_k: Vec<Vec<Tensor>>,
-    cross_v: Vec<Vec<Tensor>>,
+    /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed and
+    /// shared by every fork of the session.
+    cross_k: Arc<Vec<Vec<Tensor>>>,
+    cross_v: Arc<Vec<Vec<Tensor>>>,
     /// `[layer][head]`: cached self-attention keys/values, one row per
     /// decoded position (pre-reserved to `max_len` rows).
     self_k: Vec<Vec<Tensor>>,
     self_v: Vec<Vec<Tensor>>,
     /// Positions fed so far.
     len: usize,
+}
+
+impl KvCache {
+    /// Makes this cache a fork of `from`: the same cross-attention K/V and
+    /// a copy of `from`'s self-attention rows, reusing this cache's row
+    /// capacity.
+    fn fork_from(&mut self, from: &KvCache) {
+        self.cross_k = Arc::clone(&from.cross_k);
+        self.cross_v = Arc::clone(&from.cross_v);
+        let pairs = self.self_k.iter_mut().zip(&from.self_k);
+        for (dst, src) in pairs.chain(self.self_v.iter_mut().zip(&from.self_v)) {
+            for (dst, src) in dst.iter_mut().zip(src) {
+                dst.truncate_rows(0);
+                for r in 0..src.rows {
+                    dst.push_row(src.row(r));
+                }
+            }
+        }
+        self.len = from.len;
+    }
 }
 
 /// One row of a decoder forward: `token` fed at position `pos` of session
@@ -493,26 +558,41 @@ impl Transformer {
         let src = &src[..src.len().min(self.cfg.max_len)];
         vega_obs::global().counter_add("decode.encoder_runs", 1);
         let enc = self.encode_fwd(src);
-        let cross = |ws: &[ParamId]| -> Vec<Tensor> {
+        let ids: Vec<usize> = (0..enc.rows).collect();
+        let project = |ws: &[ParamId]| -> Vec<Tensor> {
             ws.iter()
-                .map(|&w| enc.matmul(self.store.value(w), false))
+                .map(|&w| self.project(&ids, enc.as_slice(), w))
                 .collect()
         };
-        let dh = self.cfg.d_model / self.cfg.n_heads;
-        let empty = || -> Vec<Tensor> {
-            let rows = self.cfg.max_len;
-            (0..self.cfg.n_heads)
-                .map(|_| Tensor::with_row_capacity(dh, rows))
-                .collect()
-        };
-        let mut c = KvCache::default();
+        let (mut cross_k, mut cross_v) = (Vec::new(), Vec::new());
         for layer in &self.dec_layers {
-            c.cross_k.push(cross(&layer.cross_attn.wk));
-            c.cross_v.push(cross(&layer.cross_attn.wv));
-            c.self_k.push(empty());
-            c.self_v.push(empty());
+            cross_k.push(project(&layer.cross_attn.wk));
+            cross_v.push(project(&layer.cross_attn.wv));
         }
-        c
+        KvCache {
+            cross_k: Arc::new(cross_k),
+            cross_v: Arc::new(cross_v),
+            ..self.empty_cache()
+        }
+    }
+
+    /// A cache with no cross-attention K/V and empty self-attention
+    /// caches, reserved to `max_len` rows per layer and head.
+    fn empty_cache(&self) -> KvCache {
+        let dh = self.cfg.d_model / self.cfg.n_heads;
+        let empty = || -> Vec<Vec<Tensor>> {
+            let heads = || {
+                (0..self.cfg.n_heads)
+                    .map(|_| Tensor::with_row_capacity(dh, self.cfg.max_len))
+                    .collect()
+            };
+            self.dec_layers.iter().map(|_| heads()).collect()
+        };
+        KvCache {
+            self_k: empty(),
+            self_v: empty(),
+            ..KvCache::default()
+        }
     }
 
     /// The decoder forward behind every transformer decode path: feeds each
@@ -527,14 +607,18 @@ impl Transformer {
     /// as the graph path's `-1e9` mask zeroes them out, and every row is
     /// bit-identical to feeding its session one token at a time.
     ///
+    /// No rows is a no-op.
+    ///
     /// # Panics
     /// Panics if a row's position is at or past `max_len` (the graph path
     /// would index the positional table out of range at the same point).
     fn decode_rows(&self, wt: &Tensor, caches: &mut [KvCache], sc: &mut Scratch) {
+        if sc.rows.is_empty() {
+            return;
+        }
         let cfg = &self.cfg;
         let d = cfg.d_model;
         let dh = d / cfg.n_heads;
-        let d_ff = cfg.d_ff;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut n = 0;
         for r in &sc.rows {
@@ -566,32 +650,11 @@ impl Transformer {
                 *o = te[c] + pe[c];
             }
         }
-        let norm = |p: &LnParams, x: &[f32], xn: &mut [f32]| {
-            let (g, b) = (w(p.gain).as_slice(), w(p.bias).as_slice());
-            for &a in ids {
-                layer_norm_row(&x[a * d..(a + 1) * d], g, b, &mut xn[a * d..(a + 1) * d]);
-            }
-        };
-        let residual = |x: &mut [f32], y: &[f32]| {
-            for &a in ids {
-                add_assign(&mut x[a * d..(a + 1) * d], &y[a * d..(a + 1) * d]);
-            }
-        };
-        // One head's attention for one row: `out = softmax(q · kᵀ · scale) · v`
-        // over the first `n` rows of `k` and `v`.
-        let mut attend = |q: &[f32], k: &Tensor, v: &Tensor, n: usize, out: &mut [f32]| {
-            let scores = &mut scores[..n];
-            for (j, sc) in scores.iter_mut().enumerate() {
-                *sc = dot(q, k.row(j)) * scale;
-            }
-            softmax_row(scores);
-            row_matmul_into(scores, v, out);
-        };
         let head = |h: usize, a: usize| a * d + h * dh..a * d + (h + 1) * dh;
         for (l, layer) in self.dec_layers.iter().enumerate() {
             // Self-attention: append every row's K/V, then attend each row
             // over its own causal prefix.
-            norm(&layer.ln1, x, xn);
+            self.norm_rows(&layer.ln1, ids, x, xn);
             let p = &layer.self_attn;
             for h in 0..cfg.n_heads {
                 rows_matmul_into(ids, xn, w(p.wq[h]), q);
@@ -607,13 +670,13 @@ impl Transformer {
                     let c = &caches[r.cache];
                     let (k, v) = (&c.self_k[l][h], &c.self_v[l][h]);
                     let q = &q[r.at * dh..(r.at + 1) * dh];
-                    attend(q, k, v, r.pos + 1, &mut heads[head(h, r.at)]);
+                    attend(q, k, v, r.pos + 1, scale, scores, &mut heads[head(h, r.at)]);
                 }
             }
             rows_matmul_into(ids, heads, w(p.wo), tmp_d);
-            residual(x, tmp_d);
+            add_rows(ids, d, x, tmp_d);
             // Cross-attention against each session's fixed encoder K/V.
-            norm(&layer.ln2, x, xn);
+            self.norm_rows(&layer.ln2, ids, x, xn);
             let p = &layer.cross_attn;
             for h in 0..cfg.n_heads {
                 rows_matmul_into(ids, xn, w(p.wq[h]), q);
@@ -621,28 +684,17 @@ impl Transformer {
                     let c = &caches[r.cache];
                     let (k, v) = (&c.cross_k[l][h], &c.cross_v[l][h]);
                     let q = &q[r.at * dh..(r.at + 1) * dh];
-                    attend(q, k, v, k.rows, &mut heads[head(h, r.at)]);
+                    attend(q, k, v, k.rows, scale, scores, &mut heads[head(h, r.at)]);
                 }
             }
             rows_matmul_into(ids, heads, w(p.wo), tmp_d);
-            residual(x, tmp_d);
+            add_rows(ids, d, x, tmp_d);
             // Feed-forward.
-            norm(&layer.ln3, x, xn);
-            rows_matmul_into(ids, xn, w(layer.ff.w1), ff);
-            for &a in ids {
-                let f = &mut ff[a * d_ff..(a + 1) * d_ff];
-                add_assign(f, w(layer.ff.b1).as_slice());
-                for v in f.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            rows_matmul_into(ids, ff, w(layer.ff.w2), tmp_d);
-            for &a in ids {
-                add_assign(&mut tmp_d[a * d..(a + 1) * d], w(layer.ff.b2).as_slice());
-            }
-            residual(x, tmp_d);
+            self.norm_rows(&layer.ln3, ids, x, xn);
+            self.feed_forward_rows(&layer.ff, ids, xn, ff, tmp_d);
+            add_rows(ids, d, x, tmp_d);
         }
-        norm(&self.final_ln, x, xn);
+        self.norm_rows(&self.final_ln, ids, x, xn);
         project_logits(ids, xn, w(self.w_out), wt, w(self.b_out).as_slice(), logits);
         for r in rows.iter() {
             caches[r.cache].len += 1;
@@ -660,6 +712,7 @@ impl Transformer {
             model: self,
             wt: self.out_proj_t(),
             cache: self.encode_cache(src),
+            forks: Vec::new(),
             sc: Scratch::default(),
         }
     }
@@ -683,7 +736,7 @@ impl Transformer {
 /// [`Transformer::begin_decode`], advance with [`DecodeState::step`].
 ///
 /// One state serves any number of whole decodes of its source:
-/// [`DecodeState::greedy`] and [`DecodeState::forced_logprob`] each
+/// [`DecodeState::greedy`] and [`DecodeState::forced_logprobs`] each
 /// [`reset`](DecodeState::reset) to the just-encoded state first, so every
 /// call after the first skips the encoder and the cross-attention K/V
 /// projections and is still bit-identical to a fresh `begin_decode` — the
@@ -695,6 +748,10 @@ pub struct DecodeState<'m> {
     /// while the state borrows the model, so it cannot go stale mid-decode).
     wt: Arc<Tensor>,
     cache: KvCache,
+    /// Forks of `cache` for [`DecodeState::forced_logprobs`], one per
+    /// candidate that runs past the shared prefix; grown lazily to the
+    /// largest call and reused.
+    forks: Vec<KvCache>,
     sc: Scratch,
 }
 
@@ -790,19 +847,94 @@ impl DecodeState<'_> {
     /// Teacher-forced log-probability of `tgt_out` given the shifted decoder
     /// input `tgt_in`, from the just-encoded state — exactly what
     /// [`Seq2Seq::forced_logprob`] returns for this state's source. The
-    /// whole forced prefix is known up front, so it is fed in one
-    /// [`DecodeState::step_many`] prefill pass.
+    /// one-pair case of [`DecodeState::forced_logprobs`]: the whole input is
+    /// the shared prefix, fed in one pass on the session cache.
     ///
     /// [`Seq2Seq::forced_logprob`]: crate::Seq2Seq::forced_logprob
     pub fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
+        self.forced_logprobs(&[(tgt_in, tgt_out)])[0]
+    }
+
+    /// Teacher-forced log-probabilities of many `(tgt_in, tgt_out)` pairs
+    /// from the just-encoded state, in pair order, in one decoder forward
+    /// over all candidates. Each score is bit-identical to
+    /// [`DecodeState::forced_logprob`] on that pair alone (pairs clamp to
+    /// `max_len` the same way); an empty list returns an empty result and
+    /// runs no forward.
+    ///
+    /// The pairs' longest common decoder-input prefix is fed once, on the
+    /// session cache. Every pair that runs past it gets a fork of the cache
+    /// (the cross-attention K/V shared, the prefix's self-attention rows
+    /// copied), and all their remaining positions are rows of one more
+    /// forward, so each weight matrix streams twice per call instead of
+    /// once per pair. The prefix's logits rows serve every pair and each
+    /// row's softmax runs once; each pair then sums its positions in order.
+    ///
+    /// Memory: the fork pool and the scratch grow lazily to the largest
+    /// call and are reused — at most one fork per pair and one scratch row
+    /// per fed position, so `pairs.len() × max_len` rows at most.
+    pub fn forced_logprobs<P: AsRef<[usize]>>(&mut self, pairs: &[(P, P)]) -> Vec<f32> {
+        if pairs.is_empty() {
+            return Vec::new();
+        }
+        let (vocab, max_len) = (self.model.cfg.vocab, self.model.cfg.max_len);
+        let pairs: Vec<(&[usize], &[usize])> = pairs
+            .iter()
+            .map(|(i, o)| crate::seq2seq::clamp_forced(i.as_ref(), o.as_ref(), max_len))
+            .collect();
+        let first = pairs[0].0;
+        let shared = pairs.iter().fold(first.len(), |n, (tin, _)| {
+            tin.iter()
+                .zip(&first[..n])
+                .take_while(|(a, b)| a == b)
+                .count()
+        });
+        // The shared prefix, in scratch rows 0..shared of the session.
         self.reset();
-        let (tgt_in, tgt_out) =
-            crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.model.cfg.max_len);
-        let vocab = self.model.cfg.vocab;
-        let rows = self.step_many(tgt_in);
-        forced_sum(vocab, tgt_out, |r, probs| {
-            probs.copy_from_slice(&rows[r * vocab..(r + 1) * vocab]);
-        })
+        self.step_many(&first[..shared]);
+        // Every pair's tail, on its own fork, in the scratch rows after.
+        let mut tails = Vec::with_capacity(pairs.len());
+        let (mut at, mut forks) = (shared, 0);
+        self.sc.rows.clear();
+        for (tin, _) in &pairs {
+            tails.push(at);
+            if tin.len() == shared {
+                continue;
+            }
+            if forks == self.forks.len() {
+                self.forks.push(self.model.empty_cache());
+            }
+            self.forks[forks].fork_from(&self.cache);
+            let rows = tin[shared..].iter().enumerate().map(|(i, &token)| Row {
+                cache: forks,
+                pos: shared + i,
+                token,
+                at: at + i,
+            });
+            self.sc.rows.extend(rows);
+            at += tin.len() - shared;
+            forks += 1;
+        }
+        let caches = &mut self.forks[..forks];
+        self.model.decode_rows(&self.wt, caches, &mut self.sc);
+        let logits = &mut self.sc.logits[..at * vocab];
+        for row in logits.chunks_exact_mut(vocab) {
+            softmax_row(row);
+        }
+        let scores = pairs
+            .iter()
+            .zip(&tails)
+            .map(|((_, tgt_out), &tail)| {
+                let mut lp = 0.0f32;
+                for (r, &to) in tgt_out.iter().enumerate() {
+                    let row = if r < shared { r } else { tail + r - shared };
+                    lp += logits[row * vocab + to].max(1e-12).ln();
+                }
+                lp
+            })
+            .collect();
+        count_scored(pairs.iter().map(|(_, o)| o.len()).sum(), at);
+        scores
     }
 }
 
@@ -1017,14 +1149,29 @@ impl GruDecodeState<'_> {
     }
 
     /// Teacher-forced log-probability from the just-encoded state (see
-    /// [`DecodeState::forced_logprob`]), one recurrent step per position.
+    /// [`DecodeState::forced_logprob`]): the one-pair case of
+    /// [`GruDecodeState::forced_logprobs`].
     pub fn forced_logprob(&mut self, tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
-        self.reset();
-        let (tgt_in, tgt_out) =
-            crate::seq2seq::clamp_forced(tgt_in, tgt_out, self.model.cfg.max_len);
-        forced_sum(self.model.cfg.vocab, tgt_out, |r, probs| {
-            probs.copy_from_slice(self.step(tgt_in[r]));
-        })
+        self.forced_logprobs(&[(tgt_in, tgt_out)])[0]
+    }
+
+    /// Teacher-forced log-probabilities of many pairs from the just-encoded
+    /// state, in pair order (see [`DecodeState::forced_logprobs`]): one pair
+    /// after another, each from a [`reset`](GruDecodeState::reset) and one
+    /// recurrent step per position. No batching across pairs.
+    pub fn forced_logprobs<P: AsRef<[usize]>>(&mut self, pairs: &[(P, P)]) -> Vec<f32> {
+        let (vocab, max_len) = (self.model.cfg.vocab, self.model.cfg.max_len);
+        pairs
+            .iter()
+            .map(|(tgt_in, tgt_out)| {
+                self.reset();
+                let (tgt_in, tgt_out) =
+                    crate::seq2seq::clamp_forced(tgt_in.as_ref(), tgt_out.as_ref(), max_len);
+                forced_sum(vocab, tgt_out, |r, probs| {
+                    probs.copy_from_slice(self.step(tgt_in[r]));
+                })
+            })
+            .collect()
     }
 }
 

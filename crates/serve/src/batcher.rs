@@ -367,7 +367,10 @@ fn broker_loop(model: &CodeBe, capacity: usize, rx: &Receiver<SessionReq>) {
                     (SessionOut::Tokens(out), a.tokens, a.seconds)
                 }
                 ActiveState::Logprob { n, lp, .. } => {
+                    // One fed row per scored position: the broker shares
+                    // no prefix across sessions.
                     obs.counter_add("decode.scored_tokens", n as u64);
+                    obs.counter_add("decode.scored_rows", n as u64);
                     // Scoring never bumps the decode tally on the single
                     // path (only `greedy` does), so the attribution a
                     // logprob session hands back is zero too.

@@ -40,6 +40,19 @@ fn abort_error(abort: DecodeAbort) -> EngineError {
     }
 }
 
+/// Stable digest of a model: its `vega-ckpt/v2` encoding (vocabulary, the
+/// architecture header with tensor shapes, and the raw f32 bits of every
+/// weight) hashed under the format tag, so equal digests mean identical
+/// weights. Hashing the binary encoding avoids rendering every weight as
+/// JSON text; the digest is the same for owned and checkpoint-mapped
+/// tensors.
+pub fn model_digest(model: &CodeBe) -> String {
+    let mut h = StableHasher::new();
+    h.write_str(vega_model::CKPT_FORMAT_V2);
+    h.write(&vega_model::encode_v2(model));
+    h.finish_hex()
+}
+
 /// Per-target serving state.
 #[derive(Debug)]
 struct TargetCtx {
@@ -77,7 +90,7 @@ impl Engine {
                 },
             );
         }
-        let model_digest = crate::hash::digest_str(&vega.model().save_json());
+        let model_digest = model_digest(vega.model());
         Engine {
             vega,
             targets,
@@ -90,9 +103,10 @@ impl Engine {
         &self.vega
     }
 
-    /// Stable digest of the model weights, as embedded in every cache key.
-    /// Two engines with equal digests generate byte-identical responses, so
-    /// a hot swap between them may keep the cache.
+    /// Stable digest of the model weights ([`model_digest`]), as embedded in
+    /// every cache key. Two engines with equal digests generate
+    /// byte-identical responses, so a hot swap between them may keep the
+    /// cache.
     pub fn model_digest(&self) -> &str {
         &self.model_digest
     }
@@ -238,13 +252,21 @@ impl Engine {
     /// candidate, in order.
     ///
     /// All candidates are scored on one [`CodeBe::session`] over the
-    /// signature input, so the request runs the encoder **once** however
-    /// many candidates it carries; each score is bit-identical to a
-    /// per-candidate [`CodeBe::try_sequence_logprob`]. Candidates are scored
-    /// in order with a deadline check between them (matching replica-mode
-    /// generate, which enforces deadlines at dispatch boundaries). On a
-    /// replica that carries a decode backend, the session forwards each
-    /// candidate to it unchanged.
+    /// signature input in one batched call
+    /// ([`vega_model::DecodeSession::try_sequence_logprobs`]): the request
+    /// runs the encoder **once** and, on a transformer, one decoder forward
+    /// over every candidate after feeding their shared prefix once, so each
+    /// weight matrix streams twice per request (prefix, then candidates)
+    /// rather than once per candidate. Each score is bit-identical to a
+    /// per-candidate [`CodeBe::try_sequence_logprob`]. The forward's rows
+    /// and fork caches are bounded by the candidates' fed positions: at most
+    /// [`MAX_SCORE_CANDIDATES`](crate::protocol::MAX_SCORE_CANDIDATES) ×
+    /// the model's `max_len` rows.
+    ///
+    /// The deadline is checked once, before the forward; a forward that has
+    /// started runs to completion (it is one pass, not a loop over
+    /// candidates). On a replica that carries a decode backend, the session
+    /// forwards each candidate to it unchanged, deadline included.
     ///
     /// # Errors
     /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
@@ -292,21 +314,13 @@ impl Engine {
             &self.vega.catalog,
             self.vega.max_input_len(),
         );
-        let mut session = model.session(&sig_input);
-        let mut scores = Vec::with_capacity(candidates.len());
-        for cand in candidates {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(abort_error(DecodeAbort::Expired));
-                }
-            }
-            scores.push(
-                session
-                    .try_sequence_logprob(cand, deadline)
-                    .map_err(abort_error)?,
-            );
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(abort_error(DecodeAbort::Expired));
         }
-        Ok(scores)
+        model
+            .session(&sig_input)
+            .try_sequence_logprobs(candidates, deadline)
+            .map_err(abort_error)
     }
 
     /// Generates one function on a one-off replica (the reference path the
@@ -321,5 +335,38 @@ impl Engine {
     ) -> Result<(Module, GeneratedFunction), EngineError> {
         let mut replica = self.replica();
         self.generate_with(&mut replica, target, group)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vega_model::{TrainConfig, Vocab};
+    use vega_nn::TransformerConfig;
+
+    #[test]
+    fn model_digest_follows_weights_not_storage() {
+        let vocab = Vocab::build(["x", "=", "1", ";", "return"].into_iter());
+        let mut model = CodeBe::transformer(vocab, TransformerConfig::tiny);
+        let digest = model_digest(&model);
+        assert_eq!(digest.len(), 32);
+
+        // A v2 reload maps the tensors instead of owning them.
+        let dir = std::env::temp_dir().join(format!("vega-serve-digest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.ckpt");
+        model.save_file_v2(&path).unwrap();
+        let mapped = CodeBe::load_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(mapped.owned_scalars(), 0, "reload should map its tensors");
+        assert_eq!(model_digest(&mapped), digest);
+
+        let ids = model
+            .vocab
+            .encode_pieces(&["x".into(), "=".into(), "1".into()]);
+        let mut cfg = TrainConfig::tiny();
+        cfg.finetune_epochs = 1;
+        model.finetune(&[(ids.clone(), ids)], &cfg);
+        assert_ne!(model_digest(&model), digest, "one fine-tune step");
     }
 }

@@ -25,9 +25,10 @@
 //! model's log-probability of emitting each candidate from the exact
 //! signature frame generation would decode from, in candidate order. At most
 //! [`MAX_SCORE_CANDIDATES`] candidates per request, each a non-empty array
-//! of token ids. Under the batch engine all of a request's candidates join
-//! the running decode batch concurrently, so scoring is where continuous
-//! batching pays off hardest.
+//! of token ids. Scoring never joins the batch broker, under either engine:
+//! the request is scored on its connection thread, on a model replica with
+//! no decode backend, which encodes the signature once and scores every
+//! candidate in one decoder forward (their shared prefix fed once).
 //!
 //! `generate`, `backend`, and `score` additionally accept an optional `trace` field —
 //! a [`vega_obs::TraceCtx`] in its `render` form
@@ -114,8 +115,9 @@ pub enum Request {
 }
 
 /// The most candidates one `score` request may carry. Caps the work one
-/// request can force on its connection thread, which scores the candidates
-/// one after another on one decode session.
+/// request can force on its connection thread, which scores all of its
+/// candidates in one decoder forward: at most `MAX_SCORE_CANDIDATES` ×
+/// the model's `max_len` rows, with one decoder cache fork per candidate.
 pub const MAX_SCORE_CANDIDATES: usize = 16;
 
 /// Machine-readable error kinds (`error` field of failure responses).

@@ -992,12 +992,14 @@ fn handle_backend(
 /// Scoring never routes through the batch broker, even under the batch
 /// engine: the replica carries no decode backend, so
 /// [`Engine::try_score_with`] encodes the signature input once in a decode
-/// session and scores each candidate in one multi-position `step_many`
-/// prefill pass over that encoding — amortizing weight reads *within* the
-/// request, where feeding the broker's lockstep batch one token at a time
-/// measures ~1.5x slower on the deploy-shaped bench (see
-/// `benches/serve.rs`). The broker earns its keep on *generation*, where
-/// each next token is unknown until the previous one is decoded.
+/// session and scores every candidate in one decoder forward over that
+/// encoding (the candidates' shared prefix fed once, then every
+/// candidate's remaining positions as rows of one pass) — amortizing
+/// weight reads across the whole request, where feeding the broker's
+/// lockstep batch one token at a time measures ~1.5x slower on the
+/// deploy-shaped bench (see `benches/serve.rs`). The deadline is checked
+/// once, before that forward. The broker earns its keep on *generation*,
+/// where each next token is unknown until the previous one is decoded.
 #[allow(clippy::too_many_arguments)]
 fn handle_score(
     shared: &Shared,

@@ -7,7 +7,9 @@
 //!   statement serving its head decode and every candidate score — so the
 //!   counter moves by the sum of `stmts.len()` over the functions.
 //! * A `score` request runs the encoder once, however many candidates it
-//!   carries.
+//!   carries, and one decoder forward that feeds the candidates' shared
+//!   prefix once: 8 candidates of 10 tokens sharing only BOS score 88
+//!   positions from 81 decoder rows (`decode.scored_rows`).
 //! * On a replica carrying a decode backend, scoring forwards each candidate
 //!   to the backend and returns the same bits as on a replica without one.
 //!
@@ -22,6 +24,15 @@ use vega_serve::Engine;
 
 fn encoder_runs() -> u64 {
     vega_obs::global().counter("decode.encoder_runs")
+}
+
+/// `(decode.scored_tokens, decode.scored_rows)`.
+fn scored() -> (u64, u64) {
+    let obs = vega_obs::global();
+    (
+        obs.counter("decode.scored_tokens"),
+        obs.counter("decode.scored_rows"),
+    )
 }
 
 /// A backend that forwards every call to its own backend-free model and
@@ -86,6 +97,7 @@ fn encoder_runs_once_per_statement_and_once_per_score_request() {
         .collect();
     let mut replica = engine.replica();
     let before = encoder_runs();
+    let (tokens_before, rows_before) = scored();
     let direct = engine
         .try_score_with(&mut replica, target, group, &candidates, None)
         .expect("direct scoring");
@@ -94,6 +106,13 @@ fn encoder_runs_once_per_statement_and_once_per_score_request() {
         1,
         "one score request, one encoding"
     );
+    let (tokens, rows) = scored();
+    assert_eq!(
+        tokens - tokens_before,
+        88,
+        "8 candidates x (10 tokens + EOS)"
+    );
+    assert_eq!(rows - rows_before, 81, "BOS once, then 8 x 10 forked rows");
     assert_eq!(direct.len(), candidates.len());
 
     // A replica carrying a forwarding backend: every candidate reaches the

@@ -10,6 +10,15 @@
 //! decision has happened: v1 → v2 appended the kernel mode (`scalar` |
 //! `avx2`) as the final field, so cached payloads can never be served
 //! across kernel modes whose low bits differ.
+//!
+//! The model digest's *input* changed once without changing the key
+//! format: `Engine::model_digest` used to hash the model's `save_json`
+//! text and now hashes its `vega-ckpt/v2` bytes under the `vega-ckpt/v2`
+//! tag (`vega_serve::engine::model_digest`). Equal digests still mean
+//! identical weights, and the key's field sequence and the vectors below
+//! are unchanged, but every model digest, and so every cache key, has a new
+//! value: keys recorded before that change do not match keys computed
+//! after it.
 
 use vega_serve::hash::{digest_str, StableHasher};
 
