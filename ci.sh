@@ -28,33 +28,25 @@ SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # Decode fast path: the incremental KV-cached decoder must be bit-identical
-# to the autograd-graph reference at both pool sizes (the full workspace runs
-# above include this suite too; the explicit stage keeps the contract visible
-# and greppable), and the bench smoke asserts it is not slower than the graph
-# path on the small config.
+# to the autograd-graph reference at both pool sizes, and its primitives
+# (`step_many`, the one-pass forced-scoring prefill, the dot-form logits
+# projection on both sides of its switch) bitwise sound (the full workspace
+# runs above include this suite too; the explicit stage keeps the contract
+# visible and greppable). The bench smoke asserts the incremental path is
+# not slower than the graph path on the small config.
 echo "== decode equivalence =="
 VEGA_THREADS=1 cargo test -q -p vega-nn --test decode_equivalence
 VEGA_THREADS=4 cargo test -q -p vega-nn --test decode_equivalence
-
-# Speculative decoding: the GRU-drafted, transformer-verified decoder must
-# be bit-identical to plain greedy at every speculation depth, and its
-# primitives (`step_many` multi-position advance, `truncate` rollback, the
-# dot-form logits projection on both sides of its switch) must be bitwise
-# sound. The kernel matrix below repeats the suite under each forced kernel
-# mode; the decode bench smoke enforces the ≥1.3x speculative throughput
-# floor and the dot-form trip-wire.
-echo "== speculative equivalence =="
-VEGA_THREADS=1 cargo test -q -p vega-nn --test spec_equivalence
-VEGA_THREADS=4 cargo test -q -p vega-nn --test spec_equivalence
 
 # Kernel matrix: every kernel mode this CPU can run (scalar always; avx2
 # when the CPU reports it — a forced `VEGA_KERNEL=avx2` on a host without
 # AVX2 falls back to scalar with a logged notice, so the avx2 leg would be
 # vacuous there) must pass the kernel conformance property suite, the
-# per-mode determinism suite, the decode/batch equivalence suites and the
-# root tier-1 contract cases (decode sessions, batched scoring, the one
-# decoder forward), at pool sizes 1 and 4. The decode bench smoke below
-# then pins the per-ISA throughput rows and the AVX2-vs-scalar floors.
+# per-mode determinism suite, the decode equivalence suite and the root
+# tier-1 contract cases (decode sessions, batched scoring, the one decoder
+# forward), at pool sizes 1 and 4. The decode bench smoke below then pins
+# the per-ISA throughput rows, the AVX2-vs-scalar floors (transposed matmul,
+# forks8) and the dot-form trip-wire.
 echo "== kernel matrix =="
 KERNEL_MODES="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -67,8 +59,7 @@ for km in $KERNEL_MODES; do
     echo "-- VEGA_KERNEL=$km VEGA_THREADS=$vt --"
     VEGA_KERNEL=$km VEGA_THREADS=$vt cargo test -q -p vega-nn \
       --test kernel_conformance --test kernel_determinism \
-      --test decode_equivalence --test batch_equivalence \
-      --test spec_equivalence
+      --test decode_equivalence
     VEGA_KERNEL=$km VEGA_THREADS=$vt cargo test -q --test contracts
   done
 done
@@ -136,32 +127,6 @@ grep -q "^served requests=" "$SMOKE_DIR/serve.log"
 grep -q "serve.request" "$SMOKE_DIR/trace.jsonl"
 echo "serve smoke: ok"
 
-# Speculative serve smoke: train the GRU baseline as a draft checkpoint and
-# re-serve the transformer with --speculate 8. Responses must stay
-# byte-identical to direct generation (speculation is exact by
-# construction), and the loadgen window must show actual drafting.
-echo "== speculative serve smoke =="
-target/release/vega-experiments headline --scale tiny --model gru \
-  --save-model "$SMOKE_DIR/draft.ckpt" > "$SMOKE_DIR/headline-gru.txt"
-target/release/vega-serve --checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
-  --speculate 8 --draft "$SMOKE_DIR/draft.ckpt" \
-  --port-file "$SMOKE_DIR/spec-port" > "$SMOKE_DIR/spec-serve.log" 2>&1 &
-SPEC_PID=$!
-for _ in $(seq 1 150); do
-  [ -s "$SMOKE_DIR/spec-port" ] && break
-  sleep 0.2
-done
-[ -s "$SMOKE_DIR/spec-port" ] || { echo "speculative vega-serve never wrote its port file"; exit 1; }
-target/release/vega-loadgen --addr "127.0.0.1:$(cat "$SMOKE_DIR/spec-port")" \
-  --requests 24 --conns 4 --distinct 4 \
-  --verify-checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
-  --shutdown | tee "$SMOKE_DIR/spec-loadgen.txt"
-wait "$SPEC_PID"
-grep -q "speculative decoding on (depth 8)" "$SMOKE_DIR/spec-serve.log"
-grep -q "loadgen: verify=ok" "$SMOKE_DIR/spec-loadgen.txt"
-grep -Eq "spec_drafted=[1-9]" "$SMOKE_DIR/spec-loadgen.txt"
-echo "speculative serve smoke: ok"
-
 # Chaos stage: the same checkpoint served under a deterministic fault plan
 # (connection drops, stalls, corrupt frames — server side only; the plan is
 # set on the daemon's environment, not exported). The retrying loadgen must
@@ -216,24 +181,12 @@ VEGA_CKPT_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_ckpt.json" \
   cargo bench -p vega-bench --bench ckpt | tee "$SMOKE_DIR/ckpt-bench.txt"
 grep -q "ckpt: smoke=ok" "$SMOKE_DIR/ckpt-bench.txt"
 
-# Continuous batching: the batched lockstep decoder must be bit-identical
-# to single-slot decode at both pool sizes (nn level), and the serve-level
-# batch engine must be an invisible substitution for the replica pool
-# (byte-identical responses and score bits, chaos replays, drain).
-echo "== batch equivalence =="
-VEGA_THREADS=1 cargo test -q -p vega-nn --test batch_equivalence
-VEGA_THREADS=4 cargo test -q -p vega-nn --test batch_equivalence
-VEGA_THREADS=1 cargo test -q -p vega-serve --test batch_e2e
-VEGA_THREADS=4 cargo test -q -p vega-serve --test batch_e2e
-
-# Serve bench smoke: on the score workload with a deploy-shaped model, the
-# one-pass prefill scorer must beat the token-stepped loop it replaced, the
-# batch engine must serve score at parity with the replica engine (both
-# route scoring through the same multi-position prefill path), scoring
-# a request's candidates on one decode session (one encoder pass) must beat
-# one forced_logprob per candidate, and one batched forced_logprobs call
-# over the candidates must beat one forced_logprob per candidate on one
-# encoded state (the batched floor).
+# Serve bench smoke: on the score path with a deploy-shaped model, the
+# one-pass prefill scorer must beat the token-stepped loop it replaced,
+# scoring a request's candidates on one decode session (one encoder pass)
+# must beat one forced_logprob per candidate, and one batched
+# forced_logprobs call over the candidates must beat one forced_logprob per
+# candidate on one encoded state (the batched floor).
 echo "== serve bench smoke =="
 VEGA_SERVE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_serve.json" \
   cargo bench -p vega-bench --bench serve | tee "$SMOKE_DIR/serve-bench.txt"

@@ -17,28 +17,25 @@
 //! representative widths the kernel tier dominates and the ratio reflects
 //! the kernels themselves. Both configs' rows land in the JSON.
 //!
-//! A speculative section trains a draft-friendly (transformer, GRU) pair
-//! and times `speculative_greedy` against plain greedy per kernel mode
-//! (exactness asserted before timing), and a logits-projection section
-//! times the dot-form (pre-transposed) output projection against the
-//! axpy-form layout it replaces on AVX2.
+//! The wide section also times `forks8`: one `forced_logprobs` call over 8
+//! candidates that share only BOS, so 753 decoder rows (the BOS prefix,
+//! then 8 × 94 tail rows on forks of the session cache) run through each
+//! weight matrix in one forward — the candidate-scoring shape. A
+//! logits-projection section times the dot-form (pre-transposed) output
+//! projection against the axpy-form layout it replaces on AVX2.
 //!
 //! The timed workloads double as equivalence checks (incremental == graph
-//! token streams within each mode, speculative == plain greedy). The run
-//! prints `decode: smoke=ok` only if the incremental path is at least as
-//! fast as the graph path at prefix 96 in every mode, speculation beats
-//! plain greedy by ≥1.3× in every mode, and — when AVX2 is available — the
-//! AVX2 kernel beats scalar by the floors below on the transposed matmul
-//! and on batched wide decode throughput, and dot-form logits stay above
+//! token streams within each mode, forked scores == per-candidate scores).
+//! The run prints `decode: smoke=ok` only if the incremental path is at
+//! least as fast as the graph path at prefix 96 in every mode and — when
+//! AVX2 is available — the AVX2 kernel beats scalar by the floors below on
+//! the transposed matmul and on `forks8`, and dot-form logits stay above
 //! the trip-wire floor against axpy-form.
 
 use std::time::Instant;
 use vega_bench::fmt_secs;
 use vega_nn::kernel::{self, avx2_available, KernelMode};
-use vega_nn::{
-    speculative_greedy, BatchDecode, GruConfig, GruSeq2Seq, Seq2Seq, Tensor, Transformer,
-    TransformerConfig,
-};
+use vega_nn::{forced_pair, DecodeState, Tensor, Transformer, TransformerConfig};
 use vega_obs::json::Json;
 
 /// Smoke floor for AVX2-vs-scalar on the transposed matmul (measured
@@ -48,25 +45,13 @@ use vega_obs::json::Json;
 /// doesn't flake the build; the committed JSON carries the measured ratios.
 const AVX2_SPEEDUP_FLOOR: f64 = 1.2;
 
-/// Smoke floor for AVX2-vs-scalar on batched wide decode. Decode is
-/// axpy-shaped (ascending-`k`, bit-identical across modes), which the
-/// scalar build auto-vectorizes with SSE2 — and this host executes 256-bit
-/// mul/add streams at barely above its 128-bit rate (plain matmul measures
-/// ~1.2× too), so ~1.2–1.3× *is* the honest decode ratio here. The gate
-/// only guards against AVX2 regressing below scalar.
+/// Smoke floor for AVX2-vs-scalar on `forks8`, the many-row wide decode.
+/// Decode is axpy-shaped (ascending-`k`, bit-identical across modes),
+/// which the scalar build auto-vectorizes with SSE2 — and this host
+/// executes 256-bit mul/add streams at barely above its 128-bit rate
+/// (plain matmul measures ~1.2× too), so ~1.1–1.3× *is* the honest decode
+/// ratio here. The gate only guards against AVX2 regressing below scalar.
 const AVX2_DECODE_FLOOR: f64 = 1.05;
-
-/// Smoke floor for speculative-vs-plain greedy tokens/s on the
-/// draft-friendly config, enforced in every kernel mode. The structural win
-/// is mode-independent: a k-token verify round streams each weight matrix
-/// once for k + 1 logits rows where plain greedy streams it per token, so
-/// speculation converts the memory-bound decode into the same amortization
-/// the batch engine gets. Measured 1.4–1.6× here with a near-perfect draft
-/// (this host's per-row batch amortization ceiling is ~1.6×, and on AVX2
-/// the dot-form logits fast path speeds plain greedy's dominant per-token
-/// cost too, narrowing the gap); the floor sits low so a noisy core
-/// doesn't flake the build.
-const SPEC_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// Smoke floor for dot-form-vs-axpy logits projection on AVX2 (the form
 /// `kernel::dot_form_logits` switches to there). Both forms stream the same
@@ -208,9 +193,19 @@ fn main() {
     });
     let wide_src = tokens(201, SRC_LEN, 2, WIDE_VOCAB);
     let wide_feed = tokens(202, 96, 2, WIDE_VOCAB);
-    const BATCH: usize = 8;
+    // forks8: 8 candidates of 94 tokens with distinct first tokens, so they
+    // share only BOS and every pair fills the 96-position window.
+    const FORKS: usize = 8;
+    let fork_pairs: Vec<(Vec<usize>, Vec<usize>)> = (0..FORKS)
+        .map(|c| {
+            let mut cand = tokens(300 + c as u64, 94, 2, WIDE_VOCAB);
+            cand[0] = 2 + c;
+            forced_pair(&cand, 0, 1)
+        })
+        .collect();
+    let fork_tokens: usize = fork_pairs.iter().map(|(_, o)| o.len()).sum();
     let mut wide_tps_by_mode: Vec<(&'static str, f64)> = Vec::new();
-    let mut batch_tps_by_mode: Vec<(&'static str, f64)> = Vec::new();
+    let mut forks_tps_by_mode: Vec<(&'static str, f64)> = Vec::new();
     println!("== decode (wide config: d_model 128, vocab {WIDE_VOCAB}, prefix 96, 1 thread) ==");
     {
         let modes = available_modes();
@@ -224,56 +219,63 @@ fn main() {
                 "incremental and graph decode diverged (wide config, kernel {kname})"
             );
         }
+        // One encoded state per mode, encoded under that mode and outside
+        // the timed region: `forks8` times the candidate forward alone. Its
+        // scores must match one `forced_logprob` per candidate.
+        let mut states: Vec<DecodeState> = Vec::new();
+        for &mode in &modes {
+            let kname = kernel::set_mode(mode).name();
+            let mut st = wide.begin_decode(&wide_src);
+            let forked: Vec<u32> = st
+                .forced_logprobs(&fork_pairs)
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            let single: Vec<u32> = fork_pairs
+                .iter()
+                .map(|(i, o)| st.forced_logprob(i, o).to_bits())
+                .collect();
+            assert_eq!(forked, single, "forks8 diverged (kernel {kname})");
+            states.push(st);
+        }
         // Interference on this shared core is low-frequency (whole seconds
         // of steal), so timing all of one mode's samples before the other's
         // lets a burst land on one side of the ratio. Interleave the modes
         // round-robin and take per-mode minima instead; round 0 is warm-up.
         let mut inc_min = vec![f64::INFINITY; modes.len()];
-        let mut batch_min = vec![f64::INFINITY; modes.len()];
+        let mut forks_min = vec![f64::INFINITY; modes.len()];
         for round in 0..samples + 1 {
             for (mi, &mode) in modes.iter().enumerate() {
                 kernel::set_mode(mode);
                 let t0 = Instant::now();
                 std::hint::black_box(wide.forced_steps(&wide_src, &wide_feed));
                 let inc = t0.elapsed().as_secs_f64();
-                // Batched decode: BATCH lockstep sessions through one shared
-                // weight pass per step — the serve engine's shape. Batch-1
-                // streams every weight matrix from memory per token
-                // (bandwidth-bound, which caps any ISA ratio); the batch
-                // amortizes that stream 8 ways, so this is the number that
-                // reflects the kernels. Joins run the encoder (graph path);
-                // keep them out of the timed region so the measurement is
-                // the lockstep decode steps alone.
-                let mut bd = wide.begin_batch_decode(BATCH);
-                let slots: Vec<usize> = (0..BATCH)
-                    .map(|_| bd.join(&wide_src).expect("free slot"))
-                    .collect();
+                // forks8: the single-stream decode streams every weight
+                // matrix from memory per token (bandwidth-bound, which caps
+                // any ISA ratio); one forward over 753 rows amortizes that
+                // stream, so this is the number that reflects the kernels.
                 let t0 = Instant::now();
-                for &t in &wide_feed {
-                    let feeds: Vec<(usize, usize)> = slots.iter().map(|&s| (s, t)).collect();
-                    bd.step(&feeds);
-                }
-                let batch = t0.elapsed().as_secs_f64();
-                std::hint::black_box(bd.logits(slots[0])[0]);
+                std::hint::black_box(states[mi].forced_logprobs(&fork_pairs));
+                let forks = t0.elapsed().as_secs_f64();
                 if round > 0 {
                     inc_min[mi] = inc_min[mi].min(inc);
-                    batch_min[mi] = batch_min[mi].min(batch);
+                    forks_min[mi] = forks_min[mi].min(forks);
                 }
             }
         }
         for (mi, &mode) in modes.iter().enumerate() {
             let kname = kernel::set_mode(mode).name();
-            let (inc_secs, batch_secs) = (inc_min[mi], batch_min[mi]);
+            let (inc_secs, forks_secs) = (inc_min[mi], forks_min[mi]);
             let inc_tps = wide_feed.len() as f64 / inc_secs;
-            let batch_tps = (BATCH * wide_feed.len()) as f64 / batch_secs;
+            let forks_tps = fork_tokens as f64 / forks_secs;
             println!(
-                "[{kname:>6}] incremental {:>9}/decode ({inc_tps:>9.0} tok/s) | batch {BATCH} {:>9}/decode ({batch_tps:>9.0} tok/s)",
+                "[{kname:>6}] incremental {:>9}/decode ({inc_tps:>9.0} tok/s) | forks {FORKS} {:>9}/call ({forks_tps:>9.0} tok/s)",
                 fmt_secs(inc_secs),
-                fmt_secs(batch_secs),
+                fmt_secs(forks_secs),
             );
             for (path, secs, tps) in [
                 ("incremental", inc_secs, inc_tps),
-                ("batch8", batch_secs, batch_tps),
+                ("forks8", forks_secs, forks_tps),
             ] {
                 rows.push(Json::obj([
                     ("config", Json::str("wide")),
@@ -286,138 +288,9 @@ fn main() {
                 ]));
             }
             wide_tps_by_mode.push((kname, inc_tps));
-            batch_tps_by_mode.push((kname, batch_tps));
+            forks_tps_by_mode.push((kname, forks_tps));
         }
     }
-
-    // Speculative decode: GRU-drafted, transformer-verified, on a
-    // draft-friendly task. The pattern pair makes the next token a pure
-    // function of the current one (an 8-cycle over distinct ids), which both
-    // models memorize quickly, so acceptance is near-perfect and the ratio
-    // measures the multi-position `step_many` amortization rather than
-    // draft luck. Period 8 keeps `looks_degenerate` (periods 1–4) from
-    // truncating the decode early.
-    // k = 8 so each verify round batches 9 logits rows — deep enough that
-    // the per-round weight-stream amortization approaches the batch
-    // engine's, which is what the floor below is calibrated against. The
-    // 80-token pattern keeps the one wasted round at EOS a small fraction
-    // of the decode.
-    const SPEC_K: usize = 8;
-    const SPEC_LEN: usize = 80;
-    println!(
-        "== speculative decode (wide config, k={SPEC_K}, {SPEC_LEN}-token pattern, 1 thread) =="
-    );
-    let mut spec_model = Transformer::new(TransformerConfig {
-        vocab: WIDE_VOCAB,
-        d_model: 128,
-        n_heads: 4,
-        d_ff: 256,
-        n_enc_layers: 1,
-        n_dec_layers: 2,
-        max_len: 96,
-        seed: 0xD0D0,
-    });
-    let cycle: Vec<usize> = (2..10).collect();
-    let spec_tgt: Vec<usize> = (0..SPEC_LEN).map(|i| cycle[i % cycle.len()]).collect();
-    let spec_src: Vec<usize> = spec_tgt[..cycle.len()].to_vec();
-    let spec_pairs = vec![(spec_src.clone(), spec_tgt.clone())];
-    let loss = vega_nn::train_until(&mut spec_model, &spec_pairs, 0, 1, 400, 3e-3, 0.02);
-    assert!(
-        loss < 0.1,
-        "speculative bench: verifier did not memorize the pattern (loss {loss})"
-    );
-    // The draft is deliberately small — cheap proposals are the point.
-    let mut spec_draft = GruSeq2Seq::new(GruConfig {
-        vocab: WIDE_VOCAB,
-        d_model: 32,
-        max_len: 96,
-        seed: 7,
-    });
-    let dloss = vega_nn::train_until(&mut spec_draft, &spec_pairs, 0, 1, 2000, 5e-3, 0.02);
-    assert!(
-        dloss < 0.1,
-        "speculative bench: draft did not memorize the pattern (loss {dloss})"
-    );
-    let mut spec_speedup_by_mode: Vec<(&'static str, f64)> = Vec::new();
-    let mut spec_accept_rate = 0.0f64;
-    for mode in available_modes() {
-        let kname = kernel::set_mode(mode).name();
-        // Equivalence gate before timing: speculation must be exact.
-        let plain = spec_model.greedy(&spec_src, 0, 1, 96);
-        assert!(
-            plain.len() >= 32,
-            "speculative bench: pattern decode too short ({} tokens)",
-            plain.len()
-        );
-        let (spec_out, report) =
-            speculative_greedy(&spec_model, &spec_draft, &spec_src, 0, 1, 96, SPEC_K);
-        assert_eq!(
-            spec_out, plain,
-            "speculative decode diverged from plain greedy (kernel {kname})"
-        );
-        let accept = report.accept_ratio();
-        spec_accept_rate = accept;
-        // Interleave the two paths round-robin with per-path minima (as in
-        // the wide-decode and logits sections): timing all of one path's
-        // samples before the other's lets a steal burst land on one side of
-        // the ratio — in the 2-sample fast mode that alone swung the ratio
-        // from 1.47x to 1.14x. Round 0 is warm-up. A decode is ~10 ms, so
-        // extra rounds are cheap even for the CI smoke; 6 minimum keeps the
-        // min estimator honest there.
-        let spec_rounds = samples.max(6);
-        let (mut plain_secs, mut spec_secs) = (f64::INFINITY, f64::INFINITY);
-        for round in 0..spec_rounds + 1 {
-            let t0 = Instant::now();
-            std::hint::black_box(spec_model.greedy(&spec_src, 0, 1, 96));
-            let p = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            std::hint::black_box(speculative_greedy(
-                &spec_model,
-                &spec_draft,
-                &spec_src,
-                0,
-                1,
-                96,
-                SPEC_K,
-            ));
-            let s = t0.elapsed().as_secs_f64();
-            if round > 0 {
-                plain_secs = plain_secs.min(p);
-                spec_secs = spec_secs.min(s);
-            }
-        }
-        let plain_tps = plain.len() as f64 / plain_secs;
-        let spec_tps = plain.len() as f64 / spec_secs;
-        let speedup = plain_secs / spec_secs;
-        println!(
-            "[{kname:>6}] plain {:>9}/decode ({plain_tps:>8.0} tok/s) | speculative {:>9}/decode ({spec_tps:>8.0} tok/s) | accept {:>5.1}% | speedup {speedup:.2}x",
-            fmt_secs(plain_secs),
-            fmt_secs(spec_secs),
-            accept * 100.0,
-        );
-        for (path, secs, tps) in [
-            ("plain", plain_secs, plain_tps),
-            ("speculative", spec_secs, spec_tps),
-        ] {
-            rows.push(Json::obj([
-                ("bench", Json::str("speculative")),
-                ("k", Json::num_usize(SPEC_K)),
-                ("threads", Json::num_usize(1)),
-                ("path", Json::str(path)),
-                ("kernel", Json::str(kname)),
-                ("seconds_per_decode", Json::num_f64(secs)),
-                ("tokens_per_sec", Json::num_f64(tps)),
-                ("accept_rate", Json::num_f64(accept)),
-                ("rounds", Json::num_u64(report.rounds)),
-            ]));
-        }
-        spec_speedup_by_mode.push((kname, speedup));
-        smoke_ok &= speedup >= SPEC_SPEEDUP_FLOOR;
-    }
-    let spec_speedup = spec_speedup_by_mode
-        .iter()
-        .map(|&(_, s)| s)
-        .fold(f64::INFINITY, f64::min);
 
     // Matmul section: the two inner-loop shapes the kernel tier serves.
     // Transposed products take one full-length dot per output element (the
@@ -573,18 +446,15 @@ fn main() {
     };
     let decode_small_speedup = ratio(&inv(&inc_tps_by_mode));
     let decode_wide1_speedup = ratio(&inv(&wide_tps_by_mode));
-    let decode_speedup = ratio(&inv(&batch_tps_by_mode));
+    let decode_speedup = ratio(&inv(&forks_tps_by_mode));
     if avx2_available() {
         println!(
-            "avx2 vs scalar: matmul(transposed) {matmul_speedup:.2}x, matmul(plain) {matmul_plain_speedup:.2}x, decode(wide batch8) {decode_speedup:.2}x, decode(wide batch1) {decode_wide1_speedup:.2}x, decode(small) {decode_small_speedup:.2}x"
+            "avx2 vs scalar: matmul(transposed) {matmul_speedup:.2}x, matmul(plain) {matmul_plain_speedup:.2}x, decode(wide forks8) {decode_speedup:.2}x, decode(wide batch1) {decode_wide1_speedup:.2}x, decode(small) {decode_small_speedup:.2}x"
         );
         smoke_ok &= matmul_speedup >= AVX2_SPEEDUP_FLOOR;
         smoke_ok &= decode_speedup >= AVX2_DECODE_FLOOR;
     }
-    println!(
-        "speculative vs plain greedy: {spec_speedup:.2}x (worst mode, accept {:.1}%), dot-form logits {dot_form_speedup:.2}x axpy on avx2",
-        spec_accept_rate * 100.0
-    );
+    println!("dot-form logits {dot_form_speedup:.2}x axpy on avx2");
 
     let out_path =
         std::env::var("VEGA_BENCH_OUT").unwrap_or_else(|_| "BENCH_decode.json".to_string());
@@ -606,8 +476,6 @@ fn main() {
             "avx2_decode_speedup_small",
             Json::num_f64(decode_small_speedup),
         ),
-        ("speculative_speedup", Json::num_f64(spec_speedup)),
-        ("speculative_accept_rate", Json::num_f64(spec_accept_rate)),
         ("dot_form_logits_speedup", Json::num_f64(dot_form_speedup)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
@@ -617,9 +485,8 @@ fn main() {
     } else {
         println!(
             "decode: smoke=FAIL (incremental slower than graph at prefix 96, avx2 matmul under \
-             {AVX2_SPEEDUP_FLOOR}x scalar, avx2 batched decode under {AVX2_DECODE_FLOOR}x, \
-             speculative under {SPEC_SPEEDUP_FLOOR}x plain greedy, or dot-form logits under \
-             {DOT_FORM_FLOOR}x axpy on avx2)"
+             {AVX2_SPEEDUP_FLOOR}x scalar, avx2 forks8 decode under {AVX2_DECODE_FLOOR}x, or \
+             dot-form logits under {DOT_FORM_FLOOR}x axpy on avx2)"
         );
         std::process::exit(1);
     }

@@ -1,26 +1,15 @@
-//! Serving-path throughput on the `score` workload: prefill routing vs the
-//! broker, and engine-mode parity.
+//! Scoring throughput on the `score` request path: the in-process kernels
+//! behind the `score` op, on a deploy-shaped model.
 //!
-//! Every token of a `score` candidate is known up front, so
-//! `forced_logprob` scores the whole sequence in ONE multi-position
-//! `step_many` pass — each weight matrix streams from memory once per
-//! candidate instead of once per token. That amortization *within* a
-//! request beats the broker's cross-request lockstep batching (which still
-//! feeds one token per slot per pass), so `handle_score` bypasses the
-//! broker in both engine modes. Continuous batching keeps its win where it
-//! belongs — *generation*, where the next token is unknown until the
-//! previous one is decoded (the wide batch-8 rows in `BENCH_decode.json`
-//! pin that amortization).
+//! Every token of a `score` candidate is known up front, so the forced
+//! scorer feeds a whole sequence in ONE multi-position pass — each weight
+//! matrix streams from memory once per forward instead of once per token.
 //!
 //! Setup: a deploy-shaped (untrained) transformer over the default corpus
 //! vocabulary — d_model 512, d_ff 2048, 1 encoder + 3 decoder layers, far
-//! larger than L2, so single-stream decode is weight-bandwidth-bound. Two
-//! measurements, both byte-checked against direct in-process scoring:
+//! larger than L2, so single-stream decode is weight-bandwidth-bound. Three
+//! measurements, each bit-checked before timing:
 //!
-//! * **engine parity** — four concurrent clients fire `score` requests
-//!   (4 candidates x 88 tokens) at an in-process server in `replica` mode
-//!   and again in `batch` mode; both hit the same prefill path, so the
-//!   batch engine must not tax scoring (floor below);
 //! * **prefill vs stepped** — in-process, the one-pass `forced_logprob`
 //!   against the token-at-a-time `begin_decode`/`step` loop it replaced
 //!   (bit-identical logprob asserted first), interleaved round-robin with
@@ -40,26 +29,18 @@
 //!   interleaved-min timing).
 //!
 //! Writes `BENCH_serve.json` (override with `VEGA_BENCH_OUT`;
-//! `VEGA_SERVE_BENCH_FAST=1` shrinks the rep count for the CI smoke run).
-//! Prints `serve: smoke=ok` only if all four floors hold.
+//! `VEGA_SERVE_BENCH_FAST=1` shrinks the round count for the CI smoke run).
+//! Prints `serve: smoke=ok` only if all three floors hold.
 
 use std::time::Instant;
 use vega::{Vega, VegaConfig};
-use vega_model::{CodeBe, Special};
+use vega_model::Special;
 use vega_nn::kernel::softmax_row;
 use vega_nn::{forced_pair, DecodeState, Seq2Seq, Transformer, TransformerConfig};
 use vega_obs::json::Json;
-use vega_serve::{Client, Engine, EngineMode, ServeConfig, Server};
 
-const CLIENTS: usize = 4;
 const CANDS: usize = 4;
 const CAND_LEN: usize = 88;
-
-/// Engine-mode parity floor for served score tokens/sec (batch / replica).
-/// Score takes the identical prefill path in both modes, so this should sit
-/// at ~1.0; the floor leaves room for scheduler noise on a shared core while
-/// still catching the broker being (re-)inserted into the scoring path.
-const BATCH_PARITY_FLOOR: f64 = 0.75;
 
 /// Floor for the one-pass prefill scorer against the token-stepped loop it
 /// replaced, on the deploy-shaped model (measured ~3x here: 88 rows per
@@ -88,8 +69,8 @@ const SESSION_SPEEDUP_FLOOR: f64 = 1.5;
 const BATCHED_SPEEDUP_FLOOR: f64 = 1.15;
 
 /// Small-scale pipeline config, zero training epochs: only the corpus
-/// artifacts (vocabulary, templates, catalog) matter here; the bench model's
-/// weights are freshly initialized below.
+/// vocabulary matters here; the bench model's weights are freshly
+/// initialized below.
 fn bench_config() -> VegaConfig {
     let mut cfg = VegaConfig::default();
     cfg.train.pretrain_steps = 0;
@@ -97,10 +78,8 @@ fn bench_config() -> VegaConfig {
     cfg
 }
 
-/// A deploy-shaped engine: the corpus vocabulary under a transformer whose
-/// weight matrices dwarf the cache hierarchy. Construction is deterministic
-/// (seeded init), so every call yields a bit-identical model — the reference
-/// engine and both served engines score identically by construction.
+/// A deploy-shaped transformer over a `vocab`-piece vocabulary: weight
+/// matrices that dwarf the cache hierarchy, seeded init.
 fn deploy_cfg(vocab: usize) -> TransformerConfig {
     TransformerConfig {
         vocab,
@@ -114,12 +93,6 @@ fn deploy_cfg(vocab: usize) -> TransformerConfig {
     }
 }
 
-fn bench_engine(vocab: &vega_model::Vocab) -> Engine {
-    let model = CodeBe::transformer(vocab.clone(), deploy_cfg);
-    let vega = Vega::with_model(bench_config(), model).expect("model fits the corpus");
-    Engine::new(vega)
-}
-
 /// splitmix64 — the workspace's stock deterministic mixer.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -128,14 +101,14 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Deterministic candidate sequences for one client, from low token ids
+/// Deterministic candidate sequences for one request, from low token ids
 /// every vocabulary contains.
-fn candidates_for(client: usize) -> Vec<Vec<usize>> {
+fn candidates_for(request: usize) -> Vec<Vec<usize>> {
     (0..CANDS)
         .map(|c| {
             (0..CAND_LEN)
                 .map(|t| {
-                    4 + (splitmix((client as u64) << 32 | (c as u64) << 16 | t as u64) % 16)
+                    4 + (splitmix((request as u64) << 32 | (c as u64) << 16 | t as u64) % 16)
                         as usize
                 })
                 .collect()
@@ -143,148 +116,18 @@ fn candidates_for(client: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-struct ModeRun {
-    tokens_per_sec: f64,
-    requests_per_sec: f64,
-    tokens: u64,
-    requests: u64,
-    seconds: f64,
-}
-
-/// One timed run: `reps` score requests per client. Each client's candidate
-/// set is fixed, so every response is byte-checked against the precomputed
-/// direct scores.
-fn run_mode(
-    vocab: &vega_model::Vocab,
-    mode: EngineMode,
-    pairs: &[(String, String)],
-    expected: &[String],
-    reps: usize,
-) -> ModeRun {
-    let cfg = ServeConfig {
-        engine: mode,
-        batch: CLIENTS,
-        // Room for every client's full candidate fan-out to batch at once.
-        batch_slots: CLIENTS * CANDS,
-        cache_cap: 0,
-        ..ServeConfig::default()
-    };
-    let server = Server::start(bench_engine(vocab), cfg).expect("bind 127.0.0.1:0");
-    let addr = server.local_addr().to_string();
-
-    // Warm-up round: first decode per client pays one-time costs in both
-    // modes (page-in of freshly initialized weights, broker spin-up).
-    {
-        let mut c = Client::connect(&addr).unwrap();
-        let (t, g) = &pairs[0];
-        let resp = c.score(t, g, &candidates_for(0), None).unwrap();
-        assert_eq!(
-            resp.field("ok").unwrap(),
-            &Json::Bool(true),
-            "{}",
-            resp.render()
-        );
-    }
-
-    let start = Instant::now();
-    let workers: Vec<_> = (0..CLIENTS)
-        .map(|i| {
-            let addr = addr.clone();
-            let (t, g) = pairs[i].clone();
-            let want = expected[i].clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(&addr).unwrap();
-                let cands = candidates_for(i);
-                let mut tokens = 0u64;
-                for _ in 0..reps {
-                    let resp = c.score(&t, &g, &cands, None).unwrap();
-                    assert_eq!(
-                        resp.field("ok").unwrap(),
-                        &Json::Bool(true),
-                        "mode={mode:?}: {}",
-                        resp.render()
-                    );
-                    assert_eq!(
-                        resp.field("scores").unwrap().render(),
-                        want,
-                        "mode={mode:?}: served scores diverged from direct scoring"
-                    );
-                    tokens += resp
-                        .field("timing")
-                        .unwrap()
-                        .field("tokens")
-                        .unwrap()
-                        .as_u64()
-                        .unwrap();
-                }
-                tokens
-            })
-        })
-        .collect();
-    let tokens: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    let seconds = start.elapsed().as_secs_f64();
-    server.shutdown();
-    server.join();
-
-    let requests = (CLIENTS * reps) as u64;
-    ModeRun {
-        tokens_per_sec: tokens as f64 / seconds,
-        requests_per_sec: requests as f64 / seconds,
-        tokens,
-        requests,
-        seconds,
-    }
-}
-
 fn main() {
     let fast_mode = std::env::var("VEGA_SERVE_BENCH_FAST").is_ok();
-    let reps = if fast_mode { 1 } else { 4 };
+    // Interleaved rounds, per-path minima; round 0 is warm-up.
+    let rounds = if fast_mode { 2 } else { 4 };
 
-    // One compute thread: any win is batching, not parallelism (scoring runs
-    // on connection threads in both modes; they contend for the same core).
+    // One compute thread: any win is amortization, not parallelism.
     vega_par::set_threads(1);
-    let trained = Vega::train(bench_config());
-    let vocab = trained.model().vocab.clone();
+    let vocab = Vega::train(bench_config()).model().vocab.clone();
+    println!("== serve (score path, deploy-shaped model, 1 compute thread, {rounds} rounds) ==");
 
-    let reference = bench_engine(&vocab);
-    let targets = reference.target_names();
-    let groups = reference.group_names();
-    assert!(targets.len() >= 2 && groups.len() >= 2, "corpus shrank");
-    let pairs: Vec<(String, String)> = (0..CLIENTS)
-        .map(|i| (targets[i % 2].clone(), groups[(i / 2) % 2].clone()))
-        .collect();
-    let expected: Vec<String> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, (t, g))| {
-            let mut replica = reference.replica();
-            let scores = reference
-                .try_score_with(&mut replica, t, g, &candidates_for(i), None)
-                .expect("direct scoring");
-            Json::Arr(scores.into_iter().map(Json::num_f32).collect()).render()
-        })
-        .collect();
-    drop(reference);
-
-    println!(
-        "== serve ({CLIENTS} clients, score op, {CANDS}x{CAND_LEN}-token candidates, \
-         1 compute thread, {reps} reps/client) =="
-    );
-    let replica = run_mode(&vocab, EngineMode::Replica, &pairs, &expected, reps);
-    let batch = run_mode(&vocab, EngineMode::Batch, &pairs, &expected, reps);
-
-    let parity = batch.tokens_per_sec / replica.tokens_per_sec;
-    for (name, run) in [("replica", &replica), ("batch", &batch)] {
-        println!(
-            "{name:>7}: {:>8.0} tok/s | {:>6.1} req/s | {} tokens, {} requests in {:.2}s",
-            run.tokens_per_sec, run.requests_per_sec, run.tokens, run.requests, run.seconds
-        );
-    }
-    println!("batch/replica tokens/sec: {parity:.2}x (score takes the same prefill path in both engines)");
-
-    // In-process: the routing decision itself. One multi-position prefill
-    // pass per candidate vs the token-at-a-time loop `forced_logprob` used
-    // before `step_many` existed, on the same deploy-shaped model.
+    // One multi-position prefill pass per candidate vs the token-at-a-time
+    // loop `forced_logprob` used before `step_many` existed.
     let vocab_n = vocab.len();
     let mut model = Transformer::new(deploy_cfg(vocab_n));
     let src: Vec<usize> = (0..SESSION_SRC_LEN)
@@ -324,8 +167,6 @@ fn main() {
         "prefill scoring diverged from the token-stepped loop \
          (prefill {prefill_lp}, stepped {stepped_lp})"
     );
-    // Interleaved rounds, per-path minima; round 0 is warm-up.
-    let rounds = if reps == 1 { 2 } else { 4 };
     let (mut prefill_secs, mut stepped_secs) = (f64::INFINITY, f64::INFINITY);
     for round in 0..rounds + 1 {
         let t0 = Instant::now();
@@ -454,30 +295,10 @@ fn main() {
             "model",
             Json::str("transformer d512 ff2048 enc1 dec3 (untrained)"),
         ),
-        ("clients", Json::num_usize(CLIENTS)),
         ("candidates_per_request", Json::num_usize(CANDS)),
         ("candidate_tokens", Json::num_usize(CAND_LEN)),
         ("compute_threads", Json::num_usize(1)),
-        ("reps_per_client", Json::num_usize(reps)),
-        (
-            "results",
-            Json::Arr(
-                [("replica", &replica), ("batch", &batch)]
-                    .into_iter()
-                    .map(|(name, run)| {
-                        Json::obj([
-                            ("engine", Json::str(name)),
-                            ("tokens_per_sec", Json::num_f64(run.tokens_per_sec)),
-                            ("requests_per_sec", Json::num_f64(run.requests_per_sec)),
-                            ("tokens", Json::num_u64(run.tokens)),
-                            ("requests", Json::num_u64(run.requests)),
-                            ("seconds", Json::num_f64(run.seconds)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("batch_parity_tokens_per_sec", Json::num_f64(parity)),
+        ("rounds", Json::num_usize(rounds)),
         (
             "scoring",
             Json::Arr(
@@ -535,20 +356,18 @@ fn main() {
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
     println!(
-        "wrote {out_path} (batch parity {parity:.2}x, prefill scoring speedup {prefill_speedup:.2}x, \
+        "wrote {out_path} (prefill scoring speedup {prefill_speedup:.2}x, \
          session scoring speedup {session_speedup:.2}x, batched scoring speedup \
          {batched_speedup:.2}x)"
     );
-    if parity >= BATCH_PARITY_FLOOR
-        && prefill_speedup >= PREFILL_SPEEDUP_FLOOR
+    if prefill_speedup >= PREFILL_SPEEDUP_FLOOR
         && session_speedup >= SESSION_SPEEDUP_FLOOR
         && batched_speedup >= BATCHED_SPEEDUP_FLOOR
     {
         println!("serve: smoke=ok");
     } else {
         println!(
-            "serve: smoke=FAIL (batch engine under {BATCH_PARITY_FLOOR}x parity with the replica \
-             engine on score, prefill scoring under {PREFILL_SPEEDUP_FLOOR}x the token-stepped \
+            "serve: smoke=FAIL (prefill scoring under {PREFILL_SPEEDUP_FLOOR}x the token-stepped \
              loop, session scoring under {SESSION_SPEEDUP_FLOOR}x one forced_logprob per \
              candidate, or batched scoring under {BATCHED_SPEEDUP_FLOOR}x one forced_logprob \
              per candidate on one state)"

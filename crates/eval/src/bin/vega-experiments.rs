@@ -26,9 +26,8 @@
 //! loading fails with a vocabulary mismatch. `vega-serve` consumes the
 //! same files.
 //!
-//! `--model gru` trains the GRU baseline instead of the transformer — the
-//! cheap way to produce a speculation draft checkpoint for
-//! `vega-serve --draft` (a draft must be GRU-backed).
+//! `--model gru` trains the GRU baseline instead of the transformer (the
+//! paper's RNN-based VEGA arm).
 
 use std::path::PathBuf;
 use std::time::Instant;

@@ -39,7 +39,9 @@
 //!
 //! * `seed=<u64>` — the plan seed (default 0).
 //! * `<site>=<rate>` — fire each hit independently with probability `rate`
-//!   (a float in `[0, 1]`), decided by the seeded hash.
+//!   (a float in `[0, 1]`), decided by the seeded hash. `<site>` must be
+//!   one of [`sites::ALL`]; any other name is rejected, so a typo cannot
+//!   parse into a plan that never fires.
 //! * `<site>=@<index>` — fire exactly the `<index>`-th hit of the site
 //!   (0-based), once.
 //! * An optional `:<arg>` suffix carries a site-specific integer argument
@@ -79,10 +81,19 @@ pub mod sites {
     /// A vega-serve hot model swap failing after the new checkpoint was
     /// loaded but before the flip; recovery = the old model keeps serving.
     pub const SERVE_SWAP: &str = "serve.swap";
-    /// A continuous-batching decode slot killed mid-generation; recovery =
-    /// the broker replays the session from scratch (generation is a pure
-    /// function of weights + input, so the replay is byte-identical).
-    pub const SERVE_BATCH: &str = "serve.batch";
+
+    /// Every site [`check`](crate::check) is called with: the names a
+    /// [`FaultPlan`](crate::FaultPlan) may name. [`SERVE_CONN`] is absent —
+    /// it only counts client-side recoveries and never fires.
+    pub const ALL: &[&str] = &[
+        VFS_READ,
+        PAR_TASK,
+        CKPT_SAVE_CRASH,
+        SERVE_CONN_DROP,
+        SERVE_CONN_STALL,
+        SERVE_CONN_CORRUPT,
+        SERVE_SWAP,
+    ];
 }
 
 /// A fault [`check`] decided to fire.
@@ -162,7 +173,8 @@ impl FaultPlan {
     /// Parses the `VEGA_FAULT_PLAN` syntax described in the crate docs.
     ///
     /// # Errors
-    /// [`PlanError`] naming the malformed clause.
+    /// [`PlanError`] naming the malformed clause, including a clause whose
+    /// site is not in [`sites::ALL`].
     pub fn parse(spec: &str) -> Result<FaultPlan, PlanError> {
         let mut seed = 0u64;
         let mut rules = BTreeMap::new();
@@ -182,6 +194,14 @@ impl FaultPlan {
                     msg: format!("seed `{rhs}` is not a u64"),
                 })?;
                 continue;
+            }
+            if !sites::ALL.contains(&site) {
+                return Err(PlanError {
+                    msg: format!(
+                        "`{clause}`: unknown site `{site}` (known sites: {})",
+                        sites::ALL.join(", ")
+                    ),
+                });
             }
             let (trigger_str, arg_str) = match rhs.split_once(':') {
                 Some((t, a)) => (t.trim(), Some(a.trim())),
@@ -360,13 +380,28 @@ mod tests {
 
     #[test]
     fn parse_accepts_rates_indices_and_args() {
-        let plan = FaultPlan::parse("seed=9; a.b=0.5 ; c=@3:250; d=1.0:7").unwrap();
+        let plan =
+            FaultPlan::parse("seed=9; vfs.read=0.5 ; serve.swap=@3:250; serve.conn.stall=1.0:7")
+                .unwrap();
         assert_eq!(plan.seed(), 9);
         assert_eq!(plan.rules.len(), 3);
-        assert_eq!(plan.rules["c"].trigger, Trigger::At(3));
-        assert_eq!(plan.rules["c"].arg, 250);
-        assert_eq!(plan.rules["d"].trigger, Trigger::Rate(1.0));
-        assert_eq!(plan.rules["d"].arg, 7);
+        assert_eq!(plan.rules["serve.swap"].trigger, Trigger::At(3));
+        assert_eq!(plan.rules["serve.swap"].arg, 250);
+        assert_eq!(plan.rules["serve.conn.stall"].trigger, Trigger::Rate(1.0));
+        assert_eq!(plan.rules["serve.conn.stall"].arg, 7);
+    }
+
+    #[test]
+    fn parse_accepts_only_known_sites() {
+        for site in sites::ALL {
+            let plan = FaultPlan::parse(&format!("{site}=0.5")).unwrap();
+            assert!(plan.rules.contains_key(*site), "{site}");
+        }
+        for bad in ["serve.batch=0.2", "serve.conn.drpo=0.1", "serve.conn=@0"] {
+            let err = FaultPlan::parse(bad).unwrap_err();
+            let clause = bad.split('=').next().unwrap();
+            assert!(err.msg.contains(clause), "{bad}: {}", err.msg);
+        }
     }
 
     #[test]
@@ -374,11 +409,11 @@ mod tests {
         for bad in [
             "nonsense",
             "seed=x",
-            "s=1.5",
-            "s=-0.1",
-            "s=@x",
-            "s=0.5:x",
-            "s=notanumber",
+            "vfs.read=1.5",
+            "vfs.read=-0.1",
+            "vfs.read=@x",
+            "vfs.read=0.5:x",
+            "vfs.read=notanumber",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(!err.msg.is_empty(), "{bad} should not parse");
@@ -390,27 +425,29 @@ mod tests {
 
     #[test]
     fn decisions_are_a_pure_function_of_seed_site_and_hit() {
-        let a = FaultPlan::parse("seed=7;x=0.5;y=0.5").unwrap();
-        let b = FaultPlan::parse("seed=7;x=0.5;y=0.5").unwrap();
-        let seq_a: Vec<bool> = (0..200).map(|_| a.check("x").is_some()).collect();
-        let seq_b: Vec<bool> = (0..200).map(|_| b.check("x").is_some()).collect();
+        let (x, y) = (sites::VFS_READ, sites::PAR_TASK);
+        let a = FaultPlan::parse(&format!("seed=7;{x}=0.5;{y}=0.5")).unwrap();
+        let b = FaultPlan::parse(&format!("seed=7;{x}=0.5;{y}=0.5")).unwrap();
+        let seq_a: Vec<bool> = (0..200).map(|_| a.check(x).is_some()).collect();
+        let seq_b: Vec<bool> = (0..200).map(|_| b.check(x).is_some()).collect();
         assert_eq!(seq_a, seq_b, "same seed must fire the same hits");
         assert!(seq_a.iter().any(|&f| f) && seq_a.iter().any(|&f| !f));
         // Different sites and different seeds give different sequences.
-        let seq_y: Vec<bool> = (0..200).map(|_| a.check("y").is_some()).collect();
+        let seq_y: Vec<bool> = (0..200).map(|_| a.check(y).is_some()).collect();
         assert_ne!(seq_a, seq_y);
-        let seq_y_b: Vec<bool> = (0..200).map(|_| b.check("y").is_some()).collect();
+        let seq_y_b: Vec<bool> = (0..200).map(|_| b.check(y).is_some()).collect();
         assert_eq!(seq_y, seq_y_b);
-        let c = FaultPlan::parse("seed=8;x=0.5").unwrap();
-        let seq_c: Vec<bool> = (0..200).map(|_| c.check("x").is_some()).collect();
+        let c = FaultPlan::parse(&format!("seed=8;{x}=0.5")).unwrap();
+        let seq_c: Vec<bool> = (0..200).map(|_| c.check(x).is_some()).collect();
         assert_ne!(seq_a, seq_c);
         assert_eq!(a.fired_log(), b.fired_log());
     }
 
     #[test]
     fn at_index_fires_exactly_once() {
-        let plan = FaultPlan::parse("s=@2:99").unwrap();
-        let fires: Vec<Option<Fault>> = (0..6).map(|_| plan.check("s")).collect();
+        let s = sites::SERVE_SWAP;
+        let plan = FaultPlan::parse(&format!("{s}=@2:99")).unwrap();
+        let fires: Vec<Option<Fault>> = (0..6).map(|_| plan.check(s)).collect();
         assert!(fires[0].is_none() && fires[1].is_none());
         assert_eq!(fires[2], Some(Fault { arg: 99, hit: 2 }));
         assert!(fires[3..].iter().all(Option::is_none));
@@ -418,27 +455,29 @@ mod tests {
 
     #[test]
     fn rate_extremes_always_and_never_fire() {
-        let plan = FaultPlan::parse("all=1.0;none=0.0").unwrap();
-        assert!((0..50).all(|_| plan.check("all").is_some()));
-        assert!((0..50).all(|_| plan.check("none").is_none()));
-        assert!(plan.check("unlisted.site").is_none());
+        let (all, none) = (sites::SERVE_CONN_DROP, sites::SERVE_CONN_CORRUPT);
+        let plan = FaultPlan::parse(&format!("{all}=1.0;{none}=0.0")).unwrap();
+        assert!((0..50).all(|_| plan.check(all).is_some()));
+        assert!((0..50).all(|_| plan.check(none).is_none()));
+        assert!(plan.check(sites::SERVE_SWAP).is_none());
     }
 
     #[test]
     fn global_install_check_and_clear() {
+        let site = sites::CKPT_SAVE_CRASH;
         set_plan(Some(
-            FaultPlan::parse("seed=1;fault.test.site=1.0").unwrap(),
+            FaultPlan::parse(&format!("seed=1;{site}=1.0")).unwrap(),
         ));
-        let f = check("fault.test.site").expect("rate 1.0 fires");
+        let f = check(site).expect("rate 1.0 fires");
         assert_eq!(f.hit, 0);
-        recovered("fault.test.site");
+        recovered(site);
         let obs = vega_obs::global();
-        assert!(obs.counter("fault.injected.fault.test.site") >= 1);
-        assert!(obs.counter("fault.recovered.fault.test.site") >= 1);
+        assert!(obs.counter(&format!("fault.injected.{site}")) >= 1);
+        assert!(obs.counter(&format!("fault.recovered.{site}")) >= 1);
         let log = active_plan().unwrap().fired_log();
-        assert_eq!(log, vec![("fault.test.site".to_string(), 0)]);
+        assert_eq!(log, vec![(site.to_string(), 0)]);
         set_plan(None);
-        assert!(check("fault.test.site").is_none());
+        assert!(check(site).is_none());
         assert!(active_plan().is_none());
     }
 

@@ -1,19 +1,22 @@
 //! Pluggable decode backends for [`CodeBe`](crate::CodeBe).
 //!
 //! A backend intercepts the two decode primitives — greedy generation and
-//! forced-sequence scoring — so generation can run somewhere other than the
-//! calling thread's own weights. The motivating implementation is
-//! `vega-serve`'s continuous-batching broker: many requester threads submit
-//! their decode work to one broker that steps all sessions in lockstep
-//! through a single shared weight traversal, then hands each requester its
-//! result. The backend contract demands bit-identity with the local path:
+//! forced-sequence scoring — so a caller can observe or relocate the
+//! arithmetic without changing it. A model with a backend installed opens
+//! no local decode state: every [`DecodeSession`](crate::DecodeSession)
+//! call forwards to the backend unchanged, one call per generation or per
+//! scored output, so it gets neither the session's encode-once nor its
+//! prefix-shared scoring. The in-tree users are timing interposers (the
+//! end-to-end benchmark's traced run, which wraps a backend-free clone of
+//! the model) and tests; the serving engine decodes locally on its replica
+//! pool. The backend contract demands bit-identity with the local path:
 //! installing or removing a backend must never change a single output bit,
 //! only where (and how fast) the arithmetic happens.
 //!
-//! Backend calls are *fallible*: a deadline can expire at a token boundary,
-//! or the remote engine can go away mid-call. The local in-process path
-//! never aborts (it ignores deadlines), so code that does not opt into
-//! deadlines keeps the original infallible API.
+//! Backend calls are *fallible*: a backend may honour the per-call deadline
+//! it is handed, or fail outright. The local in-process path never aborts
+//! (it ignores deadlines), so code that does not opt into deadlines keeps
+//! the original infallible API.
 
 use std::fmt;
 use std::sync::Arc;
@@ -22,12 +25,11 @@ use std::time::Instant;
 /// Why a backend decode call gave up before producing a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeAbort {
-    /// The per-call deadline passed; the backend stopped at a token
-    /// boundary. No partial output is returned — a partial generation must
-    /// never be cached or served.
+    /// The per-call deadline passed and the backend gave up. No partial
+    /// output is returned — a partial generation must never be cached or
+    /// served.
     Expired,
-    /// The backend itself failed (e.g. its broker thread is gone). Carries
-    /// a diagnostic message.
+    /// The backend itself failed. Carries a diagnostic message.
     Broken(String),
 }
 
@@ -44,7 +46,7 @@ impl fmt::Display for DecodeAbort {
 ///
 /// Implementations must be bit-identical to the single-threaded in-process
 /// path: same token streams, same logprob bits, for every input. `deadline`
-/// is a best-effort abort checked at token boundaries; `None` means run to
+/// is a best-effort abort the backend may check; `None` means run to
 /// completion.
 pub trait DecodeBackend: Send + Sync {
     /// Greedy generation — the backend analog of

@@ -8,11 +8,9 @@
 
 use crate::backend::{BackendHandle, DecodeAbort};
 use crate::vocab::{Special, Vocab};
-use std::sync::Arc;
 use std::time::Instant;
 use vega_nn::{
-    BatchDecode, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,
-    TransformerConfig,
+    DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer, TransformerConfig,
 };
 use vega_obs::json::{Json, JsonError};
 use vega_obs::{CurvePoint, TrainingCurve};
@@ -91,13 +89,6 @@ pub struct CodeBe {
     /// [`CodeBe::try_sequence_logprob`] route through it instead of running
     /// the in-process incremental path (not serialized; clones share it).
     backend: Option<BackendHandle>,
-    /// Optional speculative-decoding draft: a cheap GRU that proposes tokens
-    /// the transformer verifies in multi-position passes
-    /// ([`vega_nn::speculative_greedy`]). `None` or depth 0 means plain
-    /// greedy. Not serialized; clones share the draft weights via the `Arc`.
-    draft: Option<Arc<GruSeq2Seq>>,
-    /// Speculation depth k (tokens drafted per verifier pass).
-    spec_depth: usize,
 }
 
 /// One encoded input serving many decode calls; see [`CodeBe::session`].
@@ -216,8 +207,6 @@ impl CodeBe {
             model: ModelKind::Transformer(Transformer::new(cfg)),
             curve: TrainingCurve::new(),
             backend: None,
-            draft: None,
-            spec_depth: 0,
         }
     }
 
@@ -229,8 +218,6 @@ impl CodeBe {
             model: ModelKind::Gru(GruSeq2Seq::new(cfg)),
             curve: TrainingCurve::new(),
             backend: None,
-            draft: None,
-            spec_depth: 0,
         }
     }
 
@@ -392,52 +379,6 @@ impl CodeBe {
         self.backend = backend;
     }
 
-    /// Whether a decode backend is installed.
-    pub fn has_decode_backend(&self) -> bool {
-        self.backend.is_some()
-    }
-
-    /// Installs (or with `None`, removes) a speculative-decoding draft model
-    /// with depth `k` tokens per verifier pass. The draft must share this
-    /// model's vocabulary (same subword table) — drafts are only consulted
-    /// for *proposals*, so a mismatched draft degrades throughput, never
-    /// correctness. Speculation applies to [`CodeBe::try_generate`] on a
-    /// transformer model without a decode backend; every other combination
-    /// degrades gracefully to plain greedy with a logged warning (mirroring
-    /// `VEGA_KERNEL=avx2` on a non-AVX2 CPU).
-    pub fn set_speculative(&mut self, draft: Option<Arc<GruSeq2Seq>>, k: usize) {
-        self.draft = draft;
-        self.spec_depth = k;
-    }
-
-    /// The configured speculation depth, or 0 when speculation is off
-    /// (no draft installed or depth 0).
-    pub fn speculation_depth(&self) -> usize {
-        if self.draft.is_some() {
-            self.spec_depth
-        } else {
-            0
-        }
-    }
-
-    /// The underlying GRU when this CodeBE is GRU-backed — how a serve
-    /// process turns a small GRU checkpoint into a speculation draft for a
-    /// transformer model.
-    pub fn gru_model(&self) -> Option<&GruSeq2Seq> {
-        match &self.model {
-            ModelKind::Gru(g) => Some(g),
-            ModelKind::Transformer(_) => None,
-        }
-    }
-
-    /// Consumes this CodeBE and returns its GRU, if GRU-backed.
-    pub fn into_gru(self) -> Option<GruSeq2Seq> {
-        match self.model {
-            ModelKind::Gru(g) => Some(g),
-            ModelKind::Transformer(_) => None,
-        }
-    }
-
     /// Greedy generation for an input id sequence.
     ///
     /// # Panics
@@ -448,58 +389,20 @@ impl CodeBe {
             .expect("decode backend aborted a deadline-free generate")
     }
 
-    /// Greedy generation with an optional deadline, honored at token
-    /// boundaries when a decode backend is installed. Without a backend the
-    /// in-process path runs to completion and never aborts (generation of a
-    /// single function is short; deadlines are enforced by the callers that
-    /// install backends). This is the one entry point that speculates (see
-    /// [`CodeBe::set_speculative`]); otherwise it is a one-call
-    /// [`CodeBe::session`].
+    /// Greedy generation with an optional deadline: a one-call
+    /// [`CodeBe::session`]. The in-process path ignores the deadline and
+    /// runs to completion (generation of one function is short; serving
+    /// enforces deadlines before dispatch). Only an installed decode backend
+    /// receives the deadline, and only it can abort.
     ///
     /// # Errors
-    /// Returns [`DecodeAbort::Expired`] when the backend stopped at the
-    /// deadline, [`DecodeAbort::Broken`] when the backend itself failed.
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
     pub fn try_generate(
         &mut self,
         input: &[usize],
         max_len: usize,
         deadline: Option<Instant>,
     ) -> Result<Vec<usize>, DecodeAbort> {
-        if let (None, Some(draft)) = (&self.backend, &self.draft) {
-            if self.spec_depth > 0 {
-                let bos = self.vocab.special(Special::Bos);
-                let eos = self.vocab.special(Special::Eos);
-                match &self.model {
-                    ModelKind::Transformer(t) => {
-                        // Exact by construction: the stream is bit-identical
-                        // to the plain greedy session below.
-                        let (out, _report) = vega_nn::speculative_greedy(
-                            t,
-                            draft,
-                            input,
-                            bos,
-                            eos,
-                            max_len,
-                            self.spec_depth,
-                        );
-                        return Ok(out);
-                    }
-                    ModelKind::Gru(_) => {
-                        // A GRU drafting for a GRU verifier has nothing to
-                        // amortize (no multi-position KV prefill); warn once
-                        // and serve plain greedy.
-                        static WARNED: std::sync::Once = std::sync::Once::new();
-                        WARNED.call_once(|| {
-                            vega_obs::global().event(
-                                vega_obs::Level::Warn,
-                                "speculative decoding requires a transformer verifier; \
-                                 GRU model falls back to plain greedy",
-                            );
-                        });
-                    }
-                }
-            }
-        }
         self.session(input).try_generate(max_len, deadline)
     }
 
@@ -540,9 +443,7 @@ impl CodeBe {
     /// serve's `score` op one per request (one batched score).
     ///
     /// With a decode backend installed nothing is encoded locally: every
-    /// call forwards unchanged to the backend. Session decodes never
-    /// speculate — speculation is exact, so the output is the same, and the
-    /// short decodes a session serves would only waste draft work.
+    /// call forwards unchanged to the backend.
     pub fn session<'a>(&'a self, input: &'a [usize]) -> DecodeSession<'a> {
         let state = match (&self.backend, &self.model) {
             (Some(b), _) => SessionState::Backend(b),
@@ -556,18 +457,6 @@ impl CodeBe {
             bos: self.vocab.special(Special::Bos),
             eos: self.vocab.special(Special::Eos),
             state,
-        }
-    }
-
-    /// Starts a batch of `capacity` incremental decode slots over this
-    /// model's weights (see [`vega_nn::BatchDecode`]): per-slot logits are
-    /// bit-identical to the single-session decode path at any batch
-    /// composition. The batch borrows the weights, so the model is
-    /// immutable while it lives.
-    pub fn begin_batch_decode(&self, capacity: usize) -> Box<dyn BatchDecode + '_> {
-        match &self.model {
-            ModelKind::Transformer(t) => Box::new(t.begin_batch_decode(capacity)),
-            ModelKind::Gru(g) => Box::new(g.begin_batch_decode(capacity)),
         }
     }
 
@@ -639,8 +528,6 @@ impl CodeBe {
             model,
             curve: TrainingCurve::new(),
             backend: None,
-            draft: None,
-            spec_depth: 0,
         })
     }
 
@@ -666,8 +553,6 @@ impl CodeBe {
             model,
             curve: TrainingCurve::new(),
             backend: None,
-            draft: None,
-            spec_depth: 0,
         })
     }
 }

@@ -30,13 +30,12 @@
 //! Every transformer decode path runs the same decoder forward over *rows*.
 //! A row is a session's K/V cache, a position in it, the token fed there
 //! and a scratch row to compute in. [`DecodeState::step`] is one row,
-//! [`DecodeState::step_many`] is one row per token of one session, a
-//! [`BatchDecodeState`] step is one row per fed slot, and
+//! [`DecodeState::step_many`] is one row per token of one session, and
 //! [`DecodeState::forced_logprobs`] is every candidate's positions past
 //! their shared prefix, each candidate on its own fork of the session
-//! cache. The GRU paths (the encoder pass, [`GruDecodeState::step`] and the
-//! batch step) share one GRU cell over rows in the same way, and every
-//! path, the graph references included, shares one logits projection.
+//! cache. The GRU paths (the encoder pass and [`GruDecodeState::step`])
+//! share one GRU cell, and every path, the graph references included,
+//! shares one logits projection.
 //!
 //! The row count picks the loop, never the result. One row takes the
 //! per-`k` [`row_matmul_into`] and the row-major dot-form logits loop;
@@ -112,18 +111,6 @@ pub mod tally {
         SECONDS.with(|s| s.set(s.get() + seconds));
     }
 
-    /// Records `tokens` decoded tokens that took `seconds` in one call.
-    ///
-    /// Used when decode work happened *off* this thread — a continuous-
-    /// batching broker steps many sessions on its own thread and hands each
-    /// requester back its exact token count and its share of the batched
-    /// step time; the requester bumps its own thread-local so the
-    /// reset/snapshot attribution protocol keeps working unchanged.
-    pub fn bump_n(tokens: u64, seconds: f64) {
-        TOKENS.with(|t| t.set(t.get() + tokens));
-        SECONDS.with(|s| s.set(s.get() + seconds));
-    }
-
     /// The calling thread's `(tokens, seconds)` since the last [`reset`].
     pub fn snapshot() -> (u64, f64) {
         (TOKENS.with(Cell::get), SECONDS.with(Cell::get))
@@ -146,9 +133,8 @@ pub(crate) use crate::kernel::{add_assign, dot, layer_norm_row, row_matmul_into}
 /// In-place softmax over one row (re-exported from the kernel tier; see
 /// [`crate::kernel::softmax_row`] for the determinism contract).
 ///
-/// Public so external decode drivers (the serve-side continuous-batching
-/// broker scoring forced sequences) can replicate `forced_logprob`'s exact
-/// f32 sequence instead of reimplementing it.
+/// Public so tests and benches can replicate `forced_logprob`'s exact f32
+/// sequence from single-step logits rows instead of reimplementing it.
 pub use crate::kernel::softmax_row;
 
 /// `out[s] = a[s] · b` for every scratch row `s` in `rows`, where `a` holds
@@ -460,9 +446,9 @@ impl Transformer {
 // Transformer fast path: one decoder forward over rows
 // ---------------------------------------------------------------------------
 
-/// One session's decoder cache, for a [`DecodeState`], a fork of one, or a
-/// batch slot: encoder-derived cross-attention K/V (fixed) and
-/// self-attention K/V that grow by one row per fed position.
+/// One session's decoder cache, for a [`DecodeState`] or a fork of one:
+/// encoder-derived cross-attention K/V (fixed) and self-attention K/V that
+/// grow by one row per fed position.
 #[derive(Default)]
 struct KvCache {
     /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed and
@@ -784,9 +770,9 @@ impl DecodeState<'_> {
     /// Bit-identical to calling [`DecodeState::step`] once per token: it is
     /// the same decoder forward with one row per token, every weight matrix
     /// is read once for the whole chunk, and each position attends only over
-    /// its causal prefix of the shared cache. This is the verify pass of
-    /// speculative decoding and the one-pass prompt prefill for forced
-    /// scoring; per-position cost amortizes every weight read over the chunk.
+    /// its causal prefix of the shared cache. This is the one-pass prefill
+    /// of forced scoring's shared prefix; per-position cost amortizes every
+    /// weight read over the chunk.
     ///
     /// # Panics
     /// Panics if the chunk would run past `max_len`.
@@ -806,30 +792,17 @@ impl DecodeState<'_> {
         &self.sc.logits[..tokens.len() * self.model.cfg.vocab]
     }
 
-    /// Rolls the session back to `len` fed tokens, popping the newer
-    /// self-attention K/V rows in every layer and head — how speculative
-    /// decoding discards positions whose input tokens the verifier rejected.
-    /// Scratch and the fixed cross-attention K/V are untouched; re-feeding
-    /// over the popped rows reproduces the sequential path bit for bit (and
-    /// reuses the retained cache capacity).
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the current length.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(len <= self.cache.len, "truncate beyond current length");
+    /// Rolls back to the just-encoded state: every decoded position's
+    /// self-attention K/V rows are dropped (their capacity is kept), the
+    /// encoder-derived cross-attention K/V stay.
+    pub fn reset(&mut self) {
         let c = &mut self.cache;
         for layer in c.self_k.iter_mut().chain(c.self_v.iter_mut()) {
             for cache in layer.iter_mut() {
-                cache.truncate_rows(len);
+                cache.truncate_rows(0);
             }
         }
-        c.len = len;
-    }
-
-    /// Rolls back to the just-encoded state (`truncate(0)`): every decoded
-    /// position is dropped, the encoder-derived cross-attention K/V stay.
-    pub fn reset(&mut self) {
-        self.truncate(0);
+        c.len = 0;
     }
 
     /// Greedy decode from the just-encoded state: starts from `bos`, stops
@@ -939,17 +912,13 @@ impl DecodeState<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// GRU fast path: one cell over rows
+// GRU fast path: one cell
 // ---------------------------------------------------------------------------
 
-/// Scratch for [`GruSeq2Seq::cell_rows`] and the GRU logits, one row per
-/// hidden row at the natural stride of each buffer, grown lazily like
-/// [`Scratch`].
-#[derive(Default)]
+/// Scratch for [`GruSeq2Seq::cell`] and the GRU logits, allocated once per
+/// state and reused by every step.
 struct GruScratch {
-    /// The hidden rows the last cell update fed, in feed order.
-    ids: Vec<usize>,
-    /// Cell input rows `[x, h]`, then `[x, r ⊙ h]`.
+    /// The cell input `[x, h]`, then `[x, r ⊙ h]`.
     xin: Vec<f32>,
     z: Vec<f32>,
     r: Vec<f32>,
@@ -958,109 +927,77 @@ struct GruScratch {
 }
 
 impl GruScratch {
-    /// Grows every buffer to hold rows `0..n`.
-    fn ensure(&mut self, cfg: &GruConfig, n: usize) {
+    fn new(cfg: &GruConfig) -> Self {
         let d = cfg.d_model;
-        for (v, width) in [
-            (&mut self.xin, 2 * d),
-            (&mut self.z, d),
-            (&mut self.r, d),
-            (&mut self.hcand, d),
-            (&mut self.logits, cfg.vocab),
-        ] {
-            grow(v, n * width);
+        GruScratch {
+            xin: vec![0.0; 2 * d],
+            z: vec![0.0; d],
+            r: vec![0.0; d],
+            hcand: vec![0.0; d],
+            logits: vec![0.0; cfg.vocab],
         }
     }
 }
 
-/// Adds `bias` to each listed row of `out` (stride `bias.len()`) and
-/// applies `f` elementwise: one GRU gate's activation.
-fn gate(rows: &[usize], out: &mut [f32], bias: &[f32], f: impl Fn(f32) -> f32) {
-    let d = bias.len();
-    for &s in rows {
-        let o = &mut out[s * d..(s + 1) * d];
-        add_assign(o, bias);
-        for v in o.iter_mut() {
-            *v = f(*v);
-        }
+/// Adds `bias` to `out` and applies `f` elementwise: one GRU gate's
+/// activation.
+fn gate(out: &mut [f32], bias: &[f32], f: impl Fn(f32) -> f32) {
+    add_assign(out, bias);
+    for v in out.iter_mut() {
+        *v = f(*v);
     }
 }
 
 impl GruSeq2Seq {
-    /// The GRU cell behind every GRU path (the encoder pass,
-    /// [`GruDecodeState::step`] and the batch step): for each `(row, token)`
-    /// in `feeds`, `h[row] ← cell(emb[token], h[row])`, replaying the graph
-    /// path's `cell_step` op sequence bit for bit per row. `h` holds one
-    /// hidden row of width `d_model` per row index; the fed rows are left in
-    /// `sc.ids`.
-    fn cell_rows(
-        &self,
-        cell: &GruCell,
-        feeds: &[(usize, usize)],
-        h: &mut [f32],
-        sc: &mut GruScratch,
-    ) {
+    /// The GRU cell behind every GRU path (the encoder pass and
+    /// [`GruDecodeState::step`]): `h ← cell(emb[token], h)`, replaying the
+    /// graph path's `cell_step` op sequence bit for bit. `h` is one hidden
+    /// row of width `d_model`.
+    fn cell(&self, cell: &GruCell, token: usize, h: &mut [f32], sc: &mut GruScratch) {
         let d = self.cfg.d_model;
-        sc.ensure(&self.cfg, h.len() / d);
-        sc.ids.clear();
-        sc.ids.extend(feeds.iter().map(|&(s, _)| s));
         let w = |p: ParamId| self.store.value(p);
-        for &(s, token) in feeds {
-            let xin = &mut sc.xin[s * 2 * d..(s + 1) * 2 * d];
-            xin[..d].copy_from_slice(w(self.emb).row(token));
-            xin[d..].copy_from_slice(&h[s * d..(s + 1) * d]);
-        }
+        let GruScratch {
+            xin, z, r, hcand, ..
+        } = sc;
+        xin[..d].copy_from_slice(w(self.emb).row(token));
+        xin[d..].copy_from_slice(h);
         let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
-        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wz), &mut sc.z);
-        gate(&sc.ids, &mut sc.z, w(cell.bz).as_slice(), sigmoid);
-        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wr), &mut sc.r);
-        gate(&sc.ids, &mut sc.r, w(cell.br).as_slice(), sigmoid);
+        row_matmul_into(xin, w(cell.wz), z);
+        gate(z, w(cell.bz).as_slice(), sigmoid);
+        row_matmul_into(xin, w(cell.wr), r);
+        gate(r, w(cell.br).as_slice(), sigmoid);
         // The candidate reads [x, r ⊙ h]; x is still in place.
-        for &s in &sc.ids {
-            for i in 0..d {
-                sc.xin[s * 2 * d + d + i] = sc.r[s * d + i] * h[s * d + i];
-            }
+        for i in 0..d {
+            xin[d + i] = r[i] * h[i];
         }
-        rows_matmul_into(&sc.ids, &sc.xin, w(cell.wh), &mut sc.hcand);
-        gate(&sc.ids, &mut sc.hcand, w(cell.bh).as_slice(), f32::tanh);
+        row_matmul_into(xin, w(cell.wh), hcand);
+        gate(hcand, w(cell.bh).as_slice(), f32::tanh);
         // h' = (1 - z) ⊙ h + z ⊙ ĥ, associated exactly as the graph ops are:
         // keep = (−z + 1) ⊙ h, new = z ⊙ ĥ, h' = keep + new.
-        for &s in &sc.ids {
-            let row = s * d..(s + 1) * d;
-            let (z, hc) = (&sc.z[row.clone()], &sc.hcand[row.clone()]);
-            for ((h, &z), &hc) in h[row].iter_mut().zip(z).zip(hc) {
-                let keep = (z * -1.0 + 1.0) * *h;
-                let new = z * hc;
-                *h = keep + new;
-            }
+        for ((h, &z), &hc) in h.iter_mut().zip(z.iter()).zip(hcand.iter()) {
+            let keep = (z * -1.0 + 1.0) * *h;
+            let new = z * hc;
+            *h = keep + new;
         }
     }
 
     /// Runs the encoder over `src` (clamped to `max_len`) from a zero hidden
-    /// state into row `row` of `h`: one encoder pass, counted in
-    /// `decode.encoder_runs`.
-    fn encode_into(&self, src: &[usize], row: usize, h: &mut [f32], sc: &mut GruScratch) {
+    /// state into `h`: one encoder pass, counted in `decode.encoder_runs`.
+    fn encode_into(&self, src: &[usize], h: &mut [f32], sc: &mut GruScratch) {
         let src = &src[..src.len().min(self.cfg.max_len)];
         vega_obs::global().counter_add("decode.encoder_runs", 1);
-        let d = self.cfg.d_model;
-        h[row * d..(row + 1) * d].fill(0.0);
+        h.fill(0.0);
         for &id in src {
-            self.cell_rows(&self.enc, &[(row, id)], h, sc);
+            self.cell(&self.enc, id, h, sc);
         }
     }
 
-    /// One decoder step over rows: the decoder cell, then the logits of
-    /// every fed row into `sc.logits`.
-    fn decode_rows(
-        &self,
-        wt: &Tensor,
-        feeds: &[(usize, usize)],
-        h: &mut [f32],
-        sc: &mut GruScratch,
-    ) {
-        self.cell_rows(&self.dec, feeds, h, sc);
+    /// One decoder step: the decoder cell on `token`, then its logits into
+    /// `sc.logits`.
+    fn decode_step(&self, wt: &Tensor, token: usize, h: &mut [f32], sc: &mut GruScratch) {
+        self.cell(&self.dec, token, h, sc);
         let (w, b) = (self.store.value(self.w_out), self.store.value(self.b_out));
-        project_logits(&sc.ids, h, w, wt, b.as_slice(), &mut sc.logits);
+        project_logits(&[0], h, w, wt, b.as_slice(), &mut sc.logits);
     }
 
     /// Starts an incremental GRU decode over `src` (clamped to `max_len`):
@@ -1069,16 +1006,16 @@ impl GruSeq2Seq {
     /// recomputed from scratch per token on a fresh graph. Each call is one
     /// encoder pass, counted in `decode.encoder_runs`.
     pub fn begin_decode(&self, src: &[usize]) -> GruDecodeState<'_> {
-        let mut st = GruDecodeState {
+        let mut h = vec![0.0; self.cfg.d_model];
+        let mut sc = GruScratch::new(&self.cfg);
+        self.encode_into(src, &mut h, &mut sc);
+        GruDecodeState {
             model: self,
             wt: self.out_proj_t(),
-            h: vec![0.0; self.cfg.d_model],
-            h0: Vec::new(),
-            sc: GruScratch::default(),
-        };
-        self.encode_into(src, 0, &mut st.h, &mut st.sc);
-        st.h0 = st.save();
-        st
+            h0: h.clone(),
+            h,
+            sc,
+        }
     }
 
     /// Incremental forced decode for the GRU (see
@@ -1113,25 +1050,8 @@ impl GruDecodeState<'_> {
     /// bit-identical to the last row of the graph path's full-prefix decode.
     pub fn step(&mut self, token: usize) -> &[f32] {
         self.model
-            .decode_rows(&self.wt, &[(0, token)], &mut self.h, &mut self.sc);
+            .decode_step(&self.wt, token, &mut self.h, &mut self.sc);
         &self.sc.logits[..self.model.cfg.vocab]
-    }
-
-    /// Snapshots the recurrent hidden state. With [`GruDecodeState::restore`]
-    /// this is the GRU's whole-state rollback: the speculative driver saves
-    /// before advancing the draft past unverified tokens and restores to the
-    /// last verified position on a mismatch (the recurrent analog of
-    /// [`DecodeState::truncate`]).
-    pub fn save(&self) -> Vec<f32> {
-        self.h.clone()
-    }
-
-    /// Restores a snapshot taken by [`GruDecodeState::save`].
-    ///
-    /// # Panics
-    /// Panics if `h` was saved from a different width.
-    pub fn restore(&mut self, h: &[f32]) {
-        self.h.copy_from_slice(h);
     }
 
     /// Rolls back to the just-encoded state: restores the hidden state the
@@ -1172,225 +1092,6 @@ impl GruDecodeState<'_> {
                 })
             })
             .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched decode (N sessions in lockstep through shared weights)
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity batch of independent incremental decode sessions that
-/// step in lockstep through shared weights.
-///
-/// Sessions occupy *slots* (`0..capacity`). [`BatchDecode::join`] starts a
-/// session in a free slot, [`BatchDecode::step`] advances any subset of
-/// active slots by one token each (one shared pass over every weight
-/// matrix), and [`BatchDecode::retire`] frees a slot — immediately, at any
-/// point, so finished sessions leave the batch at a token boundary without
-/// barriers. Per-slot K/V state is private to the slot; ragged lengths need
-/// no masks because attention runs against each slot's own cache.
-///
-/// The contract shared by both implementations ([`BatchDecodeState`],
-/// [`GruBatchDecodeState`]): the logits produced for a slot are
-/// **bit-identical** to a single-session [`DecodeState`] /
-/// [`GruDecodeState`] fed the same source and token stream, at every batch
-/// size and join/retire order.
-pub trait BatchDecode {
-    /// Total slot count.
-    fn capacity(&self) -> usize;
-
-    /// Currently occupied slot count.
-    fn active(&self) -> usize;
-
-    /// Starts a session over `src` (clamped to the model's `max_len`) in a
-    /// free slot and returns its slot id; `None` when the batch is full.
-    fn join(&mut self, src: &[usize]) -> Option<usize>;
-
-    /// Frees `slot` (dropping its K/V state). No-op if already free.
-    fn retire(&mut self, slot: usize);
-
-    /// Advances each `(slot, token)` in `feeds` by one position in one
-    /// shared weight pass. Slots not listed do not advance.
-    ///
-    /// # Panics
-    /// Panics if a fed slot is free, is listed twice, or is at `max_len`.
-    fn step(&mut self, feeds: &[(usize, usize)]);
-
-    /// The logits row produced for `slot` by the most recent step that fed
-    /// it.
-    fn logits(&self, slot: usize) -> &[f32];
-
-    /// Tokens fed to `slot` so far.
-    fn slot_len(&self, slot: usize) -> usize;
-}
-
-/// Asserts `feeds` is a valid step: every fed slot is live and none is
-/// listed twice (`seen` is a scratch bitmap of `live.len()` bools, reset
-/// here).
-fn check_feeds(feeds: &[(usize, usize)], live: &[bool], seen: &mut [bool]) {
-    seen.fill(false);
-    for &(s, _) in feeds {
-        assert!(live[s], "step on a free slot");
-        assert!(!seen[s], "slot {s} fed twice in one step");
-        seen[s] = true;
-    }
-}
-
-/// Batched incremental decoder for a [`Transformer`]: N sessions share one
-/// pass over every weight matrix per step, each slot with its own K/V
-/// cache, bit-identical per slot to a [`DecodeState`]. Create with
-/// [`Transformer::begin_batch_decode`]; drive through the [`BatchDecode`]
-/// trait.
-pub struct BatchDecodeState<'m> {
-    model: &'m Transformer,
-    /// Pre-transposed output projection, snapshotted once per batch.
-    wt: Arc<Tensor>,
-    /// One cache per slot (empty while the slot is free).
-    caches: Vec<KvCache>,
-    /// Which slots hold a session.
-    live: Vec<bool>,
-    seen: Vec<bool>,
-    /// Scratch row `s` belongs to slot `s`.
-    sc: Scratch,
-}
-
-impl Transformer {
-    /// Starts an empty batch of `capacity` incremental decode slots. Scratch
-    /// is allocated once here; joins allocate only per-slot K/V state.
-    pub fn begin_batch_decode(&self, capacity: usize) -> BatchDecodeState<'_> {
-        let cap = capacity.max(1);
-        let mut sc = Scratch::default();
-        sc.ensure(&self.cfg, cap);
-        BatchDecodeState {
-            model: self,
-            wt: self.out_proj_t(),
-            caches: (0..cap).map(|_| KvCache::default()).collect(),
-            live: vec![false; cap],
-            seen: vec![false; cap],
-            sc,
-        }
-    }
-}
-
-impl BatchDecode for BatchDecodeState<'_> {
-    fn capacity(&self) -> usize {
-        self.live.len()
-    }
-
-    fn active(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
-
-    fn join(&mut self, src: &[usize]) -> Option<usize> {
-        let s = self.live.iter().position(|&l| !l)?;
-        self.live[s] = true;
-        self.caches[s] = self.model.encode_cache(src);
-        Some(s)
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.live[slot] = false;
-        self.caches[slot] = KvCache::default();
-    }
-
-    fn step(&mut self, feeds: &[(usize, usize)]) {
-        check_feeds(feeds, &self.live, &mut self.seen);
-        let caches = &self.caches;
-        self.sc.rows.clear();
-        self.sc.rows.extend(feeds.iter().map(|&(s, token)| Row {
-            cache: s,
-            pos: caches[s].len,
-            token,
-            at: s,
-        }));
-        self.model
-            .decode_rows(&self.wt, &mut self.caches, &mut self.sc);
-    }
-
-    fn logits(&self, slot: usize) -> &[f32] {
-        assert!(self.live[slot], "logits of a free slot");
-        let vocab = self.model.cfg.vocab;
-        &self.sc.logits[slot * vocab..(slot + 1) * vocab]
-    }
-
-    fn slot_len(&self, slot: usize) -> usize {
-        self.caches[slot].len
-    }
-}
-
-/// Batched incremental decoder for a [`GruSeq2Seq`]; the GRU analog of
-/// [`BatchDecodeState`]. Create with [`GruSeq2Seq::begin_batch_decode`].
-pub struct GruBatchDecodeState<'m> {
-    model: &'m GruSeq2Seq,
-    /// Pre-transposed output projection, snapshotted once per batch.
-    wt: Arc<Tensor>,
-    /// Hidden states, one row of width `d_model` per slot.
-    h: Vec<f32>,
-    /// Tokens fed per slot (0 while the slot is free).
-    lens: Vec<usize>,
-    /// Which slots hold a session.
-    live: Vec<bool>,
-    seen: Vec<bool>,
-    /// Scratch row `s` belongs to slot `s`.
-    sc: GruScratch,
-}
-
-impl GruSeq2Seq {
-    /// Starts an empty batch of `capacity` incremental GRU decode slots.
-    pub fn begin_batch_decode(&self, capacity: usize) -> GruBatchDecodeState<'_> {
-        let cap = capacity.max(1);
-        let mut sc = GruScratch::default();
-        sc.ensure(&self.cfg, cap);
-        GruBatchDecodeState {
-            model: self,
-            wt: self.out_proj_t(),
-            h: vec![0.0; cap * self.cfg.d_model],
-            lens: vec![0; cap],
-            live: vec![false; cap],
-            seen: vec![false; cap],
-            sc,
-        }
-    }
-}
-
-impl BatchDecode for GruBatchDecodeState<'_> {
-    fn capacity(&self) -> usize {
-        self.live.len()
-    }
-
-    fn active(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
-
-    fn join(&mut self, src: &[usize]) -> Option<usize> {
-        let s = self.live.iter().position(|&l| !l)?;
-        self.live[s] = true;
-        self.model.encode_into(src, s, &mut self.h, &mut self.sc);
-        Some(s)
-    }
-
-    fn retire(&mut self, slot: usize) {
-        self.live[slot] = false;
-        self.lens[slot] = 0;
-    }
-
-    fn step(&mut self, feeds: &[(usize, usize)]) {
-        check_feeds(feeds, &self.live, &mut self.seen);
-        self.model
-            .decode_rows(&self.wt, feeds, &mut self.h, &mut self.sc);
-        for &(s, _) in feeds {
-            self.lens[s] += 1;
-        }
-    }
-
-    fn logits(&self, slot: usize) -> &[f32] {
-        assert!(self.live[slot], "logits of a free slot");
-        let vocab = self.model.cfg.vocab;
-        &self.sc.logits[slot * vocab..(slot + 1) * vocab]
-    }
-
-    fn slot_len(&self, slot: usize) -> usize {
-        self.lens[slot]
     }
 }
 
@@ -1462,56 +1163,6 @@ mod tests {
                 let mut single = vec![0.0f32; 3];
                 row_matmul_into(&a[s * 12..(s + 1) * 12], &b, &mut single);
                 for (x, y) in out[s * 3..(s + 1) * 3].iter().zip(&single) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transformer_batch_step_matches_single_bitwise() {
-        use crate::{Seq2Seq, Transformer, TransformerConfig};
-        let mut m = Transformer::new(TransformerConfig::tiny(10));
-        for _ in 0..5 {
-            m.train_example(&[2, 3, 4], &[3, 4], 0, 1);
-            m.step(3e-3);
-        }
-        let srcs: [&[usize]; 3] = [&[2, 3, 4], &[4, 2], &[3]];
-        let mut batch = m.begin_batch_decode(4);
-        let mut singles: Vec<DecodeState> = srcs.iter().map(|s| m.begin_decode(s)).collect();
-        let slots: Vec<usize> = srcs.iter().map(|s| batch.join(s).unwrap()).collect();
-        for step in 0..4 {
-            let feeds: Vec<(usize, usize)> = slots.iter().map(|&s| (s, step + 1)).collect();
-            batch.step(&feeds);
-            for (i, st) in singles.iter_mut().enumerate() {
-                let want = st.step(step + 1);
-                let got = batch.logits(slots[i]);
-                for (x, y) in got.iter().zip(want) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gru_batch_step_matches_single_bitwise() {
-        use crate::{GruConfig, GruSeq2Seq, Seq2Seq};
-        let mut m = GruSeq2Seq::new(GruConfig::tiny(8));
-        for _ in 0..5 {
-            m.train_example(&[2, 3], &[3, 2], 0, 1);
-            m.step(3e-3);
-        }
-        let srcs: [&[usize]; 2] = [&[2, 3], &[3]];
-        let mut batch = m.begin_batch_decode(2);
-        let mut singles: Vec<GruDecodeState> = srcs.iter().map(|s| m.begin_decode(s)).collect();
-        let slots: Vec<usize> = srcs.iter().map(|s| batch.join(s).unwrap()).collect();
-        for step in 0..3 {
-            let feeds: Vec<(usize, usize)> = slots.iter().map(|&s| (s, step + 2)).collect();
-            batch.step(&feeds);
-            for (i, st) in singles.iter_mut().enumerate() {
-                let want = st.step(step + 2);
-                let got = batch.logits(slots[i]);
-                for (x, y) in got.iter().zip(want) {
                     assert_eq!(x.to_bits(), y.to_bits());
                 }
             }

@@ -41,7 +41,7 @@
 //!   `crates/nn/tests/kernel_conformance.rs`). [`Kernel::max`] is
 //!   order-insensitive on NaN-free data and returns an exact input element.
 //! * Within one mode, the graph path and every decode path (single step,
-//!   multi-position and batched, all one decoder forward) stay
+//!   multi-position and forked, all one decoder forward) stay
 //!   bit-identical to each other: every path calls the same kernel ops over
 //!   the same slices. The masked-softmax prefix trick (exp-underflowed
 //!   lanes are exact zeros and must be no-ops) is why [`softmax_row`]'s

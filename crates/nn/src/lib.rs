@@ -11,10 +11,7 @@
 //! Generation runs on a forward-only fast path ([`DecodeState`] /
 //! [`GruDecodeState`], see the [`mod@decode`] module docs) that caches
 //! per-layer attention K/V and is bit-identical to the autograd-graph
-//! reference decode. [`speculative_greedy`] layers exact speculative
-//! decoding on top: a [`GruSeq2Seq`] drafts tokens and the transformer
-//! verifies them in one multi-position pass ([`DecodeState::step_many`]),
-//! emitting the same bit-identical stream in fewer forward passes.
+//! reference decode.
 //!
 //! Every hot inner loop dispatches through the [`mod@kernel`] tier: a
 //! [`Kernel`] trait with a scalar reference implementation and a
@@ -47,18 +44,16 @@ mod gru;
 pub mod kernel;
 mod params;
 mod seq2seq;
-pub mod speculate;
 pub mod storage;
 mod tensor;
 mod transformer;
 
-pub use decode::{BatchDecode, BatchDecodeState, DecodeState, GruBatchDecodeState, GruDecodeState};
+pub use decode::{DecodeState, GruDecodeState};
 pub use graph::{Graph, NodeId};
 pub use gru::{GruConfig, GruSeq2Seq};
 pub use kernel::{Isa, Kernel, KernelMode};
 pub use params::{Init, ParamId, ParamStore};
 pub use seq2seq::{argmax, forced_pair, looks_degenerate, train_until, Seq2Seq};
-pub use speculate::{speculative_greedy, SpecReport};
 pub use storage::{ByteRegion, TensorTable};
 pub use tensor::Tensor;
 pub use transformer::{Transformer, TransformerConfig};

@@ -205,9 +205,9 @@ impl Tensor {
     }
 
     /// Drops rows from the end, keeping the first `rows`. The inverse of
-    /// [`Tensor::push_row`] — speculative decoding uses it to roll a K/V
-    /// cache back past tokens the verifier rejected. Capacity is retained,
-    /// so re-growing over the popped rows does not reallocate.
+    /// [`Tensor::push_row`] — a decode state uses it to empty its K/V
+    /// caches on reset. Capacity is retained, so re-growing over the popped
+    /// rows does not reallocate.
     ///
     /// # Panics
     /// Panics if `rows` exceeds the current row count.

@@ -9,12 +9,21 @@
 //! both model families, and the truncation / degenerate-exit edge cases.
 //! One state reused across a greedy decode, many forced scores and another
 //! greedy decode must answer exactly as a fresh `begin_decode` per call.
-//! `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`.
+//! `step_many` must match the same tokens fed one `step` at a time, the
+//! forced scorer's one-pass prefill must match a token-stepped loop, and the
+//! dot-form logits projection (`VEGA_DOT_FORM`) is pinned on both sides of
+//! its switch. `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`.
+//! Dot-form policy is process-global, so the test that switches it
+//! serializes through `MODE_LOCK` and restores `Auto` on exit.
 
+use std::sync::Mutex;
+use vega_nn::kernel::{self, DotForm};
 use vega_nn::{
     forced_pair, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,
     TransformerConfig,
 };
+
+static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random token ids in `[lo, hi)` (splitmix64).
 fn tokens(seed: u64, n: usize, lo: usize, hi: usize) -> Vec<usize> {
@@ -374,4 +383,103 @@ fn state_reuse_matches_graph_reference() {
             bits
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// step_many, the dot-form switch and the forced-scoring prefill
+// ---------------------------------------------------------------------------
+
+#[test]
+fn step_many_matches_single_steps_bitwise() {
+    let t = Transformer::new(TransformerConfig::small(64));
+    let src = tokens(301, 24, 2, 64);
+    let feed = tokens(302, 64, 2, 64);
+    // Reference: one token at a time.
+    let mut single = t.begin_decode(&src);
+    let mut want: Vec<u32> = Vec::new();
+    for &tok in &feed {
+        want.extend(single.step(tok).iter().map(|v| v.to_bits()));
+    }
+    // Same tokens through step_many in assorted chunk sizes.
+    for chunks in [
+        vec![1usize; 64],
+        vec![2; 32],
+        vec![4; 16],
+        vec![8; 8],
+        vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 9],
+    ] {
+        assert_eq!(chunks.iter().sum::<usize>(), feed.len());
+        let mut st = t.begin_decode(&src);
+        let mut got: Vec<u32> = Vec::new();
+        let mut off = 0;
+        for &c in &chunks {
+            got.extend(
+                st.step_many(&feed[off..off + c])
+                    .iter()
+                    .map(|v| v.to_bits()),
+            );
+            off += c;
+        }
+        assert_eq!(st.len(), feed.len());
+        assert_eq!(got, want, "step_many diverged for chunking {chunks:?}");
+    }
+}
+
+#[test]
+fn dot_form_on_and_off_both_match_graph_reference() {
+    // Both sides of the dot-form switch must keep fast-path == graph
+    // bit-identity: the fast decode and the graph twins branch on the same
+    // predicate, whichever way it points.
+    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for policy in [DotForm::On, DotForm::Off] {
+        kernel::set_dot_form(policy);
+        let mut t = Transformer::new(TransformerConfig::small(48));
+        let src = tokens(371, 14, 2, 48);
+        let feed = tokens(372, 24, 2, 48);
+        let graph = t.logits_rows_graph(&src, &feed);
+        let mut st = t.begin_decode(&src);
+        for (r, &tok) in feed.iter().enumerate() {
+            for (c, &v) in st.step(tok).iter().enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    graph.at(r, c).to_bits(),
+                    "dot-form {policy:?}: logit bits diverged at row {r} col {c}"
+                );
+            }
+        }
+        let fast = t.greedy(&src, 0, 1, 24);
+        let reference = t.greedy_graph(&src, 0, 1, 24);
+        assert_eq!(fast, reference, "dot-form {policy:?}: greedy diverged");
+
+        let mut g = GruSeq2Seq::new(GruConfig::small(48));
+        assert_eq!(
+            g.greedy(&src, 0, 1, 24),
+            g.greedy_graph(&src, 0, 1, 24),
+            "dot-form {policy:?}: GRU greedy diverged"
+        );
+    }
+    kernel::set_dot_form(DotForm::Auto);
+}
+
+#[test]
+fn forced_logprob_prefill_matches_stepwise_loop_bitwise() {
+    let mut t = Transformer::new(TransformerConfig::small(64));
+    let src = tokens(391, 18, 2, 64);
+    let tgt_in = tokens(392, 30, 2, 64);
+    let tgt_out = tokens(393, 30, 2, 64);
+    let fast = t.forced_logprob(&src, &tgt_in, &tgt_out);
+    // Reference: the pre-prefill implementation, one step per target token.
+    let mut st = t.begin_decode(&src);
+    let mut lp = 0.0f32;
+    let mut probs = vec![0.0f32; 64];
+    for (&from, &to) in tgt_in.iter().zip(tgt_out.iter()) {
+        probs.copy_from_slice(st.step(from));
+        vega_nn::decode::softmax_row(&mut probs);
+        lp += probs[to].max(1e-12).ln();
+    }
+    assert_eq!(
+        fast.to_bits(),
+        lp.to_bits(),
+        "prefilled forced_logprob diverged from the stepwise loop"
+    );
 }

@@ -113,31 +113,29 @@ fn decode_matches_graph_within_each_mode() {
 }
 
 #[test]
-fn batched_decode_matches_single_within_each_mode() {
-    use vega_nn::BatchDecode;
+fn forked_scoring_matches_single_within_each_mode() {
     let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for mode in available_modes() {
         kernel::set_mode(mode);
         let t = Transformer::new(TransformerConfig::tiny(10));
-        let srcs: [&[usize]; 3] = [&[2, 3, 4], &[4, 2], &[3]];
-        let mut batch = t.begin_batch_decode(4);
-        let mut singles: Vec<_> = srcs.iter().map(|s| t.begin_decode(s)).collect();
-        let slots: Vec<usize> = srcs.iter().map(|s| batch.join(s).unwrap()).collect();
-        for step in 0..4 {
-            let feeds: Vec<(usize, usize)> = slots.iter().map(|&s| (s, step + 1)).collect();
-            batch.step(&feeds);
-            for (i, st) in singles.iter_mut().enumerate() {
-                let want = st.step(step + 1);
-                let got = batch.logits(slots[i]);
-                for (c, (x, y)) in got.iter().zip(want).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "mode {}: batch/single logits diverged, slot {i} col {c}",
-                        mode.name()
-                    );
-                }
-            }
+        let src = [2, 3, 4];
+        // Ragged pairs: two share a 3-token prefix, one stops inside it, one
+        // shares only the first token.
+        let pairs: Vec<(Vec<usize>, Vec<usize>)> = vec![
+            (vec![0, 5, 6, 7, 8], vec![5, 6, 7, 8, 1]),
+            (vec![0, 5, 6, 2], vec![5, 6, 2, 1]),
+            (vec![0, 5], vec![5, 1]),
+            (vec![0, 9, 3, 3, 4, 2], vec![9, 3, 3, 4, 2, 1]),
+        ];
+        let forked = t.begin_decode(&src).forced_logprobs(&pairs);
+        for (i, (tgt_in, tgt_out)) in pairs.iter().enumerate() {
+            let single = t.begin_decode(&src).forced_logprob(tgt_in, tgt_out);
+            assert_eq!(
+                forked[i].to_bits(),
+                single.to_bits(),
+                "mode {}: forked/single score diverged, pair {i}",
+                mode.name()
+            );
         }
     }
     kernel::set_mode(KernelMode::Auto);

@@ -18,10 +18,7 @@
 //! Fires `--requests` generate requests over `--conns` connections, cycling
 //! through `--distinct` (target, group) pairs so repeats exercise the cache,
 //! and reports throughput and p50/p99 latency plus the server's cache
-//! statistics. When the server runs with `--speculate`/`--draft`, the main
-//! `loadgen:` line also reports the draft acceptance over the measured
-//! window (`accept_rate=`, `spec_drafted=`, `spec_accepted=`, computed as
-//! stats-counter deltas); without speculation all three read zero. Every request is traced: each worker mints deterministic
+//! statistics. Every request is traced: each worker mints deterministic
 //! trace ids (seeded from `--seed` and the worker index), and the server
 //! must echo each one back with a `timing` breakdown, which is aggregated
 //! into a `loadgen: timing …` line. Four checks, each printed as a greppable
@@ -38,8 +35,9 @@
 //! `--top` is a different mode entirely (vega-top): instead of generating
 //! load it polls `{"op":"metrics"}` every `--top-interval-ms` and renders a
 //! live one-line dashboard (rps, tokens/s, cache hit rate, request p50/p99,
-//! inflight, queued, shed, speculation depth and acceptance rate) for
-//! `TICKS` ticks, then exits.
+//! inflight, queued, shed) for `TICKS` ticks, then exits.
+//!
+//! A missing or malformed flag value exits with status 2, naming the flag.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -47,6 +45,7 @@ use std::time::{Duration, Instant};
 use vega::{Scale, VegaConfig};
 use vega_obs::json::Json;
 use vega_obs::TraceIdGen;
+use vega_serve::cli::{FlagError, Flags};
 use vega_serve::{load_checkpoint, protocol, Client, RetryPolicy};
 
 struct Args {
@@ -138,7 +137,10 @@ impl TimingTally {
     }
 }
 
-fn parse_args() -> Args {
+const SCALES: &[(&str, Scale)] = &[("tiny", Scale::Tiny), ("small", Scale::Small)];
+const OPS: &[(&str, bool)] = &[("generate", false), ("score", true)];
+
+fn parse_args() -> Result<Args, FlagError> {
     let mut args = Args {
         addr: String::new(),
         requests: 40,
@@ -157,57 +159,35 @@ fn parse_args() -> Args {
         cands: 4,
         cand_len: 24,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: usize| argv.get(i + 1).cloned().unwrap_or_default();
-        let mut used_value = true;
-        match argv[i].as_str() {
-            "--addr" => args.addr = take(i),
-            "--requests" => args.requests = take(i).parse().unwrap_or(40),
-            "--conns" => args.conns = take(i).parse().unwrap_or(4),
-            "--distinct" => args.distinct = take(i).parse().unwrap_or(5),
-            "--deadline-ms" => args.deadline_ms = take(i).parse().ok(),
-            "--verify-checkpoint" => args.verify_checkpoint = Some(PathBuf::from(take(i))),
-            "--scale" => {
-                args.scale = match take(i).as_str() {
-                    "small" => Scale::Small,
-                    _ => Scale::Tiny,
-                }
-            }
-            "--synthetic" => args.synthetic = take(i).parse().ok(),
-            "--seed" => args.seed = take(i).parse().unwrap_or(0),
-            "--op" => {
-                args.score = match take(i).as_str() {
-                    "score" => true,
-                    "generate" => false,
-                    other => {
-                        eprintln!("unknown op `{other}` (expected `generate` or `score`)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--cands" => args.cands = take(i).parse().unwrap_or(4),
-            "--cand-len" => args.cand_len = take(i).parse().unwrap_or(24),
-            "--overload-burst" => args.overload_burst = take(i).parse().unwrap_or(0),
-            "--top" => args.top = take(i).parse().unwrap_or(0),
-            "--top-interval-ms" => args.top_interval_ms = take(i).parse().unwrap_or(500),
-            "--shutdown" => {
-                args.shutdown = true;
-                used_value = false;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next() {
+        let f = flag.as_str();
+        match f {
+            "--addr" => args.addr = flags.value(f)?,
+            "--requests" => args.requests = flags.value(f)?,
+            "--conns" => args.conns = flags.value(f)?,
+            "--distinct" => args.distinct = flags.value(f)?,
+            "--deadline-ms" => args.deadline_ms = Some(flags.value(f)?),
+            "--verify-checkpoint" => args.verify_checkpoint = Some(flags.value(f)?),
+            "--scale" => args.scale = flags.choice(f, SCALES)?,
+            "--synthetic" => args.synthetic = Some(flags.value(f)?),
+            "--seed" => args.seed = flags.value(f)?,
+            "--op" => args.score = flags.choice(f, OPS)?,
+            "--cands" => args.cands = flags.value(f)?,
+            "--cand-len" => args.cand_len = flags.value(f)?,
+            "--overload-burst" => args.overload_burst = flags.value(f)?,
+            "--top" => args.top = flags.value(f)?,
+            "--top-interval-ms" => args.top_interval_ms = flags.value(f)?,
+            "--shutdown" => args.shutdown = true,
+            other => return Err(FlagError(format!("unknown flag {other}"))),
         }
-        i += if used_value { 2 } else { 1 };
     }
     if args.addr.is_empty() {
-        eprintln!("usage: vega-loadgen --addr HOST:PORT [--requests N] …");
-        std::process::exit(2);
+        return Err(FlagError(
+            "usage: vega-loadgen --addr HOST:PORT [--requests N] …".to_string(),
+        ));
     }
-    args
+    Ok(args)
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -288,38 +268,15 @@ fn run_top(addr: &str, ticks: usize, interval_ms: u64, retry: &RetryPolicy) -> b
             }
             None => (0.0, 0.0),
         };
-        // Speculation gauges: cumulative acceptance rate plus the live
-        // depth (0 = plain greedy, including degraded configurations).
-        let (spec_drafted, spec_accepted) = (
-            counter("spec.draft_tokens"),
-            counter("spec.accepted_tokens"),
-        );
-        let accept_rate = if spec_drafted > 0.0 {
-            100.0 * spec_accepted / spec_drafted
-        } else {
-            0.0
-        };
         println!(
             "vega-top: rps={rps:.1} tokens/s={tps:.1} cache_hit={:.1}% \
-             p50={:.1}ms p99={:.1}ms inflight={:.0} queued={:.0} shed={:.0} \
-             batch_active={:.0} batch_occ={:.1} \
-             spec_depth={:.0} accept_rate={accept_rate:.1}%",
+             p50={:.1}ms p99={:.1}ms inflight={:.0} queued={:.0} shed={:.0}",
             hit_ratio * 100.0,
             hist_q("serve.request_seconds", "p50") * 1e3,
             hist_q("serve.request_seconds", "p99") * 1e3,
             gauge("serve.inflight"),
             gauge("serve.queue_depth"),
             counter("serve.shed"),
-            gauge("serve.batch.active"),
-            {
-                let occ = hist_q("serve.batch.occupancy", "mean");
-                if occ.is_nan() {
-                    0.0
-                } else {
-                    occ
-                }
-            },
-            gauge("serve.spec.depth"),
         );
         prev = Some((now, requests, tokens));
         if tick + 1 < ticks {
@@ -343,7 +300,10 @@ fn result_bytes(response: &Json, field: &str) -> Result<String, String> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let mut failed = false;
 
     // Transport retry policy: absorbs the startup race where the first
@@ -397,12 +357,7 @@ fn main() {
 
     // Decode-token counter before the measured load, so the wall-clock
     // window yields serving-level tokens/sec for the fast decode path.
-    // Speculation counters ride the same stats snapshot: the deltas give
-    // the acceptance rate over exactly the measured window.
-    let stats_before = control.op_with_retry("stats", &retry);
-    let tokens_before = stat_u64(&stats_before, "decode_tokens");
-    let drafted_before = stat_u64(&stats_before, "spec_draft_tokens");
-    let accepted_before = stat_u64(&stats_before, "spec_accepted_tokens");
+    let tokens_before = stat_u64(&control.op_with_retry("stats", &retry), "decode_tokens");
 
     // Fire the measured load across connections.
     let t0 = Instant::now();
@@ -476,20 +431,10 @@ fn main() {
     let wall = t0.elapsed();
     let stats_after = control.op_with_retry("stats", &retry);
     let decode_tokens = stat_u64(&stats_after, "decode_tokens").saturating_sub(tokens_before);
-    let spec_drafted = stat_u64(&stats_after, "spec_draft_tokens").saturating_sub(drafted_before);
-    let spec_accepted =
-        stat_u64(&stats_after, "spec_accepted_tokens").saturating_sub(accepted_before);
-    let accept_rate = if spec_drafted > 0 {
-        100.0 * spec_accepted as f64 / spec_drafted as f64
-    } else {
-        0.0
-    };
     latencies.sort();
     println!(
         "loadgen: requests={} wall={:.2}s throughput={:.1}/s tokens/s={:.1} \
-         decode_tokens={decode_tokens} accept_rate={accept_rate:.1}% \
-         spec_drafted={spec_drafted} spec_accepted={spec_accepted} \
-         p50={:.1}ms p99={:.1}ms",
+         decode_tokens={decode_tokens} p50={:.1}ms p99={:.1}ms",
         latencies.len(),
         wall.as_secs_f64(),
         latencies.len() as f64 / wall.as_secs_f64().max(1e-9),
@@ -509,45 +454,6 @@ fn main() {
         timing.cache_miss,
         timing.coalesced,
     );
-    // Continuous-batching statistics (all zeros under the replica engine):
-    // mean/p99 batch occupancy per decode step and the queue-join wait a
-    // request saw before its session got a slot.
-    match control.op_with_retry("metrics", &retry) {
-        Ok(m) => {
-            let counter = |name: &str| -> u64 {
-                m.field("metrics")
-                    .and_then(|v| v.field("counters"))
-                    .and_then(|c| c.field(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            let hist_q = |name: &str, q: &str| -> f64 {
-                m.field("metrics")
-                    .and_then(|v| v.field("hists"))
-                    .and_then(|h| h.field(name))
-                    .and_then(|h| h.field(q))
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0)
-            };
-            println!(
-                "loadgen: batch steps={} joins={} replays={} \
-                 occupancy_mean={:.2} occupancy_p99={:.1} \
-                 join_wait_mean_ms={:.2} join_wait_p99_ms={:.2}",
-                counter("serve.batch.steps"),
-                counter("serve.batch.joins"),
-                counter("serve.batch.replays"),
-                hist_q("serve.batch.occupancy", "mean"),
-                hist_q("serve.batch.occupancy", "p99"),
-                hist_q("serve.batch.join_wait_ms", "mean"),
-                hist_q("serve.batch.join_wait_ms", "p99"),
-            );
-        }
-        Err(e) => {
-            println!("loadgen: batch=FAIL (metrics op: {e})");
-            failed = true;
-        }
-    }
-
     // Every response must echo the trace id the worker minted for it.
     if timing.trace_bad == 0 && timing.trace_ok == latencies.len() as u64 {
         println!(

@@ -4,27 +4,24 @@
 //! vega-serve --checkpoint PATH [--scale tiny|small] [--synthetic N] [--seed S]
 //!            [--addr HOST:PORT] [--port-file PATH]
 //!            [--cache-cap N] [--queue-cap N] [--batch N] [--threads N]
-//!            [--engine replica|batch] [--batch-slots N] [--prefault 0|1]
-//!            [--speculate K] [--draft PATH]
-//!            [--deadline-ms MS] [--slow-ms MS] [--trace-out PATH]
-//!            [--flight-cap N]
+//!            [--prefault 0|1] [--deadline-ms MS] [--slow-ms MS]
+//!            [--trace-out PATH] [--flight-cap N]
 //! ```
 //!
 //! Loads the checkpoint, rebuilds Stage-1 artifacts for the configured corpus
 //! (must match the checkpoint's training configuration), binds, and serves
 //! until a client sends `{"op":"shutdown"}` (or the process is killed).
+//! `--batch` sizes the replica pool (default: the `--threads` pool size);
 //! `--port-file` writes the resolved port for scripts binding port 0;
 //! `--slow-ms` injects per-generation latency so tests can provoke overload;
 //! `--flight-cap` sizes the flight recorder (default 256 records, 0
 //! disables). The recorder's retained records are served by the
-//! `{"op":"flightdump"}` protocol op and dumped to stderr on panic.
-//! `--speculate K --draft PATH` turns on exact speculative decoding: the GRU
-//! checkpoint at PATH drafts K tokens per transformer verifier pass (output
-//! bytes are identical to plain greedy; only throughput changes). An
-//! incomplete speculation setup degrades to plain greedy with a warning.
+//! `{"op":"flightdump"}` protocol op and dumped to stderr on panic. A
+//! missing or malformed flag value exits with status 2, naming the flag.
 
 use std::path::PathBuf;
 use vega::{Scale, VegaConfig};
+use vega_serve::cli::{FlagError, Flags};
 use vega_serve::{load_checkpoint_prefault, ServeConfig, Server};
 
 struct Args {
@@ -34,13 +31,21 @@ struct Args {
     seed: u64,
     port_file: Option<PathBuf>,
     threads: Option<usize>,
-    deadline_ms: Option<u64>,
     trace_out: Option<PathBuf>,
-    draft: Option<PathBuf>,
     serve: ServeConfig,
 }
 
-fn parse_args() -> Args {
+const SCALES: &[(&str, Scale)] = &[("tiny", Scale::Tiny), ("small", Scale::Small)];
+const ON_OFF: &[(&str, bool)] = &[
+    ("0", false),
+    ("1", true),
+    ("off", false),
+    ("on", true),
+    ("false", false),
+    ("true", true),
+];
+
+fn parse_args() -> Result<Args, FlagError> {
     let mut args = Args {
         checkpoint: PathBuf::new(),
         scale: Scale::Tiny,
@@ -48,9 +53,7 @@ fn parse_args() -> Args {
         seed: 0,
         port_file: None,
         threads: None,
-        deadline_ms: None,
         trace_out: None,
-        draft: None,
         serve: ServeConfig {
             // The daemon keeps a black box by default; embedded test servers
             // (ServeConfig::default) leave the process-global recorder alone.
@@ -58,57 +61,35 @@ fn parse_args() -> Args {
             ..ServeConfig::default()
         },
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: usize| argv.get(i + 1).cloned().unwrap_or_default();
-        match argv[i].as_str() {
-            "--checkpoint" => args.checkpoint = PathBuf::from(take(i)),
-            "--scale" => {
-                args.scale = match take(i).as_str() {
-                    "small" => Scale::Small,
-                    _ => Scale::Tiny,
-                }
-            }
-            "--synthetic" => args.synthetic = take(i).parse().ok(),
-            "--seed" => args.seed = take(i).parse().unwrap_or(0),
-            "--addr" => args.serve.addr = take(i),
-            "--port-file" => args.port_file = Some(PathBuf::from(take(i))),
-            "--cache-cap" => args.serve.cache_cap = take(i).parse().unwrap_or(512),
-            "--queue-cap" => args.serve.queue_cap = take(i).parse().unwrap_or(64),
-            "--batch" => args.serve.batch = take(i).parse().unwrap_or(0),
-            "--engine" => {
-                args.serve.engine = match vega_serve::EngineMode::parse(&take(i)) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        vega_obs::error!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--batch-slots" => args.serve.batch_slots = take(i).parse().unwrap_or(0),
-            "--prefault" => args.serve.prefault = matches!(take(i).as_str(), "1" | "true" | "on"),
-            "--speculate" => args.serve.speculate = take(i).parse().unwrap_or(0),
-            "--draft" => args.draft = Some(PathBuf::from(take(i))),
-            "--threads" => args.threads = take(i).parse().ok(),
-            "--deadline-ms" => args.deadline_ms = take(i).parse().ok(),
-            "--slow-ms" => args.serve.slow_ms = take(i).parse().unwrap_or(0),
-            "--trace-out" => args.trace_out = Some(PathBuf::from(take(i))),
-            "--flight-cap" => args.serve.flight_cap = take(i).parse().unwrap_or(256),
-            other => {
-                vega_obs::error!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next() {
+        let f = flag.as_str();
+        match f {
+            "--checkpoint" => args.checkpoint = flags.value(f)?,
+            "--scale" => args.scale = flags.choice(f, SCALES)?,
+            "--synthetic" => args.synthetic = Some(flags.value(f)?),
+            "--seed" => args.seed = flags.value(f)?,
+            "--addr" => args.serve.addr = flags.value(f)?,
+            "--port-file" => args.port_file = Some(flags.value(f)?),
+            "--cache-cap" => args.serve.cache_cap = flags.value(f)?,
+            "--queue-cap" => args.serve.queue_cap = flags.value(f)?,
+            "--batch" => args.serve.batch = flags.value(f)?,
+            "--prefault" => args.serve.prefault = flags.choice(f, ON_OFF)?,
+            "--threads" => args.threads = Some(flags.value(f)?),
+            "--deadline-ms" => args.serve.default_deadline_ms = flags.value(f)?,
+            "--slow-ms" => args.serve.slow_ms = flags.value(f)?,
+            "--trace-out" => args.trace_out = Some(flags.value(f)?),
+            "--flight-cap" => args.serve.flight_cap = flags.value(f)?,
+            other => return Err(FlagError(format!("unknown flag {other}"))),
         }
-        i += 2;
     }
     if args.checkpoint.as_os_str().is_empty() {
-        vega_obs::error!(
+        return Err(FlagError(
             "usage: vega-serve --checkpoint PATH [--scale tiny|small] [--addr HOST:PORT] …"
-        );
-        std::process::exit(2);
+                .to_string(),
+        ));
     }
-    args
+    Ok(args)
 }
 
 fn config_from(args: &Args) -> VegaConfig {
@@ -125,14 +106,14 @@ fn config_from(args: &Args) -> VegaConfig {
 }
 
 fn main() {
-    let mut args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| {
+        vega_obs::error!("{e}");
+        std::process::exit(2);
+    });
     // A panicking daemon leaves its flight-recorder black box on stderr.
     vega_obs::flight::install_panic_hook();
     if let Some(n) = args.threads {
         vega_par::set_threads(n);
-    }
-    if let Some(d) = args.deadline_ms {
-        args.serve.default_deadline_ms = d;
     }
 
     let checkpoint = match load_checkpoint_prefault(&args.checkpoint, args.serve.prefault) {
@@ -157,27 +138,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // A bad draft path is a hard startup error (the operator asked for a
-    // specific file); an incomplete combination (--speculate without --draft,
-    // or vice versa) degrades inside the server with a warning.
-    if let Some(path) = &args.draft {
-        let draft = load_checkpoint_prefault(path, false).and_then(|c| c.into_draft());
-        match draft {
-            Ok(d) => {
-                vega_obs::info!(
-                    "[vega-serve] speculation draft {} (vocab {}, depth {})",
-                    path.display(),
-                    d.cfg.vocab,
-                    args.serve.speculate
-                );
-                args.serve.draft = Some(d);
-            }
-            Err(e) => {
-                vega_obs::error!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
     vega_obs::info!(
         "[vega-serve] engine ready: {} targets, {} groups",
         engine.target_names().len(),

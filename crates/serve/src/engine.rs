@@ -31,7 +31,7 @@ fn abort_error(abort: DecodeAbort) -> EngineError {
     match abort {
         DecodeAbort::Expired => EngineError {
             kind: ErrorKind::DeadlineExceeded,
-            msg: "deadline elapsed mid-generation at a token boundary".into(),
+            msg: "deadline elapsed before the decode finished".into(),
         },
         DecodeAbort::Broken(msg) => EngineError {
             kind: ErrorKind::Internal,
@@ -211,17 +211,16 @@ impl Engine {
         self.try_generate_with(model, target, group, None)
     }
 
-    /// Generates one function on the given model replica, honoring
-    /// `deadline` at token boundaries when the replica routes decode through
-    /// a batching backend. Without a backend the deadline is ignored and
-    /// generation runs to completion (replica mode enforces deadlines before
-    /// dispatch instead).
+    /// Generates one function on the given model replica. The local decode
+    /// path ignores `deadline` and runs to completion (the server checks
+    /// deadlines before dispatch); it only reaches a decode backend
+    /// installed on the replica, which may abort on it.
     ///
     /// # Errors
     /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
-    /// [`Engine::generate_with`]; [`ErrorKind::DeadlineExceeded`] when the
-    /// backend aborted at the deadline; [`ErrorKind::Internal`] when the
-    /// backend itself failed.
+    /// [`Engine::generate_with`]; [`ErrorKind::DeadlineExceeded`] when an
+    /// installed backend aborted at the deadline; [`ErrorKind::Internal`]
+    /// when the backend itself failed.
     pub fn try_generate_with(
         &self,
         model: &mut CodeBe,

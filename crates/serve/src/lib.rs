@@ -27,12 +27,12 @@
 //!
 //! Binaries: `vega-serve` (the daemon) and `vega-loadgen` (a concurrent load
 //! generator that measures throughput/p50/p99 and verifies responses against
-//! direct in-process generation).
+//! direct in-process generation). Both parse their flags through [`cli`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batcher;
+pub mod cli;
 pub mod client;
 pub mod engine;
 pub mod hash;
@@ -48,4 +48,4 @@ pub use protocol::{ErrorKind, Request};
 pub use registry::{
     load_checkpoint, load_checkpoint_prefault, Checkpoint, CheckpointMeta, RegistryError,
 };
-pub use server::{EngineMode, ServeConfig, ServeStats, Server};
+pub use server::{ServeConfig, ServeStats, Server};

@@ -25,10 +25,15 @@
 //! model's log-probability of emitting each candidate from the exact
 //! signature frame generation would decode from, in candidate order. At most
 //! [`MAX_SCORE_CANDIDATES`] candidates per request, each a non-empty array
-//! of token ids. Scoring never joins the batch broker, under either engine:
-//! the request is scored on its connection thread, on a model replica with
-//! no decode backend, which encodes the signature once and scores every
+//! of token ids. The request is scored on its connection thread, on a
+//! model replica that encodes the signature once and scores every
 //! candidate in one decoder forward (their shared prefix fed once).
+//!
+//! `deadline_ms` is checked before work starts: a `generate` job still
+//! queued when its deadline passes, or a `score` request whose deadline
+//! passed before its forward, is answered with `deadline_exceeded`. Work
+//! that has started runs to completion; no decode is aborted between
+//! tokens. A `backend` request's deadline spans all its groups.
 //!
 //! `generate`, `backend`, and `score` additionally accept an optional `trace` field —
 //! a [`vega_obs::TraceCtx`] in its `render` form

@@ -96,27 +96,6 @@ pub fn load_checkpoint_prefault(path: &Path, prefault: bool) -> Result<Checkpoin
 }
 
 impl Checkpoint {
-    /// Converts a GRU checkpoint into a speculative-decoding draft model
-    /// (`ServeConfig::draft`). Drafts are consulted only for token
-    /// *proposals* — a mismatched draft degrades throughput, never output —
-    /// so no corpus validation applies; only the architecture is checked.
-    ///
-    /// # Errors
-    /// [`RegistryError`] when the checkpoint is not GRU-backed.
-    pub fn into_draft(self) -> Result<std::sync::Arc<vega_nn::GruSeq2Seq>, RegistryError> {
-        let path = self.meta.path.clone();
-        let arch = self.meta.arch.clone();
-        self.model
-            .into_gru()
-            .map(std::sync::Arc::new)
-            .ok_or_else(|| RegistryError {
-                msg: format!(
-                    "{}: a speculation draft must be a GRU checkpoint (arch is `{arch}`)",
-                    path.display()
-                ),
-            })
-    }
-
     /// Validates the checkpoint against `config`'s corpus and scale (Stage 1
     /// runs, Stage 2 is the loaded model) and builds the serving engine.
     ///

@@ -12,7 +12,9 @@
 //! 3. **Backpressure** — if the queue holds `queue_cap` jobs, shed with an
 //!    explicit `overloaded` response. The server never blocks an enqueue.
 //! 4. **Deadline** — a job dequeued after its deadline is answered with
-//!    `deadline_exceeded` instead of being generated.
+//!    `deadline_exceeded` instead of being generated. A generation that has
+//!    started runs to completion: the deadline is checked before dispatch,
+//!    never between tokens.
 //! 5. **Shutdown** — after shutdown begins, new work is refused with
 //!    `shutting_down`, but everything already queued is generated and
 //!    answered before the dispatcher exits.
@@ -31,45 +33,6 @@ use std::time::{Duration, Instant};
 use vega_model::CodeBe;
 use vega_obs::json::Json;
 use vega_obs::TraceCtx;
-
-/// How the dispatcher turns queued jobs into decoded tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Replica fanout: micro-batches of jobs fan across a pool of model
-    /// replicas via `vega-par`; every job pays a full weight traversal.
-    #[default]
-    Replica,
-    /// Continuous batching: persistent workers route every decode call to
-    /// a single broker that steps all in-flight generations in lockstep
-    /// through shared weights (see the [`crate::batcher`] module docs).
-    /// Outputs are bit-identical to replica mode.
-    Batch,
-}
-
-impl EngineMode {
-    /// Stable lowercase name, as reported by the `stats` op and accepted by
-    /// the daemon's `--engine` flag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineMode::Replica => "replica",
-            EngineMode::Batch => "batch",
-        }
-    }
-
-    /// Parses a mode name.
-    ///
-    /// # Errors
-    /// Returns the unrecognized input.
-    pub fn parse(s: &str) -> Result<EngineMode, String> {
-        match s {
-            "replica" => Ok(EngineMode::Replica),
-            "batch" => Ok(EngineMode::Batch),
-            other => Err(format!(
-                "unknown engine mode `{other}` (expected `replica` or `batch`)"
-            )),
-        }
-    }
-}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -97,28 +60,11 @@ pub struct ServeConfig {
     /// embedded servers in tests don't clobber each other's recorders. The
     /// `vega-serve` daemon enables it (default 256, `--flight-cap`).
     pub flight_cap: usize,
-    /// Dispatch strategy (replica fanout vs continuous batching).
-    pub engine: EngineMode,
-    /// Continuous-batching broker capacity in lockstep slots (0 →
-    /// `max(batch, 8)`); ignored by the replica engine. Each dispatch
-    /// worker drives at most one generation through the broker at a time,
-    /// so the default headroom only matters if the pool is resized.
-    pub batch_slots: usize,
     /// Warm-touch (`madvise` + page-touch) checkpoint mappings on swap, so
     /// the first post-swap generations don't pay major-fault latency. Only
     /// affects v2 binary checkpoints loaded through the `swap` op; the
     /// daemon's initial load has its own `--prefault` flag.
     pub prefault: bool,
-    /// Speculative-decoding depth: how many tokens the draft model proposes
-    /// per verifier pass (`--speculate`). 0 disables speculation. Depth
-    /// without a [`ServeConfig::draft`] degrades to plain greedy with a
-    /// logged warning (output is bit-identical either way — speculation is
-    /// exact, see `vega_nn::speculate`).
-    pub speculate: usize,
-    /// The GRU draft model speculation proposes tokens with, shared by all
-    /// replicas (`--draft`). Only consulted for proposals: a weak or
-    /// mismatched draft costs throughput, never changes output bytes.
-    pub draft: Option<Arc<vega_nn::GruSeq2Seq>>,
 }
 
 impl Default for ServeConfig {
@@ -132,11 +78,7 @@ impl Default for ServeConfig {
             slow_ms: 0,
             conn_idle_timeout_ms: 300_000,
             flight_cap: 0,
-            engine: EngineMode::Replica,
-            batch_slots: 0,
             prefault: false,
-            speculate: 0,
-            draft: None,
         }
     }
 }
@@ -235,8 +177,6 @@ pub struct ServeStats {
     pub decode_step_p90: f64,
     /// p99 of the `decode.step_seconds` obs histogram (NaN when empty).
     pub decode_step_p99: f64,
-    /// Dispatch strategy of the live model set (`"replica"` or `"batch"`).
-    pub engine: &'static str,
     /// Active SIMD kernel (`"scalar"` or `"avx2"`, from `VEGA_KERNEL` — see
     /// `vega_nn::kernel`). Cache keys embed it, so operators can tell which
     /// mode a node's cached payloads belong to.
@@ -245,25 +185,6 @@ pub struct ServeStats {
     /// borrowed from a shared checkpoint mapping). Zero after a v2 mmap
     /// load — the ROADMAP's resident-bytes-per-replica telemetry.
     pub resident_bytes_per_replica: u64,
-    /// Lockstep passes the continuous-batching broker has run (0 in
-    /// replica mode).
-    pub batch_steps: u64,
-    /// Sessions that joined the running batch (0 in replica mode).
-    pub batch_joins: u64,
-    /// Chaos-killed batch slots replayed from scratch (0 without faults).
-    pub batch_replays: u64,
-    /// Tokens the speculative draft model proposed (process-wide
-    /// `spec.draft_tokens` obs counter; 0 with speculation off).
-    pub spec_draft_tokens: u64,
-    /// Drafted tokens the verifier accepted (`spec.accepted_tokens`).
-    pub spec_accepted_tokens: u64,
-    /// `spec_accepted_tokens / spec_draft_tokens` (`0.0` before any draft) —
-    /// how often the draft predicted the verifier, precomputed like
-    /// [`ServeStats::cache_hit_ratio`].
-    pub spec_accept_ratio: f64,
-    /// Active speculation depth of the live model set (0 = plain greedy,
-    /// including every degraded configuration).
-    pub spec_depth: u64,
 }
 
 impl ServeStats {
@@ -290,22 +211,11 @@ impl ServeStats {
             ("decode_step_p50", Json::num_f64(self.decode_step_p50)),
             ("decode_step_p90", Json::num_f64(self.decode_step_p90)),
             ("decode_step_p99", Json::num_f64(self.decode_step_p99)),
-            ("engine", Json::str(self.engine)),
             ("kernel", Json::str(self.kernel)),
             (
                 "resident_bytes_per_replica",
                 Json::num_u64(self.resident_bytes_per_replica),
             ),
-            ("batch_steps", Json::num_u64(self.batch_steps)),
-            ("batch_joins", Json::num_u64(self.batch_joins)),
-            ("batch_replays", Json::num_u64(self.batch_replays)),
-            ("spec_draft_tokens", Json::num_u64(self.spec_draft_tokens)),
-            (
-                "spec_accepted_tokens",
-                Json::num_u64(self.spec_accepted_tokens),
-            ),
-            ("spec_accept_ratio", Json::num_f64(self.spec_accept_ratio)),
-            ("spec_depth", Json::num_u64(self.spec_depth)),
         ])
     }
 }
@@ -314,113 +224,27 @@ impl ServeStats {
 /// engine's weights (checkpoint mapping or heap) — spawning one copies
 /// tensor descriptors, not weight data — so a pool costs O(pool size), not
 /// O(pool size × model size).
-///
-/// In [`EngineMode::Batch`] the set also owns a continuous-batching broker;
-/// every pool replica carries a backend handle routing its decode calls to
-/// it. Field order matters for `Drop`: `replicas` (holding backend senders)
-/// must drop before `batcher` (whose drop joins the broker, which exits
-/// only once every sender is gone).
 struct ModelSet {
     engine: Engine,
-    mode: EngineMode,
     /// Heap bytes a single replica owns privately (tensor data not borrowed
     /// from a shared checkpoint mapping) — `owned_scalars × 4`. Zero right
     /// after a v2 mmap load: replicas then cost descriptors only.
     resident_bytes_per_replica: u64,
     replicas: Vec<Mutex<CodeBe>>,
-    /// The continuous-batching broker. Generation replicas route their
-    /// decode calls through it (`score` runs the multi-position prefill
-    /// path instead — see `handle_score`). Held only so its `Drop` joins
-    /// the broker thread when the set retires.
-    #[allow(dead_code)]
-    batcher: Option<crate::batcher::BatcherHandle>,
-    /// Effective speculation depth after the degrade checks in
-    /// [`ModelSet::new`] (0 = plain greedy) — what the `stats` op reports.
-    spec_depth: usize,
 }
 
 impl ModelSet {
-    fn new(engine: Engine, cfg: &ServeConfig) -> Self {
-        let (pool, mode, batch_slots) = (cfg.batch, cfg.engine, cfg.batch_slots);
-        let mut replicas: Vec<Mutex<CodeBe>> =
+    /// The engine plus `pool` replicas of its model.
+    fn new(engine: Engine, pool: usize) -> Self {
+        let replicas: Vec<Mutex<CodeBe>> =
             (0..pool).map(|_| Mutex::new(engine.replica())).collect();
         let resident_bytes_per_replica = replicas
             .first()
             .map_or(0, |r| r.lock().unwrap().owned_scalars() as u64 * 4);
-        let batcher = match mode {
-            EngineMode::Replica => None,
-            EngineMode::Batch => {
-                // The broker decodes on its own backend-free replica; the
-                // pool replicas forward to it. Capacity covers at least the
-                // pool (each dispatch worker has at most one decode call in
-                // flight) plus headroom so a resized pool never starves.
-                let slots = if batch_slots == 0 {
-                    pool.max(8)
-                } else {
-                    batch_slots
-                };
-                let handle = crate::batcher::BatcherHandle::spawn(engine.replica(), slots);
-                for r in &mut replicas {
-                    r.get_mut()
-                        .unwrap()
-                        .set_decode_backend(Some(handle.backend()));
-                }
-                Some(handle)
-            }
-        };
-        // Speculation degrades gracefully (plain greedy, logged warning) when
-        // the configuration can't support it — mirroring how
-        // `VEGA_KERNEL=avx2` falls back on a non-AVX2 CPU. Output bytes are
-        // identical either way; speculation is exact.
-        let spec_depth = match (&cfg.draft, cfg.speculate, mode) {
-            (_, 0, _) => 0,
-            (None, k, _) => {
-                vega_obs::warn!(
-                    "[vega-serve] --speculate {k} requested but no draft model \
-                     loaded (--draft); serving plain greedy"
-                );
-                0
-            }
-            (Some(_), k, EngineMode::Batch) => {
-                vega_obs::warn!(
-                    "[vega-serve] speculation (--speculate {k}) is per-session; \
-                     the batch engine amortizes across sessions instead — \
-                     serving plain greedy"
-                );
-                0
-            }
-            (Some(draft), k, EngineMode::Replica) => {
-                let model_vocab = replicas
-                    .first()
-                    .map_or(0, |r| r.lock().unwrap().vocab.len());
-                if draft.cfg.vocab < model_vocab {
-                    vega_obs::warn!(
-                        "[vega-serve] draft vocab ({}) smaller than model vocab \
-                         ({model_vocab}); serving plain greedy",
-                        draft.cfg.vocab
-                    );
-                    0
-                } else {
-                    for r in &mut replicas {
-                        r.get_mut()
-                            .unwrap()
-                            .set_speculative(Some(Arc::clone(draft)), k);
-                    }
-                    vega_obs::info!("[vega-serve] speculative decoding on (depth {k})");
-                    k
-                }
-            }
-        };
-        // Gauge (not counter): a hot swap re-runs the degrade checks, so the
-        // live depth can change.
-        vega_obs::global().gauge_set("serve.spec.depth", spec_depth as f64);
         ModelSet {
             engine,
-            mode,
             resident_bytes_per_replica,
             replicas,
-            batcher,
-            spec_depth,
         }
     }
 }
@@ -480,7 +304,7 @@ impl Server {
                 0.0
             },
         );
-        let model_set = Arc::new(ModelSet::new(engine, &cfg));
+        let model_set = Arc::new(ModelSet::new(engine, cfg.batch));
         let cache = LruCache::new(cfg.cache_cap);
         let shared = Arc::new(Shared {
             cfg,
@@ -564,10 +388,6 @@ fn snapshot(shared: &Shared) -> ServeStats {
     let step_hist = obs.histogram("decode.step_seconds");
     let step_q = |q: f64| step_hist.as_ref().map_or(f64::NAN, |h| h.quantile(q));
     let set = models(shared);
-    let (drafted, accepted) = (
-        obs.counter("spec.draft_tokens"),
-        obs.counter("spec.accepted_tokens"),
-    );
     let st = shared.state.lock().unwrap();
     let (hits, misses) = (st.cache.hits(), st.cache.misses());
     ServeStats {
@@ -592,20 +412,8 @@ fn snapshot(shared: &Shared) -> ServeStats {
         decode_step_p50: step_q(0.5),
         decode_step_p90: step_q(0.9),
         decode_step_p99: step_q(0.99),
-        engine: set.mode.as_str(),
         kernel: vega_nn::kernel::active_name(),
         resident_bytes_per_replica: set.resident_bytes_per_replica,
-        batch_steps: obs.counter("serve.batch.steps"),
-        batch_joins: obs.counter("serve.batch.joins"),
-        batch_replays: obs.counter("serve.batch.replays"),
-        spec_draft_tokens: drafted,
-        spec_accepted_tokens: accepted,
-        spec_accept_ratio: if drafted == 0 {
-            0.0
-        } else {
-            accepted as f64 / drafted as f64
-        },
-        spec_depth: set.spec_depth as u64,
     }
 }
 
@@ -989,17 +797,12 @@ fn handle_backend(
 /// thread against a fresh replica of the pinned model set (replicas share
 /// weights, so the clone copies tensor descriptors, not weight data).
 ///
-/// Scoring never routes through the batch broker, even under the batch
-/// engine: the replica carries no decode backend, so
 /// [`Engine::try_score_with`] encodes the signature input once in a decode
 /// session and scores every candidate in one decoder forward over that
 /// encoding (the candidates' shared prefix fed once, then every
-/// candidate's remaining positions as rows of one pass) — amortizing
-/// weight reads across the whole request, where feeding the broker's
-/// lockstep batch one token at a time measures ~1.5x slower on the
-/// deploy-shaped bench (see `benches/serve.rs`). The deadline is checked
-/// once, before that forward. The broker earns its keep on *generation*,
-/// where each next token is unknown until the previous one is decoded.
+/// candidate's remaining positions as rows of one pass), amortizing weight
+/// reads across the whole request. The deadline is checked once, before
+/// that forward.
 #[allow(clippy::too_many_arguments)]
 fn handle_score(
     shared: &Shared,
@@ -1105,7 +908,7 @@ fn handle_swap(shared: &Shared, id: &Json, path: &str) -> String {
         }
     };
     let digest_changed = engine.model_digest() != old.engine.model_digest();
-    let new_set = Arc::new(ModelSet::new(engine, &shared.cfg));
+    let new_set = Arc::new(ModelSet::new(engine, shared.cfg.batch));
     *shared.models.write().unwrap() = Arc::clone(&new_set);
     // Cache keys embed the model digest, so stale entries can never alias
     // the new model's; clearing on a digest change only frees memory. An
@@ -1273,10 +1076,7 @@ fn fail_predispatch(shared: &Shared, job: &Job) {
     );
 }
 
-/// Runs one job on replica slot `i` of its pinned model set. Shared by both
-/// dispatch modes: in replica mode the replica decodes locally; in batch
-/// mode it forwards every decode call to the broker (same call shape, same
-/// bits). Returns `(job, result, queue_ms, tokens, decode_ms)`.
+/// The outcome of [`run_job`]: `(job, result, queue_ms, tokens, decode_ms)`.
 type JobRun = (
     Job,
     Result<(vega_corpus::Module, vega::GeneratedFunction), crate::engine::EngineError>,
@@ -1285,6 +1085,11 @@ type JobRun = (
     f64,
 );
 
+/// Runs one job on replica slot `i` of its pinned model set. The job's
+/// deadline was checked before dispatch; once started, the generation runs
+/// to completion on the replica. The deadline is still handed to
+/// [`Engine::try_generate_with`], which passes it to the replica's decode
+/// backend when one is installed (the local decode path ignores it).
 fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
     let worker_obs = vega_obs::global();
     let _trace_guard = worker_obs.adopt_trace(job.trace);
@@ -1294,19 +1099,12 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
         std::thread::sleep(Duration::from_millis(shared.cfg.slow_ms));
     }
     // Generation runs single-threaded on this worker, so the thread-local
-    // tally is an exact per-job decode attribution. In batch mode the
-    // broker hands each session's token count and step-time share back to
-    // this thread, which bumps the same tally — the attribution protocol is
-    // identical in both modes.
+    // tally is an exact per-job decode attribution.
     vega_nn::decode::tally::reset();
     // The job's pinned set (not the live registry): key, engine and replica
     // must all describe the same model even mid-swap. Slot `i` is this
-    // worker's own (replica mode: batch size == pool size; batch mode: one
-    // persistent worker per slot), so the lock never contends.
+    // worker's own (batch size == pool size), so the lock never contends.
     let mut replica = job.models.replicas[i].lock().unwrap();
-    // The deadline reaches the decode path only through a batching backend,
-    // which aborts at token boundaries; the local path ignores it (replica
-    // mode enforces deadlines before dispatch instead).
     let result = job.models.engine.try_generate_with(
         &mut replica,
         &job.target,
@@ -1362,54 +1160,10 @@ fn settle_job(shared: &Shared, run: JobRun) {
     }
 }
 
+/// Drains the queue in micro-batches of up to `batch` jobs, fanning each
+/// batch across the replica pool. Exits once the queue is empty after
+/// shutdown began.
 fn dispatcher_loop(shared: &Shared) {
-    match shared.cfg.engine {
-        EngineMode::Replica => replica_dispatch_loop(shared),
-        EngineMode::Batch => {
-            // One persistent worker per replica slot; each claims one job
-            // at a time, so queued requests flow into the broker's running
-            // batch continuously instead of waiting for micro-batch
-            // barriers. The scope joins all workers before returning, so
-            // drain semantics match replica mode: everything queued before
-            // shutdown is answered.
-            std::thread::scope(|scope| {
-                for i in 0..shared.cfg.batch {
-                    scope.spawn(move || batch_worker_loop(shared, i));
-                }
-            });
-        }
-    }
-}
-
-/// Continuous dispatch: pop one job, run it (decode interleaves with every
-/// other worker's inside the broker), settle, repeat. Exits once the queue
-/// is empty after shutdown began.
-fn batch_worker_loop(shared: &Shared, i: usize) {
-    let obs = vega_obs::global();
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    obs.gauge_set("serve.queue_depth", st.queue.len() as f64);
-                    break job;
-                }
-                if st.shutting_down {
-                    return;
-                }
-                st = shared.work_cv.wait(st).unwrap();
-            }
-        };
-        if Instant::now() > job.deadline {
-            fail_predispatch(shared, &job);
-            continue;
-        }
-        let run = run_job(shared, i, job);
-        settle_job(shared, run);
-    }
-}
-
-fn replica_dispatch_loop(shared: &Shared) {
     let obs = vega_obs::global();
     loop {
         let jobs: Vec<Job> = {

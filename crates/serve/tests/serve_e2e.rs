@@ -1,11 +1,13 @@
 //! End-to-end tests for the vega-serve service: one tiny pipeline is trained
 //! once, then reused as a checkpoint across several server instances to cover
 //! caching, coalescing, byte-identity across thread counts, backpressure,
-//! deadlines, error paths and graceful shutdown.
+//! deadlines, error paths, the `score` op, and graceful shutdown (idle and
+//! under load).
 //!
 //! Everything lives in a single `#[test]` because `vega_par::set_threads` is
 //! process-global and the scenarios deliberately flip it between 1 and 4.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 use vega::{Vega, VegaConfig};
 use vega_model::CodeBe;
@@ -46,6 +48,14 @@ fn error_code(resp: &Json) -> String {
     resp.field("error").unwrap().as_str().unwrap().to_string()
 }
 
+fn stat_u64(stats: &Json, key: &str) -> u64 {
+    stats
+        .field("stats")
+        .and_then(|s| s.field(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|e| panic!("stats.{key}: {e}"))
+}
+
 #[test]
 fn serve_end_to_end() {
     vega_par::set_threads(4);
@@ -70,9 +80,19 @@ fn serve_end_to_end() {
     concurrent_coalescing(&checkpoint, &t0, &g0, &expected_t0g0);
     backpressure_and_deadlines(&checkpoint, &targets, &groups);
     telemetry_and_flight(&checkpoint, &t0, &g0, &expected_t0g0);
-    // Last: speculation bumps the process-global spec.* counters, which the
-    // telemetry scenario asserts are still zero.
-    speculative_serving(&checkpoint, &t0, &g0, &expected_t0g0);
+    served_score_matches_direct(&checkpoint, &t0, &g0);
+
+    let pairs: Vec<(String, String)> = targets
+        .iter()
+        .take(2)
+        .flat_map(|t| groups.iter().take(2).map(move |g| (t.clone(), g.clone())))
+        .collect();
+    let expected: BTreeMap<(String, String), String> = pairs
+        .iter()
+        .map(|(t, g)| ((t.clone(), g.clone()), expect(t, g)))
+        .collect();
+    drain_under_load(&checkpoint, &pairs, &expected);
+    vega_par::set_threads(0);
 }
 
 /// threads=1: cache hits, byte-identity against direct generation, error
@@ -340,22 +360,6 @@ fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
         );
     }
 
-    // Without --speculate/--draft the speculation stats read zero (the
-    // speculative scenario below then proves they move): same golden
-    // consistency, just for the off state.
-    assert_eq!(stat_u64("spec_draft_tokens"), 0);
-    assert_eq!(stat_u64("spec_accepted_tokens"), 0);
-    assert_eq!(stat_f64("spec_accept_ratio"), 0.0);
-    assert_eq!(stat_u64("spec_depth"), 0);
-    let spec_depth_gauge = metrics
-        .field("gauges")
-        .unwrap()
-        .field("serve.spec.depth")
-        .unwrap()
-        .as_f64()
-        .unwrap();
-    assert_eq!(spec_depth_gauge, 0.0, "depth gauge must read 0 when off");
-
     // The Prometheus exposition is well-formed `name value` text with the
     // same sample count.
     let text = m.field("text").unwrap().as_str().unwrap().to_string();
@@ -421,68 +425,145 @@ fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
     vega_obs::flight::configure(0);
 }
 
-/// A replica server with a GRU draft installed (`--speculate 3 --draft …`):
-/// the response is byte-identical to plain greedy — speculation is exact by
-/// construction — and the `stats` speculation fields mirror the obs
-/// counters and the configured depth.
-fn speculative_serving(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
+/// The `score` op: two concurrent connections get score bits equal to
+/// direct in-process scoring on a backend-free replica, `timing.tokens` is
+/// the summed candidate length, and malformed requests (an out-of-vocabulary
+/// id, an over-long candidate, an unknown group, an empty candidate list)
+/// are rejected explicitly, never decoded.
+fn served_score_matches_direct(checkpoint: &str, t: &str, g: &str) {
     vega_par::set_threads(1);
-    let model_vocab = CodeBe::load_json(checkpoint)
-        .expect("checkpoint parses")
-        .vocab
-        .len();
-    // An untrained draft: acceptance may be poor, but exactness (and the
-    // counter plumbing) is independent of draft quality.
-    let draft = vega_nn::GruSeq2Seq::new(vega_nn::GruConfig::tiny(model_vocab));
+    let candidates: Vec<Vec<usize>> = vec![vec![5, 9, 2], vec![5, 9], vec![7, 7, 7, 7]];
+    let cand_tokens: u64 = candidates.iter().map(|c| c.len() as u64).sum();
+
+    let reference = engine_from(checkpoint);
+    let mut replica = reference.replica();
+    let direct = reference
+        .try_score_with(&mut replica, t, g, &candidates, None)
+        .expect("direct scoring");
+    let direct_render = Json::Arr(direct.into_iter().map(Json::num_f32).collect()).render();
+
     let cfg = ServeConfig {
-        speculate: 3,
-        draft: Some(std::sync::Arc::new(draft)),
+        batch: 2,
         ..ServeConfig::default()
     };
     let (server, addr) = start(checkpoint, cfg);
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            let (t, g) = (t.to_string(), g.to_string());
+            let cands = candidates.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).unwrap();
+                c.score(&t, &g, &cands, None).unwrap()
+            })
+        })
+        .collect();
+    for w in workers {
+        let resp = w.join().expect("score client thread");
+        assert_eq!(
+            resp.field("ok").unwrap(),
+            &Json::Bool(true),
+            "{}",
+            resp.render()
+        );
+        assert_eq!(
+            resp.field("scores").unwrap().render(),
+            direct_render,
+            "served scores differ from direct scoring"
+        );
+        let tokens = resp
+            .field("timing")
+            .unwrap()
+            .field("tokens")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        assert_eq!(
+            tokens, cand_tokens,
+            "score attributes the summed candidate length"
+        );
+    }
+
     let mut c = Client::connect(&addr).unwrap();
-
-    let fresh = c.generate(t0, g0, None).unwrap();
-    assert_eq!(fresh.field("cached").unwrap(), &Json::Bool(false));
-    assert_eq!(
-        result_render(&fresh),
-        expected,
-        "speculative serving must be byte-identical to plain greedy"
-    );
-
-    let m = c.op("metrics").unwrap();
-    assert_eq!(m.field("ok").unwrap(), &Json::Bool(true));
-    let stats = m.field("stats").unwrap();
-    let stat_u64 = |name: &str| stats.field(name).unwrap().as_u64().unwrap();
-    assert_eq!(stat_u64("spec_depth"), 3);
-    let drafted = stat_u64("spec_draft_tokens");
-    let accepted = stat_u64("spec_accepted_tokens");
-    assert!(drafted > 0, "the draft must have proposed tokens");
-    assert!(accepted <= drafted);
-    let ratio = stats.field("spec_accept_ratio").unwrap().as_f64().unwrap();
-    assert_eq!(
-        ratio,
-        accepted as f64 / drafted as f64,
-        "spec_accept_ratio must be precomputed from the two counters"
-    );
-
-    // The stats fields mirror the obs counters verbatim, and the live depth
-    // gauge reads the configured (non-degraded) depth.
-    let metrics = m.field("metrics").unwrap();
-    let counters = metrics.field("counters").unwrap();
-    let counter_u64 = |name: &str| counters.field(name).unwrap().as_u64().unwrap();
-    assert_eq!(counter_u64("spec.draft_tokens"), drafted);
-    assert_eq!(counter_u64("spec.accepted_tokens"), accepted);
-    assert!(counter_u64("spec.rounds") >= 1);
-    let depth_gauge = metrics
-        .field("gauges")
-        .unwrap()
-        .field("serve.spec.depth")
-        .unwrap()
-        .as_f64()
+    // Out-of-vocabulary token id: rejected before any decode.
+    let bad = c.score(t, g, &[vec![1_000_000]], None).unwrap();
+    assert_eq!(error_code(&bad), "bad_request");
+    // Candidate longer than the model can score (max_len - 2).
+    let bad = c.score(t, g, &[vec![5; 500]], None).unwrap();
+    assert_eq!(error_code(&bad), "bad_request");
+    let bad = c.score(t, "no-such-group", &candidates, None).unwrap();
+    assert_eq!(error_code(&bad), "unknown_group");
+    // Protocol-level rejection: an empty candidate list never parses.
+    let raw = c
+        .request_raw(&format!(
+            r#"{{"op":"score","target":"{t}","group":"{g}","candidates":[]}}"#
+        ))
         .unwrap();
-    assert_eq!(depth_gauge, 3.0);
+    assert_eq!(error_code(&Json::parse(&raw).unwrap()), "bad_request");
+
+    // Every handled score request (errors included) is counted; the
+    // unparseable line is not.
+    let stats = c.op("stats").unwrap();
+    assert_eq!(stat_u64(&stats, "score_requests"), 5);
 
     server.shutdown();
+    server.join_with_stats();
+}
+
+/// Shutdown under load: six clients race a slow two-replica server and a
+/// shutdown lands 30 ms in. Every client gets an answer (a drain that
+/// dropped a queued job would hang its join), at least one generation
+/// completes, and each answer is either byte-identical to direct
+/// generation or an explicit `shutting_down`.
+fn drain_under_load(
+    checkpoint: &str,
+    pairs: &[(String, String)],
+    expected: &BTreeMap<(String, String), String>,
+) {
+    vega_par::set_threads(1);
+    let cfg = ServeConfig {
+        batch: 2,
+        cache_cap: 0,
+        slow_ms: 60, // keep the replicas busy long enough for shutdown to land
+        ..ServeConfig::default()
+    };
+    let (server, addr) = start(checkpoint, cfg);
+
+    let workers: Vec<_> = (0..6)
+        .map(|i| {
+            let addr = addr.clone();
+            let (t, g) = pairs[i % pairs.len()].clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr).unwrap();
+                ((t.clone(), g.clone()), c.generate(&t, &g, None).unwrap())
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(30));
+    let stopping = Client::connect(&addr).unwrap().op("shutdown").unwrap();
+    assert_eq!(stopping.field("stopping").unwrap(), &Json::Bool(true));
+
+    let mut completed = 0usize;
+    for w in workers {
+        let (pair, resp) = w.join().expect("request answered during drain");
+        if resp.field("ok").unwrap() == &Json::Bool(true) {
+            assert_eq!(
+                result_render(&resp),
+                expected[&pair],
+                "drained response must stay byte-identical"
+            );
+            completed += 1;
+        } else {
+            assert_eq!(
+                error_code(&resp),
+                "shutting_down",
+                "losers must be refused explicitly, never dropped"
+            );
+        }
+    }
+    assert!(
+        completed >= 1,
+        "at least the in-flight request must drain to completion"
+    );
     server.join_with_stats();
 }

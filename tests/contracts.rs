@@ -5,9 +5,8 @@
 use std::sync::{Mutex, MutexGuard};
 use vega_cpplite::lex;
 use vega_model::{tokens_to_pieces, CodeBe, Vocab};
-use vega_nn::{
-    speculative_greedy, BatchDecode, GruConfig, GruSeq2Seq, Seq2Seq, Transformer, TransformerConfig,
-};
+use vega_nn::decode::softmax_row;
+use vega_nn::{GruConfig, Seq2Seq, Transformer, TransformerConfig};
 
 /// Serializes this file's tests: the obs counters some of them read are
 /// process-global, and every test here runs an encoder.
@@ -141,59 +140,44 @@ fn batched_scoring_matches_per_candidate_bitwise() {
     }
 }
 
-/// One decoder forward: single steps, one `step_many` over the same tokens
-/// and a batch slot (run beside a second session, across a retire and a
-/// re-join) give the same logits bits row by row; speculative greedy
-/// returns plain greedy's tokens; and a GRU batch slot, run the same way,
-/// matches its single-session mirror.
+/// One decoder forward: single steps and one `step_many` over the same
+/// tokens give the same logits bits row by row, and `forced_logprobs` over
+/// two pairs that share a 3-token prefix (the prefix fed once, each tail on
+/// its own fork of the cache) scores each pair exactly as a sum, in
+/// position order, over single-step logits rows run through `softmax_row`.
 #[test]
 fn decoder_forward_paths_agree_bitwise() {
     let _serial = serial();
     let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|v| v.to_bits()).collect() };
     let (vocab, bos, eos) = (12, 0, 1);
     let mut tf = Transformer::new(TransformerConfig::tiny(vocab));
-    let mut gru = GruSeq2Seq::new(GruConfig::tiny(vocab));
     for _ in 0..20 {
         for pair in [[2, 3, 4, 5], [6, 7, 8, 9], [4, 9, 2, 7]] {
             tf.train_example(&pair, &pair, bos, eos);
-            gru.train_example(&pair, &pair, bos, eos);
         }
         tf.step(3e-3);
-        gru.step(3e-3);
     }
-    let (src, other) = ([2, 3, 4, 5], [6, 7, 8]);
+    let src = [2, 3, 4, 5];
     let feed = [bos, 2, 3, 4, 5, 9, 11];
 
     let mut st = tf.begin_decode(&src);
     let stepped: Vec<Vec<u32>> = feed.iter().map(|&t| bits(st.step(t))).collect();
     let mut st = tf.begin_decode(&src);
     assert_eq!(bits(st.step_many(&feed)), stepped.concat(), "step_many");
-    let mut batch = tf.begin_batch_decode(2);
-    let neighbour = batch.join(&other).unwrap();
-    let slot = batch.join(&src).unwrap();
-    batch.step(&[(slot, feed[0]), (neighbour, 2)]);
-    batch.retire(slot);
-    let slot = batch.join(&src).unwrap();
-    for (i, (&t, want)) in feed.iter().zip(&stepped).enumerate() {
-        batch.step(&[(neighbour, 3 + i), (slot, t)]);
-        assert_eq!(&bits(batch.logits(slot)), want, "batch slot, row {i}");
-    }
 
-    for k in [1, 3] {
-        let (spec, _) = speculative_greedy(&tf, &gru, &src, bos, eos, 16, k);
-        assert_eq!(spec, tf.greedy(&src, bos, eos, 16), "speculation depth {k}");
-    }
-
-    let mut mirror = gru.begin_decode(&src);
-    let mut batch = gru.begin_batch_decode(2);
-    let neighbour = batch.join(&other).unwrap();
-    let slot = batch.join(&src).unwrap();
-    batch.step(&[(slot, feed[0]), (neighbour, 2)]);
-    batch.retire(slot);
-    let slot = batch.join(&src).unwrap();
-    for (i, &t) in feed.iter().enumerate() {
-        batch.step(&[(slot, t), (neighbour, 3 + i)]);
-        let want = bits(mirror.step(t));
-        assert_eq!(bits(batch.logits(slot)), want, "GRU batch slot, row {i}");
+    let pairs: Vec<(Vec<usize>, Vec<usize>)> = vec![
+        (feed.to_vec(), vec![2, 3, 4, 5, 9, 11, eos]),
+        ([&feed[..3], &[7, 6]].concat(), vec![2, 3, 7, 6, eos]),
+    ];
+    let forked = tf.begin_decode(&src).forced_logprobs(&pairs);
+    for (i, (tgt_in, tgt_out)) in pairs.iter().enumerate() {
+        let mut st = tf.begin_decode(&src);
+        let mut lp = 0.0f32;
+        for (&from, &to) in tgt_in.iter().zip(tgt_out) {
+            let mut row = st.step(from).to_vec();
+            softmax_row(&mut row);
+            lp += row[to].max(1e-12).ln();
+        }
+        assert_eq!(forked[i].to_bits(), lp.to_bits(), "fork, pair {i}");
     }
 }
