@@ -29,11 +29,11 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # Decode fast path: the incremental KV-cached decoder must be bit-identical
 # to the autograd-graph reference at both pool sizes, and its primitives
-# (`step_many`, the one-pass forced-scoring prefill, the dot-form logits
-# projection on both sides of its switch) bitwise sound (the full workspace
-# runs above include this suite too; the explicit stage keeps the contract
-# visible and greppable). The bench smoke asserts the incremental path is
-# not slower than the graph path on the small config.
+# (`step_many`, the one-pass forced-scoring prefill, the forked candidate
+# forward) bitwise sound (the full workspace runs above include this suite
+# too; the explicit stage keeps the contract visible and greppable). The
+# bench smoke asserts the incremental path is not slower than the graph path
+# on the small config.
 echo "== decode equivalence =="
 VEGA_THREADS=1 cargo test -q -p vega-nn --test decode_equivalence
 VEGA_THREADS=4 cargo test -q -p vega-nn --test decode_equivalence
@@ -44,9 +44,9 @@ VEGA_THREADS=4 cargo test -q -p vega-nn --test decode_equivalence
 # vacuous there) must pass the kernel conformance property suite, the
 # per-mode determinism suite, the decode equivalence suite and the root
 # tier-1 contract cases (decode sessions, batched scoring, the one decoder
-# forward), at pool sizes 1 and 4. The decode bench smoke below then pins
-# the per-ISA throughput rows, the AVX2-vs-scalar floors (transposed matmul,
-# forks8) and the dot-form trip-wire.
+# forward, the v2 checkpoint), at pool sizes 1 and 4. The decode bench smoke below then pins
+# the per-ISA throughput rows and the AVX2-vs-scalar floors (transposed
+# matmul, forks8).
 echo "== kernel matrix =="
 KERNEL_MODES="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -95,8 +95,8 @@ grep -q "obs: smoke=ok" "$SMOKE_DIR/obs-bench.txt"
 # the JSONL trace recorded the request spans.
 echo "== serve smoke =="
 target/release/vega-experiments headline --scale tiny \
-  --save-model "$SMOKE_DIR/ckpt.json" > "$SMOKE_DIR/headline.txt"
-target/release/vega-serve --checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
+  --save-model "$SMOKE_DIR/model.ckpt" > "$SMOKE_DIR/headline.txt"
+target/release/vega-serve --checkpoint "$SMOKE_DIR/model.ckpt" --scale tiny \
   --port-file "$SMOKE_DIR/port" --trace-out "$SMOKE_DIR/trace.jsonl" \
   > "$SMOKE_DIR/serve.log" &
 SERVE_PID=$!
@@ -107,7 +107,7 @@ done
 [ -s "$SMOKE_DIR/port" ] || { echo "vega-serve never wrote its port file"; exit 1; }
 target/release/vega-loadgen --addr "127.0.0.1:$(cat "$SMOKE_DIR/port")" \
   --requests 24 --conns 4 --distinct 4 \
-  --verify-checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
+  --verify-checkpoint "$SMOKE_DIR/model.ckpt" --scale tiny \
   | tee "$SMOKE_DIR/loadgen.txt"
 grep -q "loadgen: verify=ok" "$SMOKE_DIR/loadgen.txt"
 grep -q "loadgen: cache=ok" "$SMOKE_DIR/loadgen.txt"
@@ -134,7 +134,7 @@ echo "serve smoke: ok"
 # injected faults.
 echo "== chaos =="
 VEGA_FAULT_PLAN="seed=11;serve.conn.drop=0.15;serve.conn.stall=0.1:25;serve.conn.corrupt=0.1" \
-  target/release/vega-serve --checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
+  target/release/vega-serve --checkpoint "$SMOKE_DIR/model.ckpt" --scale tiny \
   --port-file "$SMOKE_DIR/chaos-port" --trace-out "$SMOKE_DIR/chaos-trace.jsonl" \
   > "$SMOKE_DIR/chaos-serve.log" &
 CHAOS_PID=$!
@@ -145,7 +145,7 @@ done
 [ -s "$SMOKE_DIR/chaos-port" ] || { echo "chaos vega-serve never wrote its port file"; exit 1; }
 target/release/vega-loadgen --addr "127.0.0.1:$(cat "$SMOKE_DIR/chaos-port")" \
   --requests 24 --conns 4 --distinct 4 \
-  --verify-checkpoint "$SMOKE_DIR/ckpt.json" --scale tiny \
+  --verify-checkpoint "$SMOKE_DIR/model.ckpt" --scale tiny \
   --shutdown | tee "$SMOKE_DIR/chaos-loadgen.txt"
 wait "$CHAOS_PID"
 grep -q "loadgen: verify=ok" "$SMOKE_DIR/chaos-loadgen.txt"
@@ -155,27 +155,26 @@ grep -q "loadgen: shutdown=ok" "$SMOKE_DIR/chaos-loadgen.txt"
 grep -q "fault.injected.serve.conn" "$SMOKE_DIR/chaos-trace.jsonl"
 echo "chaos: ok"
 
-# Checkpoint v2 + hot swap: the binary mmap format's fault suite (truncation,
-# bit flips, version skew, a doctored tensor table, a crash mid-save), the
-# live-swap e2e with chaos injection at pool sizes 1 and 4, and v1↔v2
-# interop through the CLI (the serve smoke above already runs on a v2
-# checkpoint — `--save-model` defaults to `--ckpt-format v2`). The headline
-# artifact must be bit-identical whichever format the model reloads from.
+# Checkpoint v2 + hot swap: the binary mmap format's fault suite (a missing
+# file, truncation, bit flips, version skew, a doctored tensor table, a crash
+# mid-save), the live-swap e2e with chaos injection at pool sizes 1 and 4,
+# and a round trip through the CLI: the serve smoke's checkpoint, loaded and
+# saved again, must be byte-identical to itself, and the headline rendered
+# from the loaded model must match the one its training run printed.
 echo "== ckpt v2 =="
 cargo test -q -p vega-model --test ckpt_v2
 cargo test -q -p vega-serve --test swap_e2e
 target/release/vega-experiments headline --scale tiny \
-  --load-model "$SMOKE_DIR/ckpt.json" \
-  --save-model "$SMOKE_DIR/ckpt-v1.json" --ckpt-format v1 \
-  > "$SMOKE_DIR/headline-v2load.txt"
-target/release/vega-experiments headline --scale tiny \
-  --load-model "$SMOKE_DIR/ckpt-v1.json" > "$SMOKE_DIR/headline-v1load.txt"
-diff "$SMOKE_DIR/headline-v2load.txt" "$SMOKE_DIR/headline-v1load.txt"
+  --load-model "$SMOKE_DIR/model.ckpt" \
+  --save-model "$SMOKE_DIR/model-resaved.ckpt" \
+  > "$SMOKE_DIR/headline-load.txt"
+cmp "$SMOKE_DIR/model.ckpt" "$SMOKE_DIR/model-resaved.ckpt"
+diff "$SMOKE_DIR/headline.txt" "$SMOKE_DIR/headline-load.txt"
 echo "ckpt v2: ok"
 
-# Checkpoint bench smoke: v2 replica spawn must stay O(header) — at least
-# 10x faster than a v1 deep copy — and both formats must decode
-# bit-identical weights.
+# Checkpoint bench smoke: mapped replica spawn must stay O(header) — at
+# least 10x faster than deep-copying an owned model — and the mapped model
+# must re-encode to the owned model's bytes.
 echo "== ckpt bench smoke =="
 VEGA_CKPT_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_ckpt.json" \
   cargo bench -p vega-bench --bench ckpt | tee "$SMOKE_DIR/ckpt-bench.txt"

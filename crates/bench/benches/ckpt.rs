@@ -1,22 +1,24 @@
-//! Checkpoint format shoot-out: `vega-ckpt/v1` (JSON envelope) vs
-//! `vega-ckpt/v2` (binary, 64-byte-aligned tensor table, memory-mapped on
-//! load).
+//! Checkpoint costs: `vega-ckpt/v2` save and load, and replica spawn
+//! (`CodeBe::clone`, what `vega-serve` pays per pool worker) for a model
+//! that owns its weights against one mapped from a v2 file.
 //!
-//! Three phases per format — save, load, and replica spawn (`CodeBe::clone`,
-//! what `vega-serve` pays per pool worker). v1 replicas deep-copy every
-//! weight; v2 replicas bump an `Arc` on the shared mapping and copy only
-//! descriptors, so spawning is O(header) regardless of model size. This
-//! bench pins that contract: the run fails unless the v2 spawn is at least
-//! `VEGA_CKPT_SPEEDUP_MIN`× (default 10×) faster than v1 and both formats
-//! decode bit-identical weights. Writes a machine-readable baseline to
-//! `BENCH_ckpt.json` (override with `VEGA_BENCH_OUT`; `VEGA_CKPT_BENCH_FAST=1`
-//! shrinks iteration counts for the CI smoke run). Prints `ckpt: smoke=ok`
-//! on success.
+//! An owned replica deep-copies every weight; a mapped replica bumps an
+//! `Arc` on the shared mapping and copies only descriptors, so spawning is
+//! O(header) regardless of model size. This bench pins that contract: the
+//! run fails unless the mapped spawn is at least [`SPAWN_SPEEDUP_FLOOR`]×
+//! faster than the owned one and the mapped model re-encodes to the owned
+//! model's bytes. Writes a machine-readable baseline to `BENCH_ckpt.json`
+//! (override with `VEGA_BENCH_OUT`; `VEGA_CKPT_BENCH_FAST=1` shrinks
+//! iteration counts for the CI smoke run). Prints `ckpt: smoke=ok` on
+//! success.
 
 use std::time::Instant;
-use vega_model::{CodeBe, Vocab};
+use vega_model::{encode_v2, CodeBe, Vocab};
 use vega_nn::TransformerConfig;
 use vega_obs::json::Json;
+
+/// Smoke floor for mapped-vs-owned replica spawn.
+const SPAWN_SPEEDUP_FLOOR: f64 = 10.0;
 
 /// Median ns/iteration over `samples` timed batches of `iters` calls each
 /// (after one warm-up batch).
@@ -38,17 +40,13 @@ fn main() {
     let fast_mode = std::env::var("VEGA_CKPT_BENCH_FAST").is_ok();
     let samples = if fast_mode { 3 } else { 7 };
     let scale = if fast_mode { 1 } else { 5 };
-    let speedup_min: f64 = std::env::var("VEGA_CKPT_SPEEDUP_MIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10.0);
 
     // A mid-sized transformer (~1.3M parameters) over a synthetic vocabulary:
     // big enough that deep-copying weights visibly costs, small enough that
     // the bench stays a smoke test.
     let pieces: Vec<String> = (0..512).map(|i| format!("tok{i:03}")).collect();
     let vocab = Vocab::build(pieces.iter().map(String::as_str));
-    let model = CodeBe::transformer(vocab, |v| TransformerConfig {
+    let owned = CodeBe::transformer(vocab, |v| TransformerConfig {
         vocab: v,
         d_model: 128,
         n_heads: 4,
@@ -61,61 +59,46 @@ fn main() {
 
     let dir = std::env::temp_dir().join("vega-bench-ckpt");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path_v1 = dir.join("model.v1.ckpt");
-    let path_v2 = dir.join("model.v2.ckpt");
+    let path = dir.join("model.ckpt");
 
     let mut rows = Vec::new();
     let mut push = |op: &str, ns: f64| {
-        println!("{op:<20} {:>10.1} µs/call", ns / 1e3);
+        println!("{op:<22} {:>10.1} µs/call", ns / 1e3);
         rows.push(Json::obj([
             ("op", Json::str(op)),
             ("ns_per_call", Json::num_f64(ns)),
         ]));
     };
 
-    println!("== checkpoint formats (median of {samples} batches) ==");
+    println!("== checkpoint (median of {samples} batches) ==");
+    let save_ns = median_ns_per_iter(samples, 2 * scale, || {
+        owned.save_file_v2(&path).expect("v2 save");
+    });
+    push("save/v2", save_ns);
+    let load_ns = median_ns_per_iter(samples, 2 * scale, || {
+        let _ = std::hint::black_box(CodeBe::load_file(&path).expect("v2 load"));
+    });
+    push("load/v2", load_ns);
 
-    // The v1 ops are seconds-per-call (10 MB of hand-rolled JSON), so they
-    // get a minimal batch budget; the medians are stable regardless.
-    let save_v1_ns = median_ns_per_iter(3.min(samples), 1, || {
-        model.save_file(&path_v1).expect("v1 save");
-    });
-    push("save/v1", save_v1_ns);
-    let save_v2_ns = median_ns_per_iter(samples, 2 * scale, || {
-        model.save_file_v2(&path_v2).expect("v2 save");
-    });
-    push("save/v2", save_v2_ns);
-
-    let load_v1_ns = median_ns_per_iter(3.min(samples), 1, || {
-        let _ = std::hint::black_box(CodeBe::load_file_detect(&path_v1).expect("v1 load"));
-    });
-    push("load/v1", load_v1_ns);
-    let load_v2_ns = median_ns_per_iter(samples, 2 * scale, || {
-        let _ = std::hint::black_box(CodeBe::load_file_detect(&path_v2).expect("v2 load"));
-    });
-    push("load/v2", load_v2_ns);
-
-    // Replica spawn: what the serve pool pays per worker. The v1 model owns
-    // its weights (clone deep-copies), the v2 model borrows the mapping
-    // (clone bumps the Arc and copies descriptors).
-    let (owned, _) = CodeBe::load_file_detect(&path_v1).expect("v1 load");
-    let (mapped, _) = CodeBe::load_file_detect(&path_v2).expect("v2 load");
-    let bit_identical = owned.save_json() == mapped.save_json();
-    let spawn_v1_ns = median_ns_per_iter(samples, 20 * scale, || {
+    // Replica spawn: what the serve pool pays per worker. The freshly built
+    // model owns its weights (clone deep-copies); the loaded one borrows the
+    // mapping (clone bumps the Arc and copies descriptors).
+    let mapped = CodeBe::load_file(&path).expect("v2 load");
+    let bit_identical = encode_v2(&owned) == encode_v2(&mapped);
+    let spawn_owned_ns = median_ns_per_iter(samples, 20 * scale, || {
         let _ = std::hint::black_box(owned.clone());
     });
-    push("replica_spawn/v1", spawn_v1_ns);
-    let spawn_v2_ns = median_ns_per_iter(samples, 2000 * scale, || {
+    push("replica_spawn/owned", spawn_owned_ns);
+    let spawn_mapped_ns = median_ns_per_iter(samples, 2000 * scale, || {
         let _ = std::hint::black_box(mapped.clone());
     });
-    push("replica_spawn/v2", spawn_v2_ns);
-    let speedup = spawn_v1_ns / spawn_v2_ns;
+    push("replica_spawn/mapped", spawn_mapped_ns);
+    let speedup = spawn_owned_ns / spawn_mapped_ns;
 
-    let bytes_v1 = std::fs::metadata(&path_v1).map(|m| m.len()).unwrap_or(0);
-    let bytes_v2 = std::fs::metadata(&path_v2).map(|m| m.len()).unwrap_or(0);
+    let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!(
-        "file size: v1 {bytes_v1} B, v2 {bytes_v2} B; \
-         replica spawn speedup {speedup:.1}x (shared scalars owned: {})",
+        "file size {file_bytes} B; replica spawn speedup {speedup:.1}x \
+         (mapped scalars owned: {})",
         mapped.owned_scalars()
     );
 
@@ -124,25 +107,24 @@ fn main() {
     let doc = Json::obj([
         ("bench", Json::str("ckpt")),
         ("samples_per_point", Json::num_usize(samples)),
-        ("file_bytes_v1", Json::num_u64(bytes_v1)),
-        ("file_bytes_v2", Json::num_u64(bytes_v2)),
+        ("file_bytes_v2", Json::num_u64(file_bytes)),
         ("replica_spawn_speedup", Json::num_f64(speedup)),
-        ("speedup_min", Json::num_f64(speedup_min)),
+        ("speedup_min", Json::num_f64(SPAWN_SPEEDUP_FLOOR)),
         ("bit_identical", Json::Bool(bit_identical)),
         ("results", Json::Arr(rows)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
-    println!("wrote {out_path} (spawn speedup {speedup:.1}x, floor {speedup_min:.0}x)");
+    println!("wrote {out_path} (spawn speedup {speedup:.1}x, floor {SPAWN_SPEEDUP_FLOOR:.0}x)");
     std::fs::remove_dir_all(&dir).ok();
 
     if !bit_identical {
-        println!("ckpt: smoke=FAIL (v1 and v2 decode different weights)");
+        println!("ckpt: smoke=FAIL (the mapped model re-encodes to different bytes)");
         std::process::exit(1);
     }
-    if speedup < speedup_min {
+    if speedup < SPAWN_SPEEDUP_FLOOR {
         println!(
-            "ckpt: smoke=FAIL (v2 replica spawn only {speedup:.1}x faster than v1, \
-             floor {speedup_min:.0}x)"
+            "ckpt: smoke=FAIL (mapped replica spawn only {speedup:.1}x faster than owned, \
+             floor {SPAWN_SPEEDUP_FLOOR:.0}x)"
         );
         std::process::exit(1);
     }

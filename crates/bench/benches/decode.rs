@@ -20,17 +20,14 @@
 //! The wide section also times `forks8`: one `forced_logprobs` call over 8
 //! candidates that share only BOS, so 753 decoder rows (the BOS prefix,
 //! then 8 × 94 tail rows on forks of the session cache) run through each
-//! weight matrix in one forward — the candidate-scoring shape. A
-//! logits-projection section times the dot-form (pre-transposed) output
-//! projection against the axpy-form layout it replaces on AVX2.
+//! weight matrix in one forward — the candidate-scoring shape.
 //!
 //! The timed workloads double as equivalence checks (incremental == graph
 //! token streams within each mode, forked scores == per-candidate scores).
 //! The run prints `decode: smoke=ok` only if the incremental path is at
 //! least as fast as the graph path at prefix 96 in every mode and — when
 //! AVX2 is available — the AVX2 kernel beats scalar by the floors below on
-//! the transposed matmul and on `forks8`, and dot-form logits stay above
-//! the trip-wire floor against axpy-form.
+//! the transposed matmul and on `forks8`.
 
 use std::time::Instant;
 use vega_bench::fmt_secs;
@@ -52,18 +49,6 @@ const AVX2_SPEEDUP_FLOOR: f64 = 1.2;
 /// (plain matmul measures ~1.2× too), so ~1.1–1.3× *is* the honest decode
 /// ratio here. The gate only guards against AVX2 regressing below scalar.
 const AVX2_DECODE_FLOOR: f64 = 1.05;
-
-/// Smoke floor for dot-form-vs-axpy logits projection on AVX2 (the form
-/// `kernel::dot_form_logits` switches to there). Both forms stream the same
-/// weight bytes, so the matvec is bandwidth-bound and the AVX2 ratio
-/// hovers around parity (0.9–1.2× run to run on this shared core) — the
-/// headline dot-form win is AVX2-vs-scalar on the transposed shape
-/// (`AVX2_SPEEDUP_FLOOR`), not dot-vs-axpy within AVX2. Scalar measures
-/// ~0.27× (the serial dot chain loses badly, which is why the switch is
-/// ISA-gated). The floor is a trip-wire: if the AVX2 ratio ever drops
-/// toward the scalar number, the fixed-tree dot kernel stopped being
-/// dispatched.
-const DOT_FORM_FLOOR: f64 = 0.6;
 
 /// Deterministic pseudo-random token ids (splitmix64).
 fn tokens(seed: u64, n: usize, lo: usize, hi: usize) -> Vec<usize> {
@@ -344,86 +329,6 @@ fn main() {
         mm_secs_by_mode.push((kname, t_secs, n_secs));
     }
 
-    // Dot-form logits micro-bench: the per-token output projection
-    // `h(1×d) · W_out` in its two layouts. Axpy form streams `W` (d×vocab)
-    // with ascending-k accumulator updates; dot form streams the
-    // pre-transposed `Wᵀ` (vocab×d) with one fixed-tree dot per logit —
-    // the layout `kernel::dot_form_logits` switches decode to on AVX2.
-    // Scalar is recorded too: its serial dot chain *loses* to the
-    // auto-vectorized axpy, which is exactly why the switch is ISA-gated.
-    const LOGITS_D: usize = 128;
-    const LOGITS_REPS: usize = 256;
-    println!("== logits projection (1x{LOGITS_D} · {LOGITS_D}x{WIDE_VOCAB}, {LOGITS_REPS} reps, 1 thread) ==");
-    let h = Tensor::from_vec(
-        1,
-        LOGITS_D,
-        (0..LOGITS_D)
-            .map(|i| ((i % 13) as f32) * 0.03 - 0.2)
-            .collect(),
-    );
-    let w_axpy = Tensor::from_vec(
-        LOGITS_D,
-        WIDE_VOCAB,
-        (0..LOGITS_D * WIDE_VOCAB)
-            .map(|i| ((i * 11 % 29) as f32) * 0.02 - 0.3)
-            .collect(),
-    );
-    let w_dot = Tensor::from_vec(
-        WIDE_VOCAB,
-        LOGITS_D,
-        (0..WIDE_VOCAB * LOGITS_D)
-            .map(|i| ((i * 11 % 29) as f32) * 0.02 - 0.3)
-            .collect(),
-    );
-    let mut dot_form_speedup = 1.0f64;
-    for mode in available_modes() {
-        let kname = kernel::set_mode(mode).name();
-        // Interleave the two forms round-robin (as in the wide-decode
-        // section): timing all of one form's samples before the other's
-        // lets a steal burst land on one side of the ratio. Round 0 is
-        // warm-up.
-        let (mut axpy_secs, mut dot_secs) = (f64::INFINITY, f64::INFINITY);
-        for round in 0..mm_samples + 1 {
-            let t0 = Instant::now();
-            for _ in 0..LOGITS_REPS {
-                std::hint::black_box(h.matmul(&w_axpy, false));
-            }
-            let a = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            for _ in 0..LOGITS_REPS {
-                std::hint::black_box(h.matmul(&w_dot, true));
-            }
-            let d = t0.elapsed().as_secs_f64();
-            if round > 0 {
-                axpy_secs = axpy_secs.min(a);
-                dot_secs = dot_secs.min(d);
-            }
-        }
-        let gain = axpy_secs / dot_secs;
-        println!(
-            "[{kname:>6}] axpy-form {:>9}/proj | dot-form {:>9}/proj | dot-form gain {gain:.2}x",
-            fmt_secs(axpy_secs / LOGITS_REPS as f64),
-            fmt_secs(dot_secs / LOGITS_REPS as f64),
-        );
-        for (form, secs) in [("axpy", axpy_secs), ("dot", dot_secs)] {
-            rows.push(Json::obj([
-                ("bench", Json::str("logits_projection")),
-                ("d_model", Json::num_usize(LOGITS_D)),
-                ("vocab", Json::num_usize(WIDE_VOCAB)),
-                ("form", Json::str(form)),
-                ("threads", Json::num_usize(1)),
-                ("kernel", Json::str(kname)),
-                (
-                    "seconds_per_projection",
-                    Json::num_f64(secs / LOGITS_REPS as f64),
-                ),
-            ]));
-        }
-        if kname == "avx2" {
-            dot_form_speedup = gain;
-            smoke_ok &= gain >= DOT_FORM_FLOOR;
-        }
-    }
     kernel::set_mode(KernelMode::Auto);
     vega_par::set_threads(0);
 
@@ -454,7 +359,6 @@ fn main() {
         smoke_ok &= matmul_speedup >= AVX2_SPEEDUP_FLOOR;
         smoke_ok &= decode_speedup >= AVX2_DECODE_FLOOR;
     }
-    println!("dot-form logits {dot_form_speedup:.2}x axpy on avx2");
 
     let out_path =
         std::env::var("VEGA_BENCH_OUT").unwrap_or_else(|_| "BENCH_decode.json".to_string());
@@ -476,7 +380,6 @@ fn main() {
             "avx2_decode_speedup_small",
             Json::num_f64(decode_small_speedup),
         ),
-        ("dot_form_logits_speedup", Json::num_f64(dot_form_speedup)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
     println!("wrote {out_path} (decode speedup at prefix 96, 1 thread: {speedup_p96_t1:.1}x)");
@@ -485,8 +388,7 @@ fn main() {
     } else {
         println!(
             "decode: smoke=FAIL (incremental slower than graph at prefix 96, avx2 matmul under \
-             {AVX2_SPEEDUP_FLOOR}x scalar, avx2 forks8 decode under {AVX2_DECODE_FLOOR}x, or \
-             dot-form logits under {DOT_FORM_FLOOR}x axpy on avx2)"
+             {AVX2_SPEEDUP_FLOOR}x scalar, or avx2 forks8 decode under {AVX2_DECODE_FLOOR}x)"
         );
         std::process::exit(1);
     }

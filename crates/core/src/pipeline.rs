@@ -828,9 +828,12 @@ mod tests {
     #[test]
     fn model_persistence_roundtrip_preserves_generation() {
         let mut vega = Vega::train(VegaConfig::tiny());
-        let json = vega.model_mut().save_json();
+        let path =
+            std::env::temp_dir().join(format!("vega-core-persistence-{}.ckpt", std::process::id()));
+        vega.model().save_file_v2(&path).unwrap();
         let a = vega.generate_backend("XCore");
-        *vega.model_mut() = vega_model::CodeBe::load_json(&json).unwrap();
+        *vega.model_mut() = vega_model::CodeBe::load_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let b = vega.generate_backend("XCore");
         for ((_, fa), (_, fb)) in a.functions.iter().zip(&b.functions) {
             assert_eq!(fa.confidence, fb.confidence, "{}", fa.name);
@@ -843,11 +846,10 @@ mod tests {
     #[test]
     fn with_model_reuses_a_checkpoint_and_validates_fit() {
         let mut trained = Vega::train(VegaConfig::tiny());
-        let json = trained.model_mut().save_json();
         let a = trained.generate_backend("RI5CY");
 
-        // Same config + saved checkpoint → identical generations, no stage 2.
-        let checkpoint = vega_model::CodeBe::load_json(&json).unwrap();
+        // Same config + the trained model → identical generations, no stage 2.
+        let checkpoint = trained.model().clone();
         let mut served = Vega::with_model(VegaConfig::tiny(), checkpoint).unwrap();
         assert!(
             served.timings.model_creation < trained.timings.model_creation,
@@ -865,7 +867,7 @@ mod tests {
         // against re-indexed token ids.
         let mut other = VegaConfig::tiny();
         other.corpus.synthetic_targets = 2;
-        let checkpoint = vega_model::CodeBe::load_json(&json).unwrap();
+        let checkpoint = trained.model().clone();
         let err = Vega::with_model(other, checkpoint).unwrap_err();
         assert!(err.msg.contains("vocabulary"), "{}", err.msg);
     }

@@ -2,12 +2,16 @@
 //!
 //! ```text
 //! vega-experiments [all|headline|fig6|fig7|fig8|table2|fig9|table3|table4|
-//!                   fig10|verify|robustness|ablation-split|ablation-model]
+//!                   fig10|robustness|verify|update|ablation-split|
+//!                   ablation-model]
 //!                  [--scale tiny|small] [--synthetic N] [--epochs E]
 //!                  [--pretrain STEPS] [--seed S] [--threads N]
 //!                  [--trace-out PATH] [--save-model PATH] [--load-model PATH]
-//!                  [--ckpt-format v1|v2] [--model transformer|gru]
+//!                  [--model transformer|gru]
 //! ```
+//!
+//! An unknown command or flag, or a flag value that does not parse, exits
+//! with status 2 and a message naming it, before anything trains.
 //!
 //! `all` trains once and renders every artifact off the same model; the
 //! ablations train additional models. Progress messages go through the
@@ -16,15 +20,12 @@
 //! overrides the `vega-par` pool size (default: `VEGA_THREADS` or the core
 //! count); results are bit-identical for any value.
 //!
-//! `--save-model` writes the trained CodeBE checkpoint after stage 2;
-//! `--ckpt-format` picks the on-disk layout (`v2`, the default, is the
-//! binary mmap-shareable `vega-ckpt/v2`; `v1` is the JSON envelope).
-//! `--load-model` skips training and reuses such a checkpoint — the format
-//! is auto-detected from the file, and a malformed file is rejected with
-//! the detected format and the offending byte offset. The checkpoint must
-//! have been produced with the same `--scale`/`--synthetic`/`--seed`, or
-//! loading fails with a vocabulary mismatch. `vega-serve` consumes the
-//! same files.
+//! `--save-model` writes the trained CodeBE checkpoint after stage 2, as a
+//! binary mmap-shareable `vega-ckpt/v2` file. `--load-model` skips training
+//! and reuses such a checkpoint; a malformed file is rejected with the
+//! offending byte offset. The checkpoint must have been produced with the
+//! same `--scale`/`--synthetic`/`--seed`, or loading fails with a
+//! vocabulary mismatch. `vega-serve` consumes the same files.
 //!
 //! `--model gru` trains the GRU baseline instead of the transformer (the
 //! paper's RNN-based VEGA arm).
@@ -35,7 +36,32 @@ use vega::{Scale, Split, Vega, VegaConfig};
 use vega_eval::exp::{self, Workbench};
 use vega_eval::pct;
 use vega_model::ModelChoice;
+use vega_serve::cli::{FlagError, Flags};
 
+/// The artifacts `all` renders, in order, off one trained model.
+const ARTIFACTS: &[&str] = &[
+    "headline",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table2",
+    "fig9",
+    "table3",
+    "table4",
+    "fig10",
+    "robustness",
+    "verify",
+    "update",
+];
+/// Commands that train models of their own.
+const ABLATIONS: &[&str] = &["ablation-split", "ablation-model"];
+const SCALES: &[(&str, Scale)] = &[("tiny", Scale::Tiny), ("small", Scale::Small)];
+const MODELS: &[(&str, ModelChoice)] = &[
+    ("transformer", ModelChoice::Transformer),
+    ("gru", ModelChoice::Gru),
+];
+
+#[derive(Debug)]
 struct Args {
     command: String,
     scale: Scale,
@@ -47,11 +73,12 @@ struct Args {
     trace_out: Option<PathBuf>,
     save_model: Option<PathBuf>,
     load_model: Option<PathBuf>,
-    ckpt_format: vega_model::CkptFormat,
     model: ModelChoice,
 }
 
-fn parse_args() -> Args {
+/// Parses `argv` (without the program name). Every command, flag and value
+/// is checked here, so a typo fails before anything trains.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, FlagError> {
     let mut args = Args {
         command: "all".to_string(),
         scale: Scale::Small,
@@ -63,79 +90,38 @@ fn parse_args() -> Args {
         trace_out: None,
         save_model: None,
         load_model: None,
-        ckpt_format: vega_model::CkptFormat::V2,
         model: ModelChoice::Transformer,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                args.scale = match argv.get(i).map(String::as_str) {
-                    Some("tiny") => Scale::Tiny,
-                    _ => Scale::Small,
-                };
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next() {
+        let f = arg.as_str();
+        match f {
+            "--scale" => args.scale = flags.choice(f, SCALES)?,
+            "--synthetic" => args.synthetic = Some(flags.value(f)?),
+            "--epochs" => args.epochs = Some(flags.value(f)?),
+            "--pretrain" => args.pretrain = Some(flags.value(f)?),
+            "--seed" => args.seed = flags.value(f)?,
+            "--threads" => args.threads = Some(flags.value(f)?),
+            "--trace-out" => args.trace_out = Some(flags.value(f)?),
+            "--save-model" => args.save_model = Some(flags.value(f)?),
+            "--load-model" => args.load_model = Some(flags.value(f)?),
+            "--model" => args.model = flags.choice(f, MODELS)?,
+            cmd if !cmd.starts_with("--") => {
+                let known: Vec<&str> = std::iter::once("all")
+                    .chain(ARTIFACTS.iter().chain(ABLATIONS).copied())
+                    .collect();
+                if !known.contains(&cmd) {
+                    return Err(FlagError(format!(
+                        "unknown command `{cmd}` (expected one of: {})",
+                        known.join(", ")
+                    )));
+                }
+                args.command = cmd.to_string();
             }
-            "--synthetic" => {
-                i += 1;
-                args.synthetic = argv.get(i).and_then(|v| v.parse().ok());
-            }
-            "--epochs" => {
-                i += 1;
-                args.epochs = argv.get(i).and_then(|v| v.parse().ok());
-            }
-            "--pretrain" => {
-                i += 1;
-                args.pretrain = argv.get(i).and_then(|v| v.parse().ok());
-            }
-            "--seed" => {
-                i += 1;
-                args.seed = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            "--threads" => {
-                i += 1;
-                args.threads = argv.get(i).and_then(|v| v.parse().ok());
-            }
-            "--trace-out" => {
-                i += 1;
-                args.trace_out = argv.get(i).map(PathBuf::from);
-            }
-            "--save-model" => {
-                i += 1;
-                args.save_model = argv.get(i).map(PathBuf::from);
-            }
-            "--load-model" => {
-                i += 1;
-                args.load_model = argv.get(i).map(PathBuf::from);
-            }
-            "--ckpt-format" => {
-                i += 1;
-                let name = argv.get(i).map(String::as_str).unwrap_or("");
-                args.ckpt_format = vega_model::CkptFormat::parse(name).unwrap_or_else(|e| {
-                    vega_obs::error!("--ckpt-format: {e}");
-                    std::process::exit(2);
-                });
-            }
-            "--model" => {
-                i += 1;
-                args.model = match argv.get(i).map(String::as_str) {
-                    Some("gru") => ModelChoice::Gru,
-                    Some("transformer") | None => ModelChoice::Transformer,
-                    Some(other) => {
-                        vega_obs::error!(
-                            "--model: unknown architecture `{other}` (transformer|gru)"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-            }
-            cmd if !cmd.starts_with("--") => args.command = cmd.to_string(),
-            other => vega_obs::warn!("ignoring unknown flag {other}"),
+            other => return Err(FlagError(format!("unknown flag {other}"))),
         }
-        i += 1;
     }
-    args
+    Ok(args)
 }
 
 fn config_from(args: &Args) -> VegaConfig {
@@ -225,7 +211,10 @@ fn ablation_model(base: &VegaConfig) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        vega_obs::error!("{e}");
+        std::process::exit(2);
+    });
     if let Some(n) = args.threads {
         vega_par::set_threads(n);
     }
@@ -286,11 +275,11 @@ fn run(args: &Args, cfg: &VegaConfig) {
     if let Some(path) = &args.save_model {
         // Crash-safe write: digest-stamped bytes to a temp file, then an
         // atomic rename, so a crash mid-save never clobbers an old checkpoint.
-        match wb.vega.model().save_file_as(path, args.ckpt_format) {
+        match wb.vega.model().save_file_v2(path) {
             Ok(()) => vega_obs::info!(
                 "[vega-experiments] checkpoint saved to {} ({})",
                 path.display(),
-                args.ckpt_format
+                vega_model::CKPT_FORMAT_V2
             ),
             Err(e) => {
                 vega_obs::error!("cannot write checkpoint {}: {e}", path.display());
@@ -307,8 +296,8 @@ fn run(args: &Args, cfg: &VegaConfig) {
         wb.vega.train_samples.len(),
     );
 
-    let run_one = |wb: &mut Workbench, cmd: &str| -> Option<String> {
-        Some(match cmd {
+    let artifact = |wb: &mut Workbench, cmd: &str| -> String {
+        match cmd {
             "headline" => exp::headline(wb),
             "fig6" => exp::fig6(wb),
             "fig7" => exp::fig7(wb),
@@ -321,37 +310,61 @@ fn run(args: &Args, cfg: &VegaConfig) {
             "robustness" => exp::robustness(wb),
             "verify" => exp::verification(wb),
             "update" => exp::update_mechanism(wb),
-            _ => return None,
-        })
+            other => unreachable!("parse_args admits no artifact `{other}`"),
+        }
     };
 
     if args.command == "all" {
-        for cmd in [
-            "headline",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table2",
-            "fig9",
-            "table3",
-            "table4",
-            "fig10",
-            "robustness",
-            "verify",
-            "update",
-        ] {
-            println!("{}", run_one(&mut wb, cmd).unwrap());
+        for cmd in ARTIFACTS {
+            println!("{}", artifact(&mut wb, cmd));
         }
         println!("{}", ablation_split(cfg));
         println!("{}", ablation_model(cfg));
     } else {
-        match run_one(&mut wb, &args.command) {
-            Some(text) => println!("{text}"),
-            None => vega_obs::error!("unknown command `{}`", args.command),
-        }
+        println!("{}", artifact(&mut wb, &args.command));
     }
     vega_obs::info!(
         "[vega-experiments] done in {:.1}s",
         t0.elapsed().as_secs_f64()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, FlagError> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parses_a_smoke_command_line() {
+        let args = parse("headline --scale tiny --epochs 1 --pretrain 0 --model gru").unwrap();
+        assert_eq!(args.command, "headline");
+        assert_eq!(args.scale, Scale::Tiny);
+        assert_eq!((args.epochs, args.pretrain), (Some(1), Some(0)));
+        assert_eq!(args.model, ModelChoice::Gru);
+        let defaults = parse("").unwrap();
+        assert_eq!(defaults.command, "all");
+        assert_eq!(defaults.scale, Scale::Small);
+    }
+
+    #[test]
+    fn bad_command_lines_fail_naming_the_flag_and_value() {
+        let cases: &[(&str, &[&str])] = &[
+            ("--scale tiyn", &["--scale", "`tiyn`", "tiny, small"]),
+            ("--epochs x", &["--epochs", "`x`"]),
+            ("--seed -1", &["--seed", "`-1`"]),
+            ("--model rnn", &["--model", "`rnn`"]),
+            ("--threads", &["--threads needs a value"]),
+            ("--speculate 4 headline", &["unknown flag --speculate"]),
+            ("headlin", &["unknown command `headlin`", "ablation-model"]),
+        ];
+        for (line, wants) in cases {
+            let err = parse(line).unwrap_err().to_string();
+            for want in *wants {
+                assert!(err.contains(want), "`{line}`: `{err}` lacks `{want}`");
+            }
+        }
+    }
 }

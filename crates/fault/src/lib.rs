@@ -156,11 +156,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// [`fnv1a_64`] rendered as fixed-width lowercase hex.
-pub fn fnv1a_64_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a_64(bytes))
-}
-
 /// splitmix64 finalizer — decorrelates the (seed, site, hit) key.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -486,6 +481,6 @@ mod tests {
         // Pinned constants: the checkpoint digest format depends on them.
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64_hex(b"abc"), "e71fa2190541574b");
+        assert_eq!(fnv1a_64(b"abc"), 0xe71f_a219_0541_574b);
     }
 }

@@ -1,29 +1,48 @@
-//! Crash-safe checkpoint files.
+//! The `vega-ckpt/v2` checkpoint file: the one way a CodeBE model's weights
+//! leave or enter memory.
 //!
-//! `CodeBe::save_json` / `load_json` move JSON strings; this module moves
-//! *files*, and assumes the disk can fail at any byte. A checkpoint file is
-//! an envelope around the model payload:
+//! The *header* is JSON (vocabulary, architecture, tensor shapes); the weight
+//! data is a 64-byte-aligned little-endian `f32` region that is
+//! memory-mapped read-only and used in place:
 //!
 //! ```text
-//! {"format":"vega-ckpt/v1","digest":"<fnv1a-64 hex of payload>","payload":{…}}
+//! bytes 0..8    magic  b"VEGACKP2"
+//! bytes 8..16   u64 LE: header JSON length H
+//! bytes 16..24  u64 LE: FNV-1a digest over bytes[24..end]
+//! bytes 24..24+H   header JSON (vocab + model, tensors as {rows,cols,off})
+//! ..data_base      zero padding to the next 64-byte boundary
+//! data_base..end   tensor data region; each tensor 64-byte aligned,
+//!                  offsets in the header are relative to data_base
 //! ```
 //!
-//! [`save_file`] writes the envelope to `<path>.tmp` and renames it over
-//! `<path>` only once every byte is flushed, so a crash mid-save (simulated
-//! by the `ckpt.save.crash` fault site) leaves the previous checkpoint
-//! intact. [`load_file`] verifies the digest before handing bytes to the
-//! weight decoder, so truncated or bit-flipped checkpoints are rejected with
-//! a named [`CkptError`] instead of being decoded into garbage weights.
-//! Pre-envelope checkpoints (a bare `CodeBe::save_json` object) still load,
-//! so old files keep working.
+//! [`CodeBe::load_file`] maps the file once, verifies the digest before
+//! parsing anything, and hands every tensor a view into the mapping, so
+//! cloning the model for a serving replica copies descriptors, not weights,
+//! and training on a loaded model copies tensors out lazily
+//! (copy-on-write). Truncated, bit-flipped or otherwise damaged files are
+//! rejected with a named [`CkptError`] instead of being decoded into
+//! garbage weights; a file without the magic is [`CkptError::Corrupt`].
+//!
+//! [`CodeBe::save_file_v2`] writes `<path>.tmp` and renames it over `<path>`
+//! only once every byte is flushed, so a crash mid-save (simulated by the
+//! `ckpt.save.crash` fault site) leaves the previous checkpoint intact.
 
 use crate::codebe::CodeBe;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
+use vega_nn::storage::DATA_ALIGN;
+use vega_nn::{ByteRegion, TensorTable};
 use vega_obs::json::Json;
 
-/// The envelope format tag; bump on incompatible envelope changes.
-pub const CKPT_FORMAT: &str = "vega-ckpt/v1";
+/// The format tag, as reported in load logs and checkpoint metadata.
+pub const CKPT_FORMAT_V2: &str = "vega-ckpt/v2";
+
+/// The 8-byte magic opening every checkpoint file.
+pub const V2_MAGIC: [u8; 8] = *b"VEGACKP2";
+
+/// Bytes before the header JSON: magic + header length + digest.
+const PROLOGUE: usize = 24;
 
 /// Why a checkpoint file could not be saved or loaded. Each variant names a
 /// distinct failure so callers (and tests) can tell corruption from version
@@ -32,31 +51,31 @@ pub const CKPT_FORMAT: &str = "vega-ckpt/v1";
 pub enum CkptError {
     /// The file could not be read or written.
     Io(String),
-    /// The file is not parseable JSON at all (e.g. truncated mid-write).
+    /// The file is not a checkpoint (no `VEGACKP2` magic), or its header is
+    /// not parseable JSON.
     Corrupt(String),
-    /// The envelope digest does not match the payload (bit flip, partial
-    /// overwrite).
+    /// The digest in the prologue does not match the bytes after it (bit
+    /// flip, truncation, partial overwrite).
     DigestMismatch {
-        /// Digest recorded in the envelope.
+        /// Digest recorded in the prologue.
         expected: String,
-        /// Digest recomputed over the payload actually present.
+        /// Digest recomputed over the bytes actually present.
         found: String,
     },
-    /// The envelope is from a different format version.
+    /// The magic names another version of the format (`VEGACKP3`, …).
     VersionMismatch {
-        /// The `format` value found in the file.
+        /// The magic found in the file.
         found: String,
     },
-    /// The payload passed its digest check but does not decode as a CodeBE
+    /// The file passed its digest check but does not decode as a CodeBE
     /// model.
     Payload(String),
     /// The `ckpt.save.crash` fault site fired mid-save; the temp file was
     /// abandoned and the original checkpoint (if any) is untouched.
     InjectedCrash,
-    /// A binary (`vega-ckpt/v2`) checkpoint failed structural validation at
-    /// a specific byte offset.
+    /// The file failed structural validation at a specific byte offset.
     Binary {
-        /// The detected format tag (e.g. `vega-ckpt/v2`).
+        /// The format tag (`vega-ckpt/v2`).
         format: String,
         /// Byte offset where validation failed.
         offset: usize,
@@ -72,12 +91,12 @@ impl std::fmt::Display for CkptError {
             CkptError::Corrupt(msg) => write!(f, "checkpoint corrupt: {msg}"),
             CkptError::DigestMismatch { expected, found } => write!(
                 f,
-                "checkpoint digest mismatch: envelope says {expected}, payload hashes to {found}"
+                "checkpoint digest mismatch: prologue says {expected}, file hashes to {found}"
             ),
             CkptError::VersionMismatch { found } => write!(
                 f,
-                "checkpoint version mismatch: found `{found}`, expected `{CKPT_FORMAT}` or `{}`",
-                crate::ckpt2::CKPT_FORMAT_V2
+                "checkpoint version mismatch: found `{found}`, expected `VEGACKP2` \
+                 ({CKPT_FORMAT_V2})"
             ),
             CkptError::Payload(msg) => write!(f, "checkpoint payload: {msg}"),
             CkptError::InjectedCrash => write!(
@@ -99,77 +118,147 @@ impl std::fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-/// Renders the envelope bytes for a payload produced by `CodeBe::save_json`.
-/// Assembled textually so the payload bytes are embedded exactly as hashed.
-fn envelope(payload: &str) -> String {
-    format!(
-        "{{\"format\":\"{CKPT_FORMAT}\",\"digest\":\"{}\",\"payload\":{payload}}}",
-        vega_fault::fnv1a_64_hex(payload.as_bytes())
-    )
+/// Renders a model as checkpoint bytes (no I/O). Equal bytes mean equal
+/// vocabularies, architectures and weights, bit for bit.
+pub fn encode_v2(model: &CodeBe) -> Vec<u8> {
+    let mut table = TensorTable::new();
+    let header = model.header_json_tabled(&mut table);
+    let data = table.into_bytes();
+    let data_base = (PROLOGUE + header.len()).next_multiple_of(DATA_ALIGN);
+    let mut out = Vec::with_capacity(data_base + data.len());
+    out.extend_from_slice(&V2_MAGIC);
+    out.extend_from_slice(&(header.len() as u64).to_le_bytes());
+    out.extend_from_slice(&[0u8; 8]); // digest, patched below
+    out.extend_from_slice(header.as_bytes());
+    out.resize(data_base, 0);
+    out.extend_from_slice(&data);
+    let digest = vega_fault::fnv1a_64(&out[PROLOGUE..]);
+    out[16..PROLOGUE].copy_from_slice(&digest.to_le_bytes());
+    out
 }
 
 impl CodeBe {
-    /// Writes this model to `path` crash-safely: envelope with an embedded
-    /// FNV-1a digest, written to `<path>.tmp`, flushed, then renamed over
-    /// `path`. A failure at any point — including an injected
-    /// `ckpt.save.crash` — leaves whatever was at `path` before untouched.
+    /// Writes this model to `path` crash-safely: [`encode_v2`] bytes to
+    /// `<path>.tmp`, flushed, then renamed over `path`. A failure at any
+    /// point — including an injected `ckpt.save.crash` — leaves whatever
+    /// was at `path` before untouched.
     ///
     /// # Errors
     /// [`CkptError::Io`] for filesystem failures, [`CkptError::InjectedCrash`]
     /// when the fault site fires.
-    pub fn save_file(&self, path: &Path) -> Result<(), CkptError> {
-        write_crash_safe(path, envelope(&self.save_json()).as_bytes())
+    pub fn save_file_v2(&self, path: &Path) -> Result<(), CkptError> {
+        write_crash_safe(path, &encode_v2(self))
     }
 
-    /// Loads a checkpoint from `path`, auto-detecting the on-disk format:
-    /// `vega-ckpt/v2` binary, `vega-ckpt/v1` envelope JSON, or a legacy bare
-    /// `save_json` file. Digest verification happens before any weight
-    /// decoding in every format.
+    /// Loads a checkpoint from `path`. The file is memory-mapped and the
+    /// returned model borrows the mapping; the digest is verified before
+    /// any weight decodes.
     ///
     /// # Errors
-    /// A named [`CkptError`] variant: unreadable file, unparseable bytes,
-    /// digest mismatch, version mismatch, or undecodable payload.
+    /// A named [`CkptError`]: unreadable file, missing magic, digest
+    /// mismatch, version mismatch, or undecodable payload; structural
+    /// failures carry the byte offset of the problem.
     pub fn load_file(path: &Path) -> Result<CodeBe, CkptError> {
-        Self::load_file_detect(path).map(|(model, _)| model)
+        Self::load_file_opts(path, false)
     }
 
-    /// As [`CodeBe::load_file`], from bytes already in memory.
+    /// As [`CodeBe::load_file`], paired with the format tag
+    /// ([`CKPT_FORMAT_V2`]) that load logs report.
     ///
     /// # Errors
     /// See [`CodeBe::load_file`].
-    pub fn load_envelope(text: &str) -> Result<CodeBe, CkptError> {
-        let v = Json::parse(text).map_err(|e| CkptError::Corrupt(e.to_string()))?;
-        let Ok(format) = v.field("format").and_then(Json::as_str) else {
-            // No format tag: a legacy bare save_json checkpoint.
-            return CodeBe::load_json(text).map_err(|e| CkptError::Payload(e.to_string()));
-        };
-        if format != CKPT_FORMAT {
+    pub fn load_file_detect(path: &Path) -> Result<(CodeBe, &'static str), CkptError> {
+        Self::load_file(path).map(|model| (model, CKPT_FORMAT_V2))
+    }
+
+    /// As [`CodeBe::load_file`], with an optional prefault pass: when
+    /// `prefault` is true the mapped (or freshly read) checkpoint region is
+    /// warm-touched page by page before anything decodes, so a served model
+    /// never pays major-fault latency on its first generations. The touched
+    /// byte count is recorded on the `ckpt.prefault_bytes` counter.
+    ///
+    /// # Errors
+    /// See [`CodeBe::load_file`].
+    pub fn load_file_opts(path: &Path, prefault: bool) -> Result<CodeBe, CkptError> {
+        let region = ByteRegion::from_file(path)
+            .map_err(|e| CkptError::Io(format!("read {}: {e}", path.display())))?;
+        if prefault {
+            let touched = region.prefault();
+            vega_obs::global().counter_add("ckpt.prefault_bytes", touched as u64);
+        }
+        let b = region.bytes();
+        if b.len() >= 8 && b[..8] == V2_MAGIC {
+            return load_v2(Arc::new(region));
+        }
+        if b.len() >= 7 && &b[..7] == b"VEGACKP" {
+            // Right family, wrong version byte — a future (or mangled) rev.
             return Err(CkptError::VersionMismatch {
-                found: format.to_string(),
+                found: String::from_utf8_lossy(&b[..8.min(b.len())]).into_owned(),
             });
         }
-        let expected = v
-            .field("digest")
-            .and_then(Json::as_str)
-            .map_err(|e| CkptError::Corrupt(format!("envelope has no digest: {e}")))?
-            .to_string();
-        let payload = v
-            .field("payload")
-            .map_err(|e| CkptError::Corrupt(format!("envelope has no payload: {e}")))?
-            .render();
-        let found = vega_fault::fnv1a_64_hex(payload.as_bytes());
-        if found != expected {
-            return Err(CkptError::DigestMismatch { expected, found });
-        }
-        CodeBe::load_json(&payload).map_err(|e| CkptError::Payload(e.to_string()))
+        Err(CkptError::Corrupt(format!(
+            "{}: no {CKPT_FORMAT_V2} magic `VEGACKP2` at byte 0",
+            path.display()
+        )))
     }
 }
 
+/// Validates and decodes a mapped checkpoint. The digest is verified over
+/// everything after the prologue before any parsing or weight decoding, so
+/// truncation and bit flips are caught up front.
+fn load_v2(region: Arc<ByteRegion>) -> Result<CodeBe, CkptError> {
+    let bin = |offset: usize, msg: String| CkptError::Binary {
+        format: CKPT_FORMAT_V2.to_string(),
+        offset,
+        msg,
+    };
+    let b = region.bytes();
+    if b.len() < PROLOGUE {
+        return Err(bin(
+            b.len(),
+            format!(
+                "file is {} bytes, shorter than the {PROLOGUE}-byte prologue",
+                b.len()
+            ),
+        ));
+    }
+    let header_len = u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")) as usize;
+    let expected = u64::from_le_bytes(b[16..PROLOGUE].try_into().expect("8 bytes"));
+    let header_end = PROLOGUE
+        .checked_add(header_len)
+        .filter(|&end| end <= b.len())
+        .ok_or_else(|| {
+            bin(
+                8,
+                format!(
+                    "header length {header_len} overruns the {}-byte file",
+                    b.len()
+                ),
+            )
+        })?;
+    let found = vega_fault::fnv1a_64(&b[PROLOGUE..]);
+    if found != expected {
+        return Err(CkptError::DigestMismatch {
+            expected: format!("{expected:016x}"),
+            found: format!("{found:016x}"),
+        });
+    }
+    let header = std::str::from_utf8(&b[PROLOGUE..header_end]).map_err(|e| {
+        bin(
+            PROLOGUE + e.valid_up_to(),
+            "header is not UTF-8".to_string(),
+        )
+    })?;
+    let v = Json::parse(header).map_err(|e| CkptError::Corrupt(format!("v2 header: {e}")))?;
+    let data_base = header_end.next_multiple_of(DATA_ALIGN);
+    CodeBe::from_header_tabled(&v, &region, data_base)
+        .map_err(|e| CkptError::Payload(e.to_string()))
+}
+
 /// Writes `bytes` to `path` crash-safely: `<path>.tmp`, flushed, then
-/// renamed over `path`. Shared by the v1 (JSON envelope) and v2 (binary)
-/// save paths so both get the same atomicity and the same injectable
-/// mid-write crash.
-pub(crate) fn write_crash_safe(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+/// renamed over `path`, with the injectable `ckpt.save.crash` site between
+/// the two halves of the write.
+fn write_crash_safe(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
     let tmp = tmp_path(path);
     let io_err =
         |what: &str, e: std::io::Error| CkptError::Io(format!("{what} {}: {e}", tmp.display()));

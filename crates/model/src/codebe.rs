@@ -472,16 +472,6 @@ impl CodeBe {
         hits as f64 / pairs.len() as f64
     }
 
-    /// Serializes vocabulary and weights to JSON. The model is externally
-    /// tagged by architecture: `{"vocab":{...},"model":{"Transformer":{...}}}`.
-    pub fn save_json(&self) -> String {
-        let model = match &self.model {
-            ModelKind::Transformer(t) => Json::obj([("Transformer", t.to_json_value())]),
-            ModelKind::Gru(g) => Json::obj([("Gru", g.to_json_value())]),
-        };
-        Json::obj([("vocab", self.vocab.to_json_value()), ("model", model)]).render()
-    }
-
     /// Scalars held in owned (heap) storage rather than borrowed from a
     /// shared checkpoint mapping. Zero right after a v2 binary load; any
     /// weight mutation (training) copies the touched tensors out.
@@ -492,9 +482,10 @@ impl CodeBe {
         }
     }
 
-    /// Renders the `vega-ckpt/v2` header JSON: same shape as
-    /// [`CodeBe::save_json`], but every tensor is an `{rows, cols, off}`
-    /// descriptor whose data went into `table`.
+    /// Renders the `vega-ckpt/v2` header JSON, externally tagged by
+    /// architecture (`{"vocab":{...},"model":{"Transformer":{...}}}`); every
+    /// tensor is an `{rows, cols, off}` descriptor whose data went into
+    /// `table`.
     pub(crate) fn header_json_tabled(&self, table: &mut vega_nn::TensorTable) -> String {
         let model = match &self.model {
             ModelKind::Transformer(t) => {
@@ -518,31 +509,6 @@ impl CodeBe {
             ModelKind::Transformer(Transformer::from_json_value_tabled(t, region, data_base)?)
         } else if let Ok(g) = m.field("Gru") {
             ModelKind::Gru(GruSeq2Seq::from_json_value_tabled(g, region, data_base)?)
-        } else {
-            return Err(JsonError {
-                msg: "unknown model kind".into(),
-            });
-        };
-        Ok(CodeBe {
-            vocab,
-            model,
-            curve: TrainingCurve::new(),
-            backend: None,
-        })
-    }
-
-    /// Restores a model saved with [`CodeBe::save_json`].
-    ///
-    /// # Errors
-    /// Returns an error if the JSON does not describe a CodeBE model.
-    pub fn load_json(s: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(s)?;
-        let vocab = Vocab::from_json_value(v.field("vocab")?)?;
-        let m = v.field("model")?;
-        let model = if let Ok(t) = m.field("Transformer") {
-            ModelKind::Transformer(Transformer::from_json_value(t)?)
-        } else if let Ok(g) = m.field("Gru") {
-            ModelKind::Gru(GruSeq2Seq::from_json_value(g)?)
         } else {
             return Err(JsonError {
                 msg: "unknown model kind".into(),
@@ -628,8 +594,13 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let (mut m, seqs) = tiny_codebe(&["x = 1;"]);
-        let json = m.save_json();
-        let mut m2 = CodeBe::load_json(&json).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "vega-model-codebe-roundtrip-{}.ckpt",
+            std::process::id()
+        ));
+        m.save_file_v2(&path).unwrap();
+        let mut m2 = CodeBe::load_file(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(m.generate(&seqs[0], 8), m2.generate(&seqs[0], 8));
         // Architecture metadata survives the round trip.
         assert_eq!(m2.arch_name(), "transformer");

@@ -16,14 +16,12 @@
 
 pub mod backend;
 mod ckpt;
-mod ckpt2;
 mod codebe;
 mod subtok;
 mod vocab;
 
 pub use backend::{BackendHandle, DecodeAbort, DecodeBackend};
-pub use ckpt::{tmp_path, CkptError, CKPT_FORMAT};
-pub use ckpt2::{encode_v2, CkptFormat, CKPT_FORMAT_V2, V2_MAGIC};
+pub use ckpt::{encode_v2, tmp_path, CkptError, CKPT_FORMAT_V2, V2_MAGIC};
 pub use codebe::{CodeBe, DecodeSession, ModelChoice, TrainConfig};
 pub use subtok::{
     pieces_to_spellings, spellings_to_source, split_ident, string_to_pieces, token_to_pieces,

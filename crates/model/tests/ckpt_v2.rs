@@ -1,16 +1,18 @@
-//! `vega-ckpt/v2` binary checkpoint tests: v1 and v2 round-trip
-//! bit-identically, a mapped model shares weights until written
-//! (copy-on-write), and corrupted v2 files are rejected with named errors —
-//! truncation, bit flips, version skew, a doctored tensor table, and an
+//! `vega-ckpt/v2` checkpoint tests: a save/load round trip re-encodes to
+//! the same bytes, a mapped model shares weights until written
+//! (copy-on-write), and bad files are rejected with named errors — a missing
+//! file, truncation, bit flips, version skew, a doctored tensor table, and an
 //! injected crash mid-save.
 //!
 //! Everything runs in one `#[test]` because the fault plan is process-global
 //! and the scenarios install and clear plans.
 
+use std::path::Path;
 use vega_cpplite::lex;
 use vega_fault::FaultPlan;
 use vega_model::{
-    tmp_path, tokens_to_pieces, CkptError, CkptFormat, CodeBe, TrainConfig, Vocab, V2_MAGIC,
+    encode_v2, tmp_path, tokens_to_pieces, CkptError, CodeBe, TrainConfig, Vocab, CKPT_FORMAT_V2,
+    V2_MAGIC,
 };
 use vega_nn::TransformerConfig;
 
@@ -47,30 +49,30 @@ fn v2_checkpoints_roundtrip_share_weights_and_reject_corruption() {
     let mut cfg = TrainConfig::tiny();
     cfg.finetune_epochs = 3;
     model.finetune(&[(seqs[0].clone(), seqs[1].clone())], &cfg);
-    let json = model.save_json();
+    let encoded = encode_v2(&model);
     let baseline = model.generate(&seqs[0], 8);
     let base_lp = model.sequence_logprob(&seqs[0], &seqs[1]);
 
-    // --- v2 save -> load: detected format, bit-identical weights ---------
+    // --- save -> load: the format tag, bit-identical weights --------------
     model.save_file_v2(&path).unwrap();
     assert!(!tmp_path(&path).exists());
     let raw = std::fs::read(&path).unwrap();
     assert_eq!(&raw[..8], &V2_MAGIC);
+    assert_eq!(raw, encoded, "the file holds exactly the encoded bytes");
     let (mut mapped, fmt) = CodeBe::load_file_detect(&path).unwrap();
-    assert_eq!(fmt, CkptFormat::V2);
+    assert_eq!(fmt, CKPT_FORMAT_V2);
     assert_eq!(
-        mapped.save_json(),
-        json,
-        "a v2 round trip must re-serialize to byte-identical v1 JSON"
+        encode_v2(&mapped),
+        raw,
+        "a loaded model must re-encode to the bytes it was loaded from"
     );
     assert_eq!(mapped.generate(&seqs[0], 8), baseline);
     assert_eq!(
         mapped.sequence_logprob(&seqs[0], &seqs[1]).to_bits(),
         base_lp.to_bits(),
-        "logprobs must agree to the bit across formats"
+        "logprobs must agree to the bit across a save and load"
     );
-    // Plain load_file auto-detects too.
-    assert_eq!(CodeBe::load_file(&path).unwrap().save_json(), json);
+    assert_eq!(encode_v2(&CodeBe::load_file(&path).unwrap()), raw);
 
     // --- shared storage + copy-on-write ----------------------------------
     #[cfg(target_endian = "little")]
@@ -97,25 +99,21 @@ fn v2_checkpoints_roundtrip_share_weights_and_reject_corruption() {
         "the mapped model must be untouched by replica training"
     );
     assert_eq!(
-        CodeBe::load_file(&path).unwrap().save_json(),
-        json,
+        std::fs::read(&path).unwrap(),
+        raw,
         "the on-disk checkpoint must be untouched by replica training"
     );
-
-    // --- v1 <-> v2 conversion is lossless ---------------------------------
-    let v1_path = dir.join("model.v1.json");
-    model.save_file_as(&v1_path, CkptFormat::V1).unwrap();
-    let (via_v1, fmt) = CodeBe::load_file_detect(&v1_path).unwrap();
-    assert_eq!(fmt, CkptFormat::V1);
-    let v2_again = dir.join("model.again.ckpt");
-    via_v1.save_file_as(&v2_again, CkptFormat::V2).unwrap();
     assert_eq!(
-        std::fs::read(&v2_again).unwrap(),
+        encode_v2(&mapped),
         raw,
-        "v1 -> v2 re-encode must be byte-identical to the original v2 file"
+        "replica training must not change what the mapped model encodes to"
     );
-    assert_eq!(CkptFormat::parse("v2"), Ok(CkptFormat::V2));
-    assert!(CkptFormat::parse("v3").is_err());
+
+    // --- missing file: named Io error --------------------------------------
+    assert!(matches!(
+        CodeBe::load_file(Path::new("/nonexistent/model.ckpt")),
+        Err(CkptError::Io(_))
+    ));
 
     // --- truncation below the prologue: named Binary error ----------------
     let stub = dir.join("stub.ckpt");

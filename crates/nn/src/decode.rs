@@ -38,12 +38,11 @@
 //! shares one logits projection.
 //!
 //! The row count picks the loop, never the result. One row takes the
-//! per-`k` [`row_matmul_into`] and the row-major dot-form logits loop;
-//! several rows take the k-tiled loop, which streams each weight matrix
-//! once for all of them, and the weight-major logits loop. Per row both
-//! are the same f32 operations in the same order. The transformer encoder
-//! runs its weight products on the same k-tiled loop, one row per source
-//! position.
+//! per-`k` [`row_matmul_into`]; several rows take the k-tiled loop, which
+//! streams each weight matrix, the logits projection's included, once for
+//! all of them. Per row both are the same f32 operations in the same
+//! order. The transformer encoder runs its weight products on the same
+//! k-tiled loop, one row per source position.
 //!
 //! # Bit-identity
 //!
@@ -205,40 +204,12 @@ fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
 
 /// The logits projection every decode path and both graph references run:
 /// `out[s] = xn[s] · w + b` for every scratch row `s` in `rows` (`xn` at
-/// stride `w.rows`, `out` at stride `w.cols`), branching on
-/// [`crate::kernel::dot_form_logits`]. Dot-form reads the pre-transposed
-/// weight `wt` (`vocab × d`) one contiguous row per vocab id through the
-/// fixed-tree [`Kernel::dot`] (the AVX2 win the matmul bench measures):
-/// row-major for one row, weight-major for several, so each transposed
-/// weight row crosses the cache hierarchy once for all of them.
-/// Axpy-form is [`rows_matmul_into`] (faster in scalar mode, whose
-/// serial-chain `dot` loses ~4×). Per row the f32 sequence is the same
-/// either way, so within one (kernel mode, dot-form) setting every path
-/// stays bit-identical.
-pub(crate) fn project_logits(
-    rows: &[usize],
-    xn: &[f32],
-    w: &Tensor,
-    wt: &Tensor,
-    b: &[f32],
-    out: &mut [f32],
-) {
-    let (d, vocab) = (w.rows, w.cols);
-    if !crate::kernel::dot_form_logits() {
-        rows_matmul_into(rows, xn, w, out);
-    } else if let [s] = *rows {
-        let xn = &xn[s * d..(s + 1) * d];
-        for (v, o) in out[s * vocab..(s + 1) * vocab].iter_mut().enumerate() {
-            *o = dot(xn, wt.row(v));
-        }
-    } else {
-        for v in 0..vocab {
-            let wr = wt.row(v);
-            for &s in rows {
-                out[s * vocab + v] = dot(&xn[s * d..(s + 1) * d], wr);
-            }
-        }
-    }
+/// stride `w.rows`, `out` at stride `w.cols`) — [`rows_matmul_into`], then
+/// the bias. Its ascending-`k` axpy chain is bit-identical across kernel
+/// modes, and per row it is the same f32 sequence whatever the row count.
+pub(crate) fn project_logits(rows: &[usize], xn: &[f32], w: &Tensor, b: &[f32], out: &mut [f32]) {
+    rows_matmul_into(rows, xn, w, out);
+    let vocab = w.cols;
     for &s in rows {
         add_assign(&mut out[s * vocab..(s + 1) * vocab], b);
     }
@@ -598,7 +569,7 @@ impl Transformer {
     /// # Panics
     /// Panics if a row's position is at or past `max_len` (the graph path
     /// would index the positional table out of range at the same point).
-    fn decode_rows(&self, wt: &Tensor, caches: &mut [KvCache], sc: &mut Scratch) {
+    fn decode_rows(&self, caches: &mut [KvCache], sc: &mut Scratch) {
         if sc.rows.is_empty() {
             return;
         }
@@ -681,7 +652,7 @@ impl Transformer {
             add_rows(ids, d, x, tmp_d);
         }
         self.norm_rows(&self.final_ln, ids, x, xn);
-        project_logits(ids, xn, w(self.w_out), wt, w(self.b_out).as_slice(), logits);
+        project_logits(ids, xn, w(self.w_out), w(self.b_out).as_slice(), logits);
         for r in rows.iter() {
             caches[r.cache].len += 1;
         }
@@ -696,7 +667,6 @@ impl Transformer {
     pub fn begin_decode(&self, src: &[usize]) -> DecodeState<'_> {
         DecodeState {
             model: self,
-            wt: self.out_proj_t(),
             cache: self.encode_cache(src),
             forks: Vec::new(),
             sc: Scratch::default(),
@@ -729,10 +699,6 @@ impl Transformer {
 /// "encode once per statement" path behind `vega-model`'s decode session.
 pub struct DecodeState<'m> {
     model: &'m Transformer,
-    /// The output projection pre-transposed to `vocab × d`, snapshotted from
-    /// the model's epoch-keyed cache once per session (weights are immutable
-    /// while the state borrows the model, so it cannot go stale mid-decode).
-    wt: Arc<Tensor>,
     cache: KvCache,
     /// Forks of `cache` for [`DecodeState::forced_logprobs`], one per
     /// candidate that runs past the shared prefix; grown lazily to the
@@ -788,7 +754,7 @@ impl DecodeState<'_> {
                 at: i,
             }));
         let caches = std::slice::from_mut(&mut self.cache);
-        self.model.decode_rows(&self.wt, caches, &mut self.sc);
+        self.model.decode_rows(caches, &mut self.sc);
         &self.sc.logits[..tokens.len() * self.model.cfg.vocab]
     }
 
@@ -889,7 +855,7 @@ impl DecodeState<'_> {
             forks += 1;
         }
         let caches = &mut self.forks[..forks];
-        self.model.decode_rows(&self.wt, caches, &mut self.sc);
+        self.model.decode_rows(caches, &mut self.sc);
         let logits = &mut self.sc.logits[..at * vocab];
         for row in logits.chunks_exact_mut(vocab) {
             softmax_row(row);
@@ -994,10 +960,10 @@ impl GruSeq2Seq {
 
     /// One decoder step: the decoder cell on `token`, then its logits into
     /// `sc.logits`.
-    fn decode_step(&self, wt: &Tensor, token: usize, h: &mut [f32], sc: &mut GruScratch) {
+    fn decode_step(&self, token: usize, h: &mut [f32], sc: &mut GruScratch) {
         self.cell(&self.dec, token, h, sc);
         let (w, b) = (self.store.value(self.w_out), self.store.value(self.b_out));
-        project_logits(&[0], h, w, wt, b.as_slice(), &mut sc.logits);
+        project_logits(&[0], h, w, b.as_slice(), &mut sc.logits);
     }
 
     /// Starts an incremental GRU decode over `src` (clamped to `max_len`):
@@ -1011,7 +977,6 @@ impl GruSeq2Seq {
         self.encode_into(src, &mut h, &mut sc);
         GruDecodeState {
             model: self,
-            wt: self.out_proj_t(),
             h0: h.clone(),
             h,
             sc,
@@ -1037,8 +1002,6 @@ impl GruSeq2Seq {
 /// state).
 pub struct GruDecodeState<'m> {
     model: &'m GruSeq2Seq,
-    /// Pre-transposed output projection, snapshotted like `DecodeState`'s.
-    wt: Arc<Tensor>,
     h: Vec<f32>,
     /// The hidden state the encoder left, restored by `reset`.
     h0: Vec<f32>,
@@ -1049,8 +1012,7 @@ impl GruDecodeState<'_> {
     /// Feeds `token` through the decoder cell and returns its logits row —
     /// bit-identical to the last row of the graph path's full-prefix decode.
     pub fn step(&mut self, token: usize) -> &[f32] {
-        self.model
-            .decode_step(&self.wt, token, &mut self.h, &mut self.sc);
+        self.model.decode_step(token, &mut self.h, &mut self.sc);
         &self.sc.logits[..self.model.cfg.vocab]
     }
 

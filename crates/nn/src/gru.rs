@@ -5,10 +5,9 @@
 //! VEGA" side of that ablation.
 
 use crate::graph::{Graph, NodeId};
-use crate::params::{Init, OutProjCache, ParamId, ParamStore};
+use crate::params::{Init, ParamId, ParamStore};
 use crate::seq2seq::Seq2Seq;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 use vega_obs::json::{Json, JsonError};
 
 /// GRU hyperparameters.
@@ -99,9 +98,6 @@ pub struct GruSeq2Seq {
     pub(crate) dec: GruCell,
     pub(crate) w_out: ParamId,
     pub(crate) b_out: ParamId,
-    /// Cached `w_out` transpose for the dot-form logits path (see
-    /// [`crate::Transformer`]'s field of the same name).
-    pub(crate) out_t: OutProjCache,
 }
 
 fn make_cell(store: &mut ParamStore, init: &mut Init, name: &str, d: usize) -> GruCell {
@@ -161,7 +157,6 @@ impl GruSeq2Seq {
             dec,
             w_out,
             b_out,
-            out_t: OutProjCache::default(),
         }
     }
 
@@ -170,32 +165,16 @@ impl GruSeq2Seq {
         self.store.num_scalars()
     }
 
-    /// The output projection pre-transposed to `vocab × d` (see
-    /// [`crate::Transformer::out_proj_t`]).
-    pub(crate) fn out_proj_t(&self) -> Arc<Tensor> {
-        self.out_t.get(&self.store, self.w_out)
-    }
-
     /// Projects hidden rows to logits exactly as the incremental fast path
-    /// does, including the dot-form branch (see
-    /// [`crate::Transformer::project_rows`]).
+    /// does (see [`crate::Transformer::project_rows`]).
     fn project_rows(&self, hs: &Tensor) -> Tensor {
         let w = self.store.value(self.w_out);
         let b = self.store.value(self.b_out);
-        let wt = self.out_proj_t();
         let mut out = Tensor::zeros(hs.rows, self.cfg.vocab);
         let rows: Vec<usize> = (0..hs.rows).collect();
         let out_rows = out.as_mut_slice();
-        crate::decode::project_logits(&rows, hs.as_slice(), w, &wt, b.as_slice(), out_rows);
+        crate::decode::project_logits(&rows, hs.as_slice(), w, b.as_slice(), out_rows);
         out
-    }
-
-    /// Restores a model saved with [`Seq2Seq::save_json`].
-    ///
-    /// # Errors
-    /// Returns an error if the JSON does not describe a GRU model.
-    pub fn load_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Json::parse(s)?)
     }
 
     /// Scalars held in owned (heap) storage, as opposed to borrowed from a
@@ -205,20 +184,10 @@ impl GruSeq2Seq {
         self.store.owned_scalars()
     }
 
-    /// Serializes to a JSON value for embedding in a larger document.
-    pub fn to_json_value(&self) -> Json {
-        self.to_json_with(self.store.to_json_value())
-    }
-
-    /// Like [`GruSeq2Seq::to_json_value`], but tensor data goes into `table`
-    /// and the JSON holds only shapes and byte offsets (the `vega-ckpt/v2`
-    /// binary layout).
+    /// Serializes the architecture to a JSON value for the `vega-ckpt/v2`
+    /// header: tensor data goes into `table`, and the JSON holds only
+    /// shapes and byte offsets.
     pub fn to_json_value_tabled(&self, table: &mut crate::storage::TensorTable) -> Json {
-        let store = self.store.to_json_value_tabled(table);
-        self.to_json_with(store)
-    }
-
-    fn to_json_with(&self, store: Json) -> Json {
         let cfg = Json::obj([
             ("vocab", Json::num_usize(self.cfg.vocab)),
             ("d_model", Json::num_usize(self.cfg.d_model)),
@@ -227,22 +196,13 @@ impl GruSeq2Seq {
         ]);
         Json::obj([
             ("cfg", cfg),
-            ("store", store),
+            ("store", self.store.to_json_value_tabled(table)),
             ("emb", pid_json(self.emb)),
             ("enc", self.enc.to_json_value()),
             ("dec", self.dec.to_json_value()),
             ("w_out", pid_json(self.w_out)),
             ("b_out", pid_json(self.b_out)),
         ])
-    }
-
-    /// Restores from [`GruSeq2Seq::to_json_value`] output.
-    ///
-    /// # Errors
-    /// Returns an error if the value does not describe a GRU model.
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let store = ParamStore::from_json_value(v.field("store")?)?;
-        Self::from_json_with(v, store)
     }
 
     /// Restores from [`GruSeq2Seq::to_json_value_tabled`] output, reading
@@ -258,10 +218,6 @@ impl GruSeq2Seq {
         data_base: usize,
     ) -> Result<Self, JsonError> {
         let store = ParamStore::from_json_value_tabled(v.field("store")?, region, data_base)?;
-        Self::from_json_with(v, store)
-    }
-
-    fn from_json_with(v: &Json, store: ParamStore) -> Result<Self, JsonError> {
         let c = v.field("cfg")?;
         let cfg = GruConfig {
             vocab: c.field("vocab")?.as_usize()?,
@@ -269,7 +225,7 @@ impl GruSeq2Seq {
             max_len: c.field("max_len")?.as_usize()?,
             seed: c.field("seed")?.as_u64()?,
         };
-        let m = GruSeq2Seq {
+        Ok(GruSeq2Seq {
             cfg,
             store,
             emb: pid_from(v.field("emb")?)?,
@@ -277,11 +233,7 @@ impl GruSeq2Seq {
             dec: GruCell::from_json_value(v.field("dec")?)?,
             w_out: pid_from(v.field("w_out")?)?,
             b_out: pid_from(v.field("b_out")?)?,
-            out_t: OutProjCache::default(),
-        };
-        // Pre-transpose the output projection once at checkpoint load.
-        let _ = m.out_proj_t();
-        Ok(m)
+        })
     }
 
     fn encode(cell: &GruCell, emb: ParamId, g: &mut Graph<'_>, src: &[usize], d: usize) -> NodeId {
@@ -320,10 +272,6 @@ impl Seq2Seq for GruSeq2Seq {
 
     fn greedy(&mut self, src: &[usize], bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
         self.begin_decode(src).greedy(bos, eos, max_len)
-    }
-
-    fn save_json(&self) -> String {
-        self.to_json_value().render()
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
@@ -457,8 +405,8 @@ impl GruRef {
 
     /// The decoder hidden state after each fed token, *without* the output
     /// projection — the twins take these rows out of the graph and project
-    /// them through [`GruSeq2Seq::project_rows`] so they branch on the same
-    /// dot-form predicate the incremental fast path uses. Training keeps
+    /// them through [`GruSeq2Seq::project_rows`], the incremental fast
+    /// path's own logits projection. Training keeps
     /// [`GruRef::decode_logits_ref`] (the projection must live on the tape
     /// for backprop).
     fn decode_hidden_ref(&self, g: &mut Graph<'_>, mut h: NodeId, tgt_in: &[usize]) -> NodeId {
@@ -493,6 +441,8 @@ impl GruSeq2Seq {
 mod tests {
     use super::*;
     use crate::seq2seq::train_until;
+    use crate::storage::{ByteRegion, TensorTable};
+    use std::sync::Arc;
 
     #[test]
     fn learns_a_tiny_mapping() {
@@ -506,8 +456,10 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let mut m = GruSeq2Seq::new(GruConfig::tiny(8));
-        let json = m.save_json();
-        let mut m2 = GruSeq2Seq::load_json(&json).unwrap();
+        let mut table = TensorTable::new();
+        let header = m.to_json_value_tabled(&mut table);
+        let region = Arc::new(ByteRegion::from_bytes(&table.into_bytes()));
+        let mut m2 = GruSeq2Seq::from_json_value_tabled(&header, &region, 0).unwrap();
         assert_eq!(m.greedy(&[2], 0, 1, 4), m2.greedy(&[2], 0, 1, 4));
         assert_eq!(m.num_params(), m2.num_params());
     }

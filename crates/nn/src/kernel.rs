@@ -34,7 +34,7 @@
 //!   multiply-then-add contributions in the same order as the scalar loop,
 //!   so these ops are **bit-identical across modes** (no FMA contraction).
 //!   This keeps the non-transposed matmul paths and most of the decode hot
-//!   loop exactly equal to scalar.
+//!   loop, the logits projection included, exactly equal to scalar.
 //! * [`Kernel::dot`], [`Kernel::sum`], and [`Kernel::sq_diff_sum`] reorder
 //!   their accumulation across lanes, so AVX2 results differ from scalar
 //!   within floating-point tolerance (pinned by
@@ -207,74 +207,6 @@ pub fn set_mode(mode: KernelMode) -> Isa {
     let isa = resolve(mode);
     ACTIVE_ISA.store(isa as u8, Ordering::Relaxed);
     isa
-}
-
-/// Policy for the dot-form decode logits projection (see
-/// [`dot_form_logits`]). `Auto` follows the active ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DotForm {
-    /// Dot-form iff the active ISA is AVX2 (the default).
-    Auto,
-    /// Always project via pre-transposed `dot` rows.
-    On,
-    /// Always project via the axpy-form row matmul.
-    Off,
-}
-
-const DOT_FORM_UNRESOLVED: u8 = u8::MAX;
-/// 0 = Off, 1 = On, 2 = Auto, `DOT_FORM_UNRESOLVED` before the first use
-/// reads `VEGA_DOT_FORM`.
-static DOT_FORM: AtomicU8 = AtomicU8::new(DOT_FORM_UNRESOLVED);
-
-/// Whether decode logits should use the *dot-form* projection: the output
-/// weight pre-transposed to `vocab × d` so each logit is one
-/// [`Kernel::dot`]. Worth it only where `dot` beats the axpy-form column
-/// sweep — AVX2's fixed-tree lanes win (~1.15× on the committed matmul
-/// bench), while the scalar `dot` is a serial dependency chain and loses
-/// badly (~4.4× slower). So `Auto` (the default) answers true exactly when
-/// [`active`] is [`Isa::Avx2`]. Override with `VEGA_DOT_FORM`
-/// (`auto` | `on` | `off`) or [`set_dot_form`]; every decode and
-/// graph-reference path branches on this same predicate, so per-mode
-/// bit-identity holds on both sides of the switch.
-pub fn dot_form_logits() -> bool {
-    let policy = match DOT_FORM.load(Ordering::Relaxed) {
-        0 => DotForm::Off,
-        1 => DotForm::On,
-        2 => DotForm::Auto,
-        _ => {
-            let parsed = match std::env::var("VEGA_DOT_FORM").as_deref() {
-                Ok("on") => DotForm::On,
-                Ok("off") => DotForm::Off,
-                Ok("auto") | Err(_) => DotForm::Auto,
-                Ok(other) => {
-                    vega_obs::global().event(
-                        vega_obs::Level::Warn,
-                        &format!("VEGA_DOT_FORM={other} not recognized; using auto"),
-                    );
-                    DotForm::Auto
-                }
-            };
-            set_dot_form(parsed);
-            parsed
-        }
-    };
-    match policy {
-        DotForm::On => true,
-        DotForm::Off => false,
-        DotForm::Auto => matches!(active(), Isa::Avx2),
-    }
-}
-
-/// Overrides the dot-form logits policy (tests and benches; the process
-/// default comes from `VEGA_DOT_FORM`). Process-global, same serialization
-/// caveat as [`set_mode`].
-pub fn set_dot_form(policy: DotForm) {
-    let code = match policy {
-        DotForm::Off => 0,
-        DotForm::On => 1,
-        DotForm::Auto => 2,
-    };
-    DOT_FORM.store(code, Ordering::Relaxed);
 }
 
 /// Dispatches `$body` once over the active kernel, binding `$k` to a

@@ -6,7 +6,8 @@
 //! ([`ParamStore::adam_step`]), an encoder–decoder [`Transformer`] (the
 //! architecture behind the paper's UniXcoder-based CodeBE), and a
 //! [`GruSeq2Seq`] baseline for the RNN ablation. Both models implement
-//! [`Seq2Seq`] and serialize to JSON.
+//! [`Seq2Seq`] and serialize to a JSON header plus a [`TensorTable`] of
+//! weights, the `vega-ckpt/v2` layout.
 //!
 //! Generation runs on a forward-only fast path ([`DecodeState`] /
 //! [`GruDecodeState`], see the [`mod@decode`] module docs) that caches

@@ -30,13 +30,6 @@ pub struct ParamStore {
     tensors: Vec<Tensor>,
     train: Option<Box<TrainState>>,
     step_count: u64,
-    /// Bumped on every value mutation ([`ParamStore::adam_step`],
-    /// [`ParamStore::value_mut`]). Derived-weight caches (the pre-transposed
-    /// decode output projection) key on this to know when to rebuild.
-    /// Transient: not serialized, and meaningful only within one store
-    /// instance — two stores can share an epoch number with different
-    /// values, which is why caches must never outlive their store.
-    epoch: u64,
 }
 
 impl Clone for ParamStore {
@@ -46,7 +39,6 @@ impl Clone for ParamStore {
             tensors: self.tensors.clone(),
             train: None,
             step_count: self.step_count,
-            epoch: self.epoch,
         }
     }
 }
@@ -65,15 +57,7 @@ impl ParamStore {
             tensors: Vec::new(),
             train: None,
             step_count: 0,
-            epoch: 0,
         }
-    }
-
-    /// The value-mutation epoch: bumped whenever parameter values may have
-    /// changed in place. Derived-weight caches compare this against the epoch
-    /// they were built at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Registers a parameter tensor under `name`.
@@ -113,10 +97,7 @@ impl ParamStore {
 
     /// Mutable access (tests, manual surgery). Copy-on-write for shared
     /// weights happens inside the tensor's mutating accessors, not here.
-    /// Bumps the mutation epoch pessimistically — the caller holds a `&mut`
-    /// it can write through whether or not it actually does.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.epoch += 1;
         &mut self.tensors[id.0]
     }
 
@@ -199,7 +180,6 @@ impl ParamStore {
         vega_obs::global().counter_add("nn.train_steps", 1);
         self.ensure_train();
         self.step_count += 1;
-        self.epoch += 1;
         let t = self.step_count as f32;
         let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
         let tr = self.train.as_mut().expect("ensured above");
@@ -244,29 +224,9 @@ impl ParamStore {
             .sum()
     }
 
-    /// Serializes the parameter values to JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
-    }
-
-    /// Serializes to a JSON value for embedding in a larger document.
-    pub(crate) fn to_json_value(&self) -> Json {
-        Json::obj([
-            (
-                "names",
-                Json::Arr(self.names.iter().map(Json::str).collect()),
-            ),
-            (
-                "tensors",
-                Json::Arr(self.tensors.iter().map(Tensor::to_json_value).collect()),
-            ),
-            ("step_count", Json::num_u64(self.step_count)),
-        ])
-    }
-
-    /// Like [`ParamStore::to_json_value`], but tensor values go to the v2
-    /// data region `table` and the JSON keeps only `{rows, cols, off}`
-    /// descriptors.
+    /// Serializes names and the step count to a JSON value for the v2
+    /// header; tensor values go to the data region `table` and the JSON
+    /// keeps only their `{rows, cols, off}` descriptors.
     pub(crate) fn to_json_value_tabled(&self, table: &mut TensorTable) -> Json {
         Json::obj([
             (
@@ -286,28 +246,26 @@ impl ParamStore {
         ])
     }
 
-    /// Restores a store from [`ParamStore::to_json`] output; optimizer state
-    /// is reset.
-    ///
-    /// # Errors
-    /// Returns an error if the JSON does not describe a `ParamStore`.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Json::parse(s)?)
-    }
-
-    fn parse_names(v: &Json) -> Result<Vec<String>, JsonError> {
-        v.field("names")?
+    /// Restores a store whose tensors are shared views into `region` (the
+    /// mapped v2 checkpoint), with the data section at byte `data_base`;
+    /// optimizer state starts empty.
+    pub(crate) fn from_json_value_tabled(
+        v: &Json,
+        region: &Arc<ByteRegion>,
+        data_base: usize,
+    ) -> Result<Self, JsonError> {
+        let names = v
+            .field("names")?
             .as_array()?
             .iter()
             .map(|n| Ok(n.as_str()?.to_string()))
-            .collect()
-    }
-
-    fn assemble(
-        names: Vec<String>,
-        tensors: Vec<Tensor>,
-        step_count: u64,
-    ) -> Result<Self, JsonError> {
+            .collect::<Result<Vec<String>, JsonError>>()?;
+        let tensors = v
+            .field("tensors")?
+            .as_array()?
+            .iter()
+            .map(|t| Tensor::from_table_entry(t, region, data_base))
+            .collect::<Result<Vec<Tensor>, JsonError>>()?;
         if names.len() != tensors.len() {
             return Err(JsonError {
                 msg: "names/tensors length mismatch".into(),
@@ -317,75 +275,8 @@ impl ParamStore {
             names,
             tensors,
             train: None,
-            step_count,
-            epoch: 0,
+            step_count: v.field("step_count")?.as_u64()?,
         })
-    }
-
-    /// Restores a store from [`ParamStore::to_json_value`] output.
-    pub(crate) fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let names = Self::parse_names(v)?;
-        let tensors = v
-            .field("tensors")?
-            .as_array()?
-            .iter()
-            .map(Tensor::from_json_value)
-            .collect::<Result<Vec<Tensor>, JsonError>>()?;
-        let step_count = v.field("step_count")?.as_u64()?;
-        Self::assemble(names, tensors, step_count)
-    }
-
-    /// Restores a store whose tensors are shared views into `region` (the
-    /// mapped v2 checkpoint), with the data section at byte `data_base`.
-    pub(crate) fn from_json_value_tabled(
-        v: &Json,
-        region: &Arc<ByteRegion>,
-        data_base: usize,
-    ) -> Result<Self, JsonError> {
-        let names = Self::parse_names(v)?;
-        let tensors = v
-            .field("tensors")?
-            .as_array()?
-            .iter()
-            .map(|t| Tensor::from_table_entry(t, region, data_base))
-            .collect::<Result<Vec<Tensor>, JsonError>>()?;
-        let step_count = v.field("step_count")?.as_u64()?;
-        Self::assemble(names, tensors, step_count)
-    }
-}
-
-/// Lazily-built, epoch-keyed cache of a decode output projection
-/// pre-transposed to `vocab × d`, so the dot-form logits path reads one
-/// contiguous weight row per vocab id. Shared via `Arc` so a decode state
-/// snapshots it once for a whole generation. A clone starts empty: epochs
-/// are meaningful only within one store instance, so a cached tensor must
-/// never migrate to a different store (two independently trained clones can
-/// reach the same epoch number with different weights).
-#[derive(Debug, Default)]
-pub(crate) struct OutProjCache {
-    slot: std::sync::Mutex<Option<(u64, Arc<Tensor>)>>,
-}
-
-impl Clone for OutProjCache {
-    fn clone(&self) -> Self {
-        OutProjCache::default()
-    }
-}
-
-impl OutProjCache {
-    /// The transposed value of `id`, rebuilt if `store` has mutated since it
-    /// was last built.
-    pub(crate) fn get(&self, store: &ParamStore, id: ParamId) -> Arc<Tensor> {
-        let mut slot = self.slot.lock().expect("out-proj cache poisoned");
-        let epoch = store.epoch();
-        if let Some((e, t)) = slot.as_ref() {
-            if *e == epoch {
-                return Arc::clone(t);
-            }
-        }
-        let t = Arc::new(store.value(id).transposed());
-        *slot = Some((epoch, Arc::clone(&t)));
-        t
     }
 }
 
@@ -453,17 +344,6 @@ mod tests {
         for v in store.value(id).as_slice() {
             assert!((v - 3.0).abs() < 0.05, "w = {v}");
         }
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_values() {
-        let mut store = ParamStore::new();
-        let mut init = Init::new(9);
-        let id = store.add("w", init.xavier(3, 5));
-        let json = store.to_json();
-        let restored = ParamStore::from_json(&json).unwrap();
-        assert_eq!(restored.value(id), store.value(id));
-        assert_eq!(restored.num_scalars(), 15);
     }
 
     #[test]

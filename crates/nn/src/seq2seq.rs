@@ -23,9 +23,6 @@ pub trait Seq2Seq {
     /// Returns the generated ids (without `bos`/`eos`).
     fn greedy(&mut self, src: &[usize], bos: usize, eos: usize, max_len: usize) -> Vec<usize>;
 
-    /// Serializes the model (architecture + weights) to JSON.
-    fn save_json(&self) -> String;
-
     /// Teacher-forced log-probability of `tgt_out` given `src` and the
     /// shifted decoder input `tgt_in` (no gradients). Used for constrained
     /// decoding: scoring candidate realizations of a template.

@@ -220,39 +220,6 @@ impl Tensor {
         self.rows = rows;
     }
 
-    /// Serializes to a JSON value (`{"rows":r,"cols":c,"data":[...]}`).
-    pub(crate) fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("rows", Json::num_usize(self.rows)),
-            ("cols", Json::num_usize(self.cols)),
-            (
-                "data",
-                Json::Arr(self.as_slice().iter().map(|&x| Json::num_f32(x)).collect()),
-            ),
-        ])
-    }
-
-    /// Restores from [`Tensor::to_json_value`] output.
-    pub(crate) fn from_json_value(v: &Json) -> Result<Tensor, JsonError> {
-        let rows = v.field("rows")?.as_usize()?;
-        let cols = v.field("cols")?.as_usize()?;
-        let n = rows.checked_mul(cols).ok_or_else(|| JsonError {
-            msg: format!("tensor shape {rows}x{cols} overflows"),
-        })?;
-        let data = v
-            .field("data")?
-            .as_array()?
-            .iter()
-            .map(Json::as_f32)
-            .collect::<Result<Vec<f32>, JsonError>>()?;
-        if data.len() != n {
-            return Err(JsonError {
-                msg: format!("tensor shape {rows}x{cols} != {}", data.len()),
-            });
-        }
-        Ok(Tensor::from_vec(rows, cols, data))
-    }
-
     /// Appends the values to a v2 data region and returns the header entry
     /// (`{"rows":r,"cols":c,"off":o}` with `off` relative to the region).
     pub(crate) fn to_table_entry(&self, table: &mut TensorTable) -> Json {
@@ -600,14 +567,15 @@ mod tests {
     }
 
     #[test]
-    fn from_json_rejects_shape_overflow() {
+    fn from_table_entry_rejects_shape_overflow() {
         let big = usize::MAX / 2;
         let v = Json::obj([
             ("rows", Json::num_usize(big)),
             ("cols", Json::num_usize(3)),
-            ("data", Json::Arr(vec![])),
+            ("off", Json::num_usize(0)),
         ]);
-        let err = Tensor::from_json_value(&v).unwrap_err();
+        let region = Arc::new(ByteRegion::from_bytes(&[0u8; 64]));
+        let err = Tensor::from_table_entry(&v, &region, 0).unwrap_err();
         assert!(err.msg.contains("overflows"), "got: {}", err.msg);
     }
 

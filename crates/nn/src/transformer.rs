@@ -7,10 +7,9 @@
 //! on one core.
 
 use crate::graph::{Graph, NodeId};
-use crate::params::{Init, OutProjCache, ParamId, ParamStore};
+use crate::params::{Init, ParamId, ParamStore};
 use crate::seq2seq::Seq2Seq;
 use crate::tensor::Tensor;
-use std::sync::Arc;
 use vega_obs::json::{Json, JsonError};
 
 /// Transformer hyperparameters.
@@ -230,10 +229,6 @@ pub struct Transformer {
     pub(crate) final_ln: LnParams,
     pub(crate) w_out: ParamId,
     pub(crate) b_out: ParamId,
-    /// Cached `w_out` transpose for the dot-form logits path. `Clone` resets
-    /// it (the clone's store has its own epoch sequence), so fine-tuned
-    /// replicas never read a stale projection.
-    pub(crate) out_t: OutProjCache,
 }
 
 impl Transformer {
@@ -302,7 +297,6 @@ impl Transformer {
             final_ln,
             w_out,
             b_out,
-            out_t: OutProjCache::default(),
         }
     }
 
@@ -315,25 +309,16 @@ impl Transformer {
         &ids[..ids.len().min(self.cfg.max_len)]
     }
 
-    /// The output projection pre-transposed to `vocab × d` (one contiguous
-    /// weight row per vocab id), built lazily and cached until the weights
-    /// mutate. Decode states snapshot the `Arc` once per generation.
-    pub(crate) fn out_proj_t(&self) -> Arc<Tensor> {
-        self.out_t.get(&self.store, self.w_out)
-    }
-
     /// Applies the decode output projection to each row of `xn` exactly as
-    /// the incremental fast path does — including the dot-form branch — so
-    /// the graph reference twins stay bit-identical to
-    /// [`crate::DecodeState::step`] in every kernel mode.
+    /// the incremental fast path does, so the graph reference twins stay
+    /// bit-identical to [`crate::DecodeState::step`] in every kernel mode.
     fn project_rows(&self, xn: &Tensor) -> Tensor {
         let w = self.store.value(self.w_out);
         let b = self.store.value(self.b_out);
-        let wt = self.out_proj_t();
         let mut out = Tensor::zeros(xn.rows, self.cfg.vocab);
         let rows: Vec<usize> = (0..xn.rows).collect();
         let out_rows = out.as_mut_slice();
-        crate::decode::project_logits(&rows, xn.as_slice(), w, &wt, b.as_slice(), out_rows);
+        crate::decode::project_logits(&rows, xn.as_slice(), w, b.as_slice(), out_rows);
         out
     }
 }
@@ -364,10 +349,6 @@ impl Seq2Seq for Transformer {
 
     fn greedy(&mut self, src: &[usize], bos: usize, eos: usize, max_len: usize) -> Vec<usize> {
         self.begin_decode(src).greedy(bos, eos, max_len)
-    }
-
-    fn save_json(&self) -> String {
-        self.to_json_value().render()
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
@@ -519,28 +500,10 @@ impl Transformer {
         self.store.owned_scalars()
     }
 
-    /// Restores a transformer saved with [`Seq2Seq::save_json`].
-    ///
-    /// # Errors
-    /// Returns an error if the JSON does not describe a transformer.
-    pub fn load_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&Json::parse(s)?)
-    }
-
-    /// Serializes to a JSON value for embedding in a larger document.
-    pub fn to_json_value(&self) -> Json {
-        self.to_json_with(self.store.to_json_value())
-    }
-
-    /// Like [`Transformer::to_json_value`], but tensor data goes into
-    /// `table` and the JSON holds only shapes and byte offsets (the
-    /// `vega-ckpt/v2` binary layout).
+    /// Serializes the architecture to a JSON value for the `vega-ckpt/v2`
+    /// header: tensor data goes into `table`, and the JSON holds only
+    /// shapes and byte offsets.
     pub fn to_json_value_tabled(&self, table: &mut crate::storage::TensorTable) -> Json {
-        let store = self.store.to_json_value_tabled(table);
-        self.to_json_with(store)
-    }
-
-    fn to_json_with(&self, store: Json) -> Json {
         let cfg = Json::obj([
             ("vocab", Json::num_usize(self.cfg.vocab)),
             ("d_model", Json::num_usize(self.cfg.d_model)),
@@ -553,7 +516,7 @@ impl Transformer {
         ]);
         Json::obj([
             ("cfg", cfg),
-            ("store", store),
+            ("store", self.store.to_json_value_tabled(table)),
             ("tok_emb", pid_json(self.tok_emb)),
             ("pos_emb", pid_json(self.pos_emb)),
             (
@@ -580,15 +543,6 @@ impl Transformer {
         ])
     }
 
-    /// Restores from [`Transformer::to_json_value`] output.
-    ///
-    /// # Errors
-    /// Returns an error if the value does not describe a transformer.
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let store = ParamStore::from_json_value(v.field("store")?)?;
-        Self::from_json_with(v, store)
-    }
-
     /// Restores from [`Transformer::to_json_value_tabled`] output, reading
     /// tensor data straight out of `region` (shared, zero-copy where the
     /// platform allows).
@@ -602,10 +556,6 @@ impl Transformer {
         data_base: usize,
     ) -> Result<Self, JsonError> {
         let store = ParamStore::from_json_value_tabled(v.field("store")?, region, data_base)?;
-        Self::from_json_with(v, store)
-    }
-
-    fn from_json_with(v: &Json, store: ParamStore) -> Result<Self, JsonError> {
         let c = v.field("cfg")?;
         let cfg = TransformerConfig {
             vocab: c.field("vocab")?.as_usize()?,
@@ -617,7 +567,7 @@ impl Transformer {
             max_len: c.field("max_len")?.as_usize()?,
             seed: c.field("seed")?.as_u64()?,
         };
-        let t = Transformer {
+        Ok(Transformer {
             cfg,
             store,
             tok_emb: pid_from(v.field("tok_emb")?)?,
@@ -637,13 +587,7 @@ impl Transformer {
             final_ln: LnParams::from_json_value(v.field("final_ln")?)?,
             w_out: pid_from(v.field("w_out")?)?,
             b_out: pid_from(v.field("b_out")?)?,
-            out_t: OutProjCache::default(),
-        };
-        // Pre-transpose the output projection once at checkpoint load so the
-        // first decode doesn't pay for it (the cache is epoch-keyed, so a
-        // later fine-tune step just rebuilds it).
-        let _ = t.out_proj_t();
-        Ok(t)
+        })
     }
 }
 
@@ -741,8 +685,8 @@ impl ShallowRef {
     /// The decoder stack through the final layer norm — everything *before*
     /// the output projection. Reference twins that must match the
     /// incremental fast path bitwise take these rows out of the graph and
-    /// project them through [`Transformer::project_rows`], which branches on
-    /// the same dot-form predicate the fast path uses.
+    /// project them through [`Transformer::project_rows`], the fast path's
+    /// own logits projection.
     fn decode_xn(&self, g: &mut Graph<'_>, tgt_in: &[usize], enc: NodeId) -> NodeId {
         let l = tgt_in.len();
         let mut mask = Tensor::zeros(l, l);
@@ -780,6 +724,8 @@ impl ShallowRef {
 mod tests {
     use super::*;
     use crate::seq2seq::train_until;
+    use crate::storage::{ByteRegion, TensorTable};
+    use std::sync::Arc;
 
     #[test]
     fn learns_to_copy_short_sequences() {
@@ -802,8 +748,10 @@ mod tests {
         let mut t = Transformer::new(TransformerConfig::tiny(12));
         let pairs = vec![(vec![3usize, 4], vec![4usize, 3])];
         let _ = train_until(&mut t, &pairs, 0, 1, 150, 3e-3, 0.05);
-        let json = t.save_json();
-        let mut t2 = Transformer::load_json(&json).unwrap();
+        let mut table = TensorTable::new();
+        let header = t.to_json_value_tabled(&mut table);
+        let region = Arc::new(ByteRegion::from_bytes(&table.into_bytes()));
+        let mut t2 = Transformer::from_json_value_tabled(&header, &region, 0).unwrap();
         assert_eq!(t.greedy(&[3, 4], 0, 1, 8), t2.greedy(&[3, 4], 0, 1, 8));
     }
 

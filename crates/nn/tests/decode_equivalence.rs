@@ -9,21 +9,15 @@
 //! both model families, and the truncation / degenerate-exit edge cases.
 //! One state reused across a greedy decode, many forced scores and another
 //! greedy decode must answer exactly as a fresh `begin_decode` per call.
-//! `step_many` must match the same tokens fed one `step` at a time, the
-//! forced scorer's one-pass prefill must match a token-stepped loop, and the
-//! dot-form logits projection (`VEGA_DOT_FORM`) is pinned on both sides of
-//! its switch. `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`.
-//! Dot-form policy is process-global, so the test that switches it
-//! serializes through `MODE_LOCK` and restores `Auto` on exit.
+//! `step_many` must match the same tokens fed one `step` at a time, and the
+//! forced scorer's one-pass prefill must match a token-stepped loop.
+//! `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`, under every kernel
+//! mode the CPU runs.
 
-use std::sync::Mutex;
-use vega_nn::kernel::{self, DotForm};
 use vega_nn::{
     forced_pair, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,
     TransformerConfig,
 };
-
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random token ids in `[lo, hi)` (splitmix64).
 fn tokens(seed: u64, n: usize, lo: usize, hi: usize) -> Vec<usize> {
@@ -386,7 +380,7 @@ fn state_reuse_matches_graph_reference() {
 }
 
 // ---------------------------------------------------------------------------
-// step_many, the dot-form switch and the forced-scoring prefill
+// step_many and the forced-scoring prefill
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -423,42 +417,6 @@ fn step_many_matches_single_steps_bitwise() {
         assert_eq!(st.len(), feed.len());
         assert_eq!(got, want, "step_many diverged for chunking {chunks:?}");
     }
-}
-
-#[test]
-fn dot_form_on_and_off_both_match_graph_reference() {
-    // Both sides of the dot-form switch must keep fast-path == graph
-    // bit-identity: the fast decode and the graph twins branch on the same
-    // predicate, whichever way it points.
-    let _guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for policy in [DotForm::On, DotForm::Off] {
-        kernel::set_dot_form(policy);
-        let mut t = Transformer::new(TransformerConfig::small(48));
-        let src = tokens(371, 14, 2, 48);
-        let feed = tokens(372, 24, 2, 48);
-        let graph = t.logits_rows_graph(&src, &feed);
-        let mut st = t.begin_decode(&src);
-        for (r, &tok) in feed.iter().enumerate() {
-            for (c, &v) in st.step(tok).iter().enumerate() {
-                assert_eq!(
-                    v.to_bits(),
-                    graph.at(r, c).to_bits(),
-                    "dot-form {policy:?}: logit bits diverged at row {r} col {c}"
-                );
-            }
-        }
-        let fast = t.greedy(&src, 0, 1, 24);
-        let reference = t.greedy_graph(&src, 0, 1, 24);
-        assert_eq!(fast, reference, "dot-form {policy:?}: greedy diverged");
-
-        let mut g = GruSeq2Seq::new(GruConfig::small(48));
-        assert_eq!(
-            g.greedy(&src, 0, 1, 24),
-            g.greedy_graph(&src, 0, 1, 24),
-            "dot-form {policy:?}: GRU greedy diverged"
-        );
-    }
-    kernel::set_dot_form(DotForm::Auto);
 }
 
 #[test]

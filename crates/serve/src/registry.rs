@@ -1,10 +1,10 @@
 //! Checkpoint loading with explicit validation.
 //!
-//! A checkpoint file is the JSON produced by `vega-experiments --save-model`
-//! (`CodeBe::save_json`). The registry separates the three ways loading can
-//! fail — unreadable file, unparseable JSON, model/corpus mismatch — and
-//! reports each with the offending path, instead of panicking half-way
-//! through startup.
+//! A checkpoint file is the `vega-ckpt/v2` file written by
+//! `vega-experiments --save-model` (`CodeBe::save_file_v2`). The registry
+//! separates the three ways loading can fail — unreadable file, a file that
+//! is not a valid checkpoint, model/corpus mismatch — and reports each with
+//! the offending path, instead of panicking half-way through startup.
 
 use std::path::{Path, PathBuf};
 use vega::{Vega, VegaConfig};
@@ -25,8 +25,7 @@ pub struct CheckpointMeta {
     pub vocab_pieces: usize,
     /// Maximum sequence length the model was built for.
     pub max_len: usize,
-    /// On-disk format the file was detected as (`vega-ckpt/v1` /
-    /// `vega-ckpt/v2`).
+    /// On-disk format tag (`vega-ckpt/v2`, the only format).
     pub format: String,
 }
 
@@ -55,11 +54,9 @@ pub struct Checkpoint {
 
 /// Reads, verifies, and parses a checkpoint file.
 ///
-/// Auto-detects the format: the `vega-ckpt/v2` binary layout (memory-mapped,
-/// so the model borrows the file and replicas share its weights), the
-/// crash-safe `vega-ckpt/v1` envelope (digest-verified, so truncated or
-/// bit-flipped files are rejected before any weight decodes), and legacy
-/// bare `CodeBe::save_json` files.
+/// The file is memory-mapped, so the model borrows it and replicas share its
+/// weights; its digest is verified first, so truncated or bit-flipped files
+/// are rejected before any weight decodes.
 ///
 /// # Errors
 /// [`RegistryError`] naming the path and the named [`vega_model::CkptError`]
@@ -78,10 +75,9 @@ pub fn load_checkpoint_prefault(path: &Path, prefault: bool) -> Result<Checkpoin
     let bytes = std::fs::metadata(path)
         .map(|m| m.len() as usize)
         .unwrap_or(0);
-    let (model, format) =
-        CodeBe::load_file_detect_opts(path, prefault).map_err(|e| RegistryError {
-            msg: format!("{}: {e}", path.display()),
-        })?;
+    let model = CodeBe::load_file_opts(path, prefault).map_err(|e| RegistryError {
+        msg: format!("{}: {e}", path.display()),
+    })?;
     Ok(Checkpoint {
         meta: CheckpointMeta {
             path: path.to_path_buf(),
@@ -89,7 +85,7 @@ pub fn load_checkpoint_prefault(path: &Path, prefault: bool) -> Result<Checkpoin
             arch: model.arch_name().to_string(),
             vocab_pieces: model.vocab.len(),
             max_len: model.max_len(),
-            format: format.tag().to_string(),
+            format: vega_model::CKPT_FORMAT_V2.to_string(),
         },
         model,
     })

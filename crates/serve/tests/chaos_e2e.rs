@@ -22,9 +22,9 @@ use vega_serve::{protocol, Client, Engine, RetryPolicy, ServeConfig, Server};
 
 const PLAN: &str = "seed=7;serve.conn.drop=0.2;serve.conn.stall=0.15:15;serve.conn.corrupt=0.2";
 
-fn engine_from(checkpoint: &str) -> Engine {
-    let model = CodeBe::load_json(checkpoint).expect("checkpoint parses");
-    let vega = Vega::with_model(VegaConfig::tiny(), model).expect("checkpoint fits the corpus");
+fn engine_from(checkpoint: &CodeBe) -> Engine {
+    let vega = Vega::with_model(VegaConfig::tiny(), checkpoint.clone())
+        .expect("checkpoint fits the corpus");
     Engine::new(vega)
 }
 
@@ -63,7 +63,7 @@ fn snapshot() -> Counters {
 /// Runs `conns` concurrent retrying clients against a chaos server and
 /// checks byte-identity plus injected/recovered bookkeeping.
 fn chaos_pool_run(
-    checkpoint: &str,
+    checkpoint: &CodeBe,
     pairs: &[(String, String)],
     expected: &BTreeMap<(String, String), String>,
     pool: usize,
@@ -149,7 +149,7 @@ fn chaos_pool_run(
 /// One sequential client under the chaos plan; returns the per-site fired
 /// log and every response body, in order.
 fn chaos_sequential_run(
-    checkpoint: &str,
+    checkpoint: &CodeBe,
     pairs: &[(String, String)],
     reps: usize,
 ) -> (Vec<(String, u64)>, Vec<String>) {
@@ -188,7 +188,7 @@ fn chaos_sequential_run(
 /// recorder on; returns the echoed trace ids (in request order) and the
 /// stable flight-dump render.
 fn chaos_traced_run(
-    checkpoint: &str,
+    checkpoint: &CodeBe,
     pairs: &[(String, String)],
     pool: usize,
     reps: usize,
@@ -242,7 +242,7 @@ fn chaos_traced_run(
 fn chaos_serve_end_to_end() {
     vega_par::set_threads(4);
     let trained = Vega::train(VegaConfig::tiny());
-    let checkpoint = trained.model().save_json();
+    let checkpoint = trained.model().clone();
 
     // Byte-identity reference: direct in-process generation, no faults.
     let reference = Engine::new(trained);

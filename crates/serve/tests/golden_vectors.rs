@@ -12,13 +12,13 @@
 //! across kernel modes whose low bits differ.
 //!
 //! The model digest's *input* changed once without changing the key
-//! format: `Engine::model_digest` used to hash the model's `save_json`
-//! text and now hashes its `vega-ckpt/v2` bytes under the `vega-ckpt/v2`
-//! tag (`vega_serve::engine::model_digest`). Equal digests still mean
-//! identical weights, and the key's field sequence and the vectors below
-//! are unchanged, but every model digest, and so every cache key, has a new
-//! value: keys recorded before that change do not match keys computed
-//! after it.
+//! format: `Engine::model_digest` used to hash the model's JSON
+//! serialization and now hashes its `vega-ckpt/v2` bytes under the
+//! `vega-ckpt/v2` tag (`vega_serve::engine::model_digest`). Equal digests
+//! still mean identical weights, and the key's field sequence and the
+//! vectors below are unchanged, but every model digest, and so every cache
+//! key, has a new value: keys recorded before that change do not match
+//! keys computed after it.
 
 use vega_serve::hash::{digest_str, StableHasher};
 
@@ -84,9 +84,9 @@ fn key_shape_is_stable() {
 
 #[test]
 fn fault_layer_fnv_golden_vectors() {
-    // The checkpoint envelope digest and the fault-plan site hashing share
+    // The checkpoint digest and the fault-plan site hashing share
     // this single-lane FNV-1a; pin the canonical test vectors.
     assert_eq!(vega_fault::fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
     assert_eq!(vega_fault::fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-    assert_eq!(vega_fault::fnv1a_64_hex(b"abc"), "e71fa2190541574b");
+    assert_eq!(vega_fault::fnv1a_64(b"abc"), 0xe71f_a219_0541_574b);
 }

@@ -15,14 +15,15 @@ use vega_obs::json::Json;
 use vega_obs::TraceIdGen;
 use vega_serve::{protocol, Client, Engine, ServeConfig, Server};
 
-/// Rebuilds a serving engine from the checkpoint, exactly as the daemon does.
-fn engine_from(checkpoint: &str) -> Engine {
-    let model = CodeBe::load_json(checkpoint).expect("checkpoint parses");
-    let vega = Vega::with_model(VegaConfig::tiny(), model).expect("checkpoint fits the corpus");
+/// Builds a serving engine around a copy of the trained model, as the daemon
+/// does with the model its checkpoint loads.
+fn engine_from(checkpoint: &CodeBe) -> Engine {
+    let vega = Vega::with_model(VegaConfig::tiny(), checkpoint.clone())
+        .expect("checkpoint fits the corpus");
     Engine::new(vega)
 }
 
-fn start(checkpoint: &str, cfg: ServeConfig) -> (Server, String) {
+fn start(checkpoint: &CodeBe, cfg: ServeConfig) -> (Server, String) {
     let server = Server::start(engine_from(checkpoint), cfg).expect("bind 127.0.0.1:0");
     let addr = server.local_addr().to_string();
     (server, addr)
@@ -60,7 +61,7 @@ fn stat_u64(stats: &Json, key: &str) -> u64 {
 fn serve_end_to_end() {
     vega_par::set_threads(4);
     let trained = Vega::train(VegaConfig::tiny());
-    let checkpoint = trained.model().save_json();
+    let checkpoint = trained.model().clone();
 
     // Direct in-process generations are the byte-identity reference.
     let reference = Engine::new(trained);
@@ -97,7 +98,7 @@ fn serve_end_to_end() {
 
 /// threads=1: cache hits, byte-identity against direct generation, error
 /// responses, and shutdown-refuses-new-work.
-fn sequential_cache_and_errors(checkpoint: &str, t0: &str, t1: &str, g0: &str, expected: &str) {
+fn sequential_cache_and_errors(checkpoint: &CodeBe, t0: &str, t1: &str, g0: &str, expected: &str) {
     vega_par::set_threads(1);
     let (server, addr) = start(checkpoint, ServeConfig::default());
     let mut c = Client::connect(&addr).unwrap();
@@ -165,7 +166,7 @@ fn sequential_cache_and_errors(checkpoint: &str, t0: &str, t1: &str, g0: &str, e
 /// threads=4: concurrent identical requests are answered byte-identically to
 /// the sequential (threads=1) run, and the key is generated exactly once —
 /// every other request either coalesced onto it or hit the cache.
-fn concurrent_coalescing(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
+fn concurrent_coalescing(checkpoint: &CodeBe, t0: &str, g0: &str, expected: &str) {
     vega_par::set_threads(4);
     let (server, addr) = start(checkpoint, ServeConfig::default());
     let workers: Vec<_> = (0..8)
@@ -201,7 +202,7 @@ fn concurrent_coalescing(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
 /// A deliberately slow single-replica server with a one-slot queue: excess
 /// concurrent work is shed with `overloaded` (never hung), and a job whose
 /// deadline elapses while queued is answered with `deadline_exceeded`.
-fn backpressure_and_deadlines(checkpoint: &str, targets: &[String], groups: &[String]) {
+fn backpressure_and_deadlines(checkpoint: &CodeBe, targets: &[String], groups: &[String]) {
     vega_par::set_threads(1);
     let cfg = ServeConfig {
         cache_cap: 0, // every request is fresh work
@@ -279,7 +280,7 @@ fn backpressure_and_deadlines(checkpoint: &str, targets: &[String], groups: &[St
 /// `stats`, `metrics` and Prometheus `text` views of the same process agree
 /// with each other, and the flight recorder retains trace-stamped spans
 /// served by the `flightdump` op — without perturbing the `result` bytes.
-fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
+fn telemetry_and_flight(checkpoint: &CodeBe, t0: &str, g0: &str, expected: &str) {
     vega_par::set_threads(1);
     let cfg = ServeConfig {
         flight_cap: 128,
@@ -430,7 +431,7 @@ fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
 /// the summed candidate length, and malformed requests (an out-of-vocabulary
 /// id, an over-long candidate, an unknown group, an empty candidate list)
 /// are rejected explicitly, never decoded.
-fn served_score_matches_direct(checkpoint: &str, t: &str, g: &str) {
+fn served_score_matches_direct(checkpoint: &CodeBe, t: &str, g: &str) {
     vega_par::set_threads(1);
     let candidates: Vec<Vec<usize>> = vec![vec![5, 9, 2], vec![5, 9], vec![7, 7, 7, 7]];
     let cand_tokens: u64 = candidates.iter().map(|c| c.len() as u64).sum();
@@ -516,7 +517,7 @@ fn served_score_matches_direct(checkpoint: &str, t: &str, g: &str) {
 /// completes, and each answer is either byte-identical to direct
 /// generation or an explicit `shutting_down`.
 fn drain_under_load(
-    checkpoint: &str,
+    checkpoint: &CodeBe,
     pairs: &[(String, String)],
     expected: &BTreeMap<(String, String), String>,
 ) {

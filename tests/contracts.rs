@@ -4,7 +4,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use vega_cpplite::lex;
-use vega_model::{tokens_to_pieces, CodeBe, Vocab};
+use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, Vocab};
 use vega_nn::decode::softmax_row;
 use vega_nn::{GruConfig, Seq2Seq, Transformer, TransformerConfig};
 
@@ -180,4 +180,50 @@ fn decoder_forward_paths_agree_bitwise() {
         }
         assert_eq!(forked[i].to_bits(), lp.to_bits(), "fork, pair {i}");
     }
+}
+
+/// Checkpoint: a tiny transformer saved as `vega-ckpt/v2` and loaded back
+/// re-encodes to the file's bytes, and scores and decodes bit-identically to
+/// the in-memory model. A flipped data byte fails the digest, a 10-byte stub
+/// fails at byte 10, and a JSON file is not a checkpoint.
+#[test]
+fn v2_checkpoint_round_trips_bitwise_and_rejects_corruption() {
+    let _serial = serial();
+    let (vocab, input) = line_vocab();
+    let mut model = CodeBe::transformer(vocab, TransformerConfig::tiny);
+    let dir = std::env::temp_dir().join(format!("vega-contracts-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.ckpt");
+    model.save_file_v2(&path).unwrap();
+    let raw = std::fs::read(&path).unwrap();
+    let mut loaded = CodeBe::load_file(&path).unwrap();
+    assert!(
+        encode_v2(&loaded) == raw,
+        "re-encoding differs from the file"
+    );
+    let output = &input[2..7];
+    assert_eq!(
+        loaded.sequence_logprob(&input, output).to_bits(),
+        model.sequence_logprob(&input, output).to_bits()
+    );
+    assert_eq!(loaded.generate(&input, 16), model.generate(&input, 16));
+
+    let load = |name: &str, bytes: &[u8]| -> CkptError {
+        let bad = dir.join(name);
+        std::fs::write(&bad, bytes).unwrap();
+        match CodeBe::load_file(&bad) {
+            Err(e) => e,
+            Ok(_) => panic!("{name} loaded as a checkpoint"),
+        }
+    };
+    let mut flipped = raw.clone();
+    let last = flipped.len() - 1;
+    flipped[last] ^= 0x10;
+    let err = load("flipped.ckpt", &flipped);
+    assert!(matches!(err, CkptError::DigestMismatch { .. }), "{err}");
+    let err = load("stub.ckpt", &raw[..10]);
+    assert!(matches!(err, CkptError::Binary { offset: 10, .. }), "{err}");
+    let err = load("model.json", br#"{"vocab":{"pieces":[]},"model":{}}"#);
+    assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }

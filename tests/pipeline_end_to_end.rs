@@ -103,13 +103,13 @@ fn pipeline_is_bit_identical_across_thread_counts() {
     // The full pipeline — corpus build, template folding, fine-tuning,
     // generation — must produce byte-identical artifacts whether vega-par
     // runs one worker or four.
-    let run = |threads: usize| -> (String, Vec<String>, Vec<u64>) {
+    let run = |threads: usize| -> (Vec<u8>, Vec<String>, Vec<u64>) {
         vega_par::set_threads(threads);
         let mut cfg = VegaConfig::tiny();
         cfg.train.finetune_epochs = 1;
         let mut vega = Vega::train(cfg);
         let gen = vega.generate_backend("RISCV");
-        let model_json = vega.model_mut().save_json();
+        let model_bytes = vega_model::encode_v2(vega.model());
         let mut lines = Vec::new();
         let mut confs = Vec::new();
         for (_, f) in &gen.functions {
@@ -121,7 +121,7 @@ fn pipeline_is_bit_identical_across_thread_counts() {
                 lines.push(vega_cpplite::render_function(func));
             }
         }
-        (model_json, lines, confs)
+        (model_bytes, lines, confs)
     };
     let one = run(1);
     let four = run(4);
@@ -131,9 +131,9 @@ fn pipeline_is_bit_identical_across_thread_counts() {
         one.1, four.1,
         "generated backends differ across thread counts"
     );
-    assert_eq!(
-        one.0, four.0,
-        "saved model JSON differs across thread counts"
+    assert!(
+        one.0 == four.0,
+        "encoded model bytes differ across thread counts"
     );
 }
 
