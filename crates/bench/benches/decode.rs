@@ -22,12 +22,14 @@
 //! then 8 × 94 tail rows on forks of the session cache) run through each
 //! weight matrix in one forward — the candidate-scoring shape.
 //!
-//! The timed workloads double as equivalence checks (incremental == graph
-//! token streams within each mode, forked scores == per-candidate scores).
-//! The run prints `decode: smoke=ok` only if the incremental path is at
-//! least as fast as the graph path at prefix 96 in every mode and — when
-//! AVX2 is available — the AVX2 kernel beats scalar by the floors below on
-//! the transposed matmul and on `forks8`.
+//! The timed workloads double as equivalence checks: incremental == graph
+//! token streams within each mode, forked scores == per-candidate scores,
+//! and — every ISA computing the same bits — the wide streams and the
+//! `forks8` score bits equal across modes. The run prints `decode: smoke=ok`
+//! only if the incremental path is at least as fast as the graph path at
+//! prefix 96 in every mode and — when AVX2 is available — the AVX2 kernel
+//! beats scalar by the floors below on the transposed matmul and on
+//! `forks8`.
 
 use std::time::Instant;
 use vega_bench::fmt_secs;
@@ -35,11 +37,13 @@ use vega_nn::kernel::{self, avx2_available, KernelMode};
 use vega_nn::{forced_pair, DecodeState, Tensor, Transformer, TransformerConfig};
 use vega_obs::json::Json;
 
-/// Smoke floor for AVX2-vs-scalar on the transposed matmul (measured
-/// 5.5–6.8× here: the scalar dot is a serial dependency chain the
-/// auto-vectorizer must preserve, so the fixed-tree AVX2 reduction wins
-/// big). The gate sits far below the measurement so a noisy shared core
-/// doesn't flake the build; the committed JSON carries the measured ratios.
+/// Smoke floor for AVX2-vs-scalar on the transposed matmul. The scalar dot
+/// sums in the AVX2 kernel's lane tree, spelled as arrays of 8-lane
+/// accumulators the compiler keeps in 128-bit registers, so AVX2's edge is
+/// its wider lanes: 2.2–2.3× in full runs on a 2-vCPU AVX2 host, and
+/// 1.6–2.8× in fast smoke runs there. The gate sits far below the
+/// measurement so a noisy shared core doesn't flake the build; the committed
+/// JSON carries the measured ratios.
 const AVX2_SPEEDUP_FLOOR: f64 = 1.2;
 
 /// Smoke floor for AVX2-vs-scalar on `forks8`, the many-row wide decode.
@@ -194,7 +198,9 @@ fn main() {
     println!("== decode (wide config: d_model 128, vocab {WIDE_VOCAB}, prefix 96, 1 thread) ==");
     {
         let modes = available_modes();
-        // Equivalence check once per mode before timing.
+        // Equivalence check once per mode before timing: incremental ==
+        // graph, and every mode's stream equal to the first's.
+        let mut streams = Vec::new();
         for &mode in &modes {
             let kname = kernel::set_mode(mode).name();
             let reference = wide.forced_steps(&wide_src, &wide_feed);
@@ -203,11 +209,18 @@ fn main() {
                 wide.forced_steps_graph(&wide_src, &wide_feed),
                 "incremental and graph decode diverged (wide config, kernel {kname})"
             );
+            streams.push(reference);
         }
+        assert!(
+            streams.windows(2).all(|w| w[0] == w[1]),
+            "wide decode streams differ across ISAs"
+        );
         // One encoded state per mode, encoded under that mode and outside
         // the timed region: `forks8` times the candidate forward alone. Its
-        // scores must match one `forced_logprob` per candidate.
+        // scores must match one `forced_logprob` per candidate, and carry
+        // the same bits in every mode.
         let mut states: Vec<DecodeState> = Vec::new();
+        let mut fork_bits: Vec<Vec<u32>> = Vec::new();
         for &mode in &modes {
             let kname = kernel::set_mode(mode).name();
             let mut st = wide.begin_decode(&wide_src);
@@ -221,8 +234,13 @@ fn main() {
                 .map(|(i, o)| st.forced_logprob(i, o).to_bits())
                 .collect();
             assert_eq!(forked, single, "forks8 diverged (kernel {kname})");
+            fork_bits.push(forked);
             states.push(st);
         }
+        assert!(
+            fork_bits.windows(2).all(|w| w[0] == w[1]),
+            "forks8 score bits differ across ISAs"
+        );
         // Interference on this shared core is low-frequency (whole seconds
         // of steal), so timing all of one mode's samples before the other's
         // lets a burst land on one side of the ratio. Interleave the modes
@@ -279,9 +297,8 @@ fn main() {
 
     // Matmul section: the two inner-loop shapes the kernel tier serves.
     // Transposed products take one full-length dot per output element (the
-    // AVX2 fixed-tree reduction — the big win); non-transposed products are
-    // ascending-k axpy chains (bit-identical across modes, vectorized over
-    // the output row).
+    // fixed lane tree, where AVX2's 8-wide lanes win most); non-transposed
+    // products are ascending-k axpy chains, vectorized over the output row.
     println!("== matmul ({MM_DIM}x{MM_DIM} · {MM_DIM}x{MM_DIM}, 1 thread) ==");
     let a = Tensor::from_vec(
         MM_DIM,

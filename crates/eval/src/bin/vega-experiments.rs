@@ -218,9 +218,9 @@ fn main() {
     if let Some(n) = args.threads {
         vega_par::set_threads(n);
     }
-    // Results are bit-identical at any thread count *within* a kernel mode,
-    // so surface the resolved mode next to the run's other reproducibility
-    // inputs (seed, scale) before any math runs.
+    // Results are bit-identical at any thread count and on any ISA; the
+    // kernel ISA and the thread count decide only speed, so log them beside
+    // the run's other inputs before any math runs.
     vega_obs::info!(
         "[vega-experiments] kernel={} threads={}",
         vega_nn::kernel::active_name(),

@@ -49,12 +49,11 @@
 //! Every kernel here replays the *same f32 operations in the same order* as
 //! the graph path, so decoded token streams and logits are bit-identical to
 //! the graph implementations (`greedy_graph`, `forced_logprob_graph`) at
-//! every configuration and thread count — *within a kernel mode* (see
-//! [`crate::kernel`]; changing `VEGA_KERNEL` changes reduction order and may
-//! move low bits). That identity is load-bearing: the determinism and chaos
-//! suites, the serve cache (equal keys must imply byte-identical payloads),
-//! and the golden vectors all assume generation is a pure function of
-//! (weights, input, kernel mode). The specific invariants:
+//! every configuration and thread count, under either ISA (every ISA in
+//! [`crate::kernel`] computes the same bits). That identity is load-bearing:
+//! the determinism and chaos suites, the serve cache (equal keys must imply
+//! byte-identical payloads), and the golden vectors all assume generation
+//! is a pure function of (weights, input). The specific invariants:
 //!
 //! * Row kernels are the *same code* as [`Tensor::matmul`]'s inner loops —
 //!   both dispatch through the [`crate::kernel`] tier, which accumulates
@@ -121,12 +120,12 @@ pub mod tally {
 // ---------------------------------------------------------------------------
 //
 // The hand-rolled per-row loops that used to live here are now the single
-// implementations in `crate::kernel`, dispatched by `VEGA_KERNEL`. The
+// implementations in `crate::kernel`, dispatched on the CPU's ISA. The
 // decode fast paths and the tensor/graph path call the exact same code, so
-// within a kernel mode their f32 sequences cannot drift apart. Attention-
-// weighted sums over cached value rows (`out = scores · v_rows`) are
-// `row_matmul_into` too: its zero-skip drops exactly the softmax lanes that
-// underflowed to zero, as the graph path's matmul does.
+// their f32 sequences cannot drift apart. Attention-weighted sums over
+// cached value rows (`out = scores · v_rows`) are `row_matmul_into` too: its
+// zero-skip drops exactly the softmax lanes that underflowed to zero, as the
+// graph path's matmul does.
 pub(crate) use crate::kernel::{add_assign, dot, layer_norm_row, row_matmul_into};
 
 /// In-place softmax over one row (re-exported from the kernel tier; see
@@ -205,8 +204,8 @@ fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
 /// The logits projection every decode path and both graph references run:
 /// `out[s] = xn[s] · w + b` for every scratch row `s` in `rows` (`xn` at
 /// stride `w.rows`, `out` at stride `w.cols`) — [`rows_matmul_into`], then
-/// the bias. Its ascending-`k` axpy chain is bit-identical across kernel
-/// modes, and per row it is the same f32 sequence whatever the row count.
+/// the bias. Per row it is the same ascending-`k` f32 sequence whatever the
+/// row count.
 pub(crate) fn project_logits(rows: &[usize], xn: &[f32], w: &Tensor, b: &[f32], out: &mut [f32]) {
     rows_matmul_into(rows, xn, w, out);
     let vocab = w.cols;

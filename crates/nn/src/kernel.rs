@@ -7,51 +7,45 @@
 //! softmax/layer-norm reductions — routes through the [`Kernel`] trait
 //! defined here. Two implementations exist:
 //!
-//! * [`ScalarKernel`] — the original scalar loops, byte-for-byte. This is
-//!   the reference semantics: ascending-`k` accumulation, sequential
-//!   reductions, and (in the callers) the exact `a == 0.0` skip.
+//! * [`ScalarKernel`] — portable Rust, and the statement of the order every
+//!   op accumulates in (the callers add the exact `a == 0.0` skip).
 //! * [`Avx2Kernel`] — `std::arch::x86_64` AVX2 intrinsics, selected at
 //!   runtime via `is_x86_feature_detected!("avx2")`. On every other
 //!   architecture (or when detection fails) the scalar kernel serves.
 //!
-//! The active kernel is chosen once per process from the `VEGA_KERNEL`
-//! environment variable (`auto` | `scalar` | `avx2`, default `auto`);
-//! [`set_mode`] re-resolves it for tests and benches.
+//! [`active`] picks AVX2 when the CPU has it and scalar otherwise;
+//! [`set_mode`] switches ISA in process for tests and benches.
 //!
 //! # Determinism contract
 //!
-//! The repo's signature guarantee — generation is a pure function of
-//! (weights, input) — holds **per kernel mode**:
+//! Every kernel op returns [`ScalarKernel`]'s bits for every input, so
+//! generation is a pure function of (weights, input) under either ISA and
+//! at any thread count; the ISA changes only speed. Transcendental
+//! functions (`exp`, `ln`, `tanh`, `powf`) are not kernel ops: they come
+//! from the platform libm, which this contract does not cover.
 //!
-//! * Each mode is individually deterministic: same seed + same mode + any
-//!   thread count → bit-identical outputs. The AVX2 reductions use a
-//!   *fixed-tree* lane order (4 × 8-lane accumulators over 32-element
-//!   blocks, one 8-lane block loop, a sequential scalar tail, then one
-//!   fixed horizontal reduction tree), so their result is a pure function
-//!   of the input slice — never of timing, alignment, or thread count.
 //! * [`Kernel::axpy`] and [`Kernel::fma_tile`] vectorize over the *output*
-//!   dimension only: each output element still receives separately-rounded
-//!   multiply-then-add contributions in the same order as the scalar loop,
-//!   so these ops are **bit-identical across modes** (no FMA contraction).
-//!   This keeps the non-transposed matmul paths and most of the decode hot
-//!   loop, the logits projection included, exactly equal to scalar.
-//! * [`Kernel::dot`], [`Kernel::sum`], and [`Kernel::sq_diff_sum`] reorder
-//!   their accumulation across lanes, so AVX2 results differ from scalar
-//!   within floating-point tolerance (pinned by
-//!   `crates/nn/tests/kernel_conformance.rs`). [`Kernel::max`] is
-//!   order-insensitive on NaN-free data and returns an exact input element.
-//! * Within one mode, the graph path and every decode path (single step,
-//!   multi-position and forked, all one decoder forward) stay
-//!   bit-identical to each other: every path calls the same kernel ops over
-//!   the same slices. The masked-softmax prefix trick (exp-underflowed
-//!   lanes are exact zeros and must be no-ops) is why [`softmax_row`]'s
-//!   exp-sum stays sequential in every mode — a lane-tree sum over a zero
-//!   tail would *not* be a structural no-op.
+//!   dimension only: each output element receives separately-rounded
+//!   multiply-then-add contributions in ascending order (no FMA
+//!   contraction).
+//! * [`Kernel::dot`], [`Kernel::sum`] and [`Kernel::sq_diff_sum`] accumulate
+//!   in one fixed lane order that depends only on the length: four 8-lane
+//!   accumulators over 32-element blocks, single 8-element blocks into
+//!   accumulator 0, one fixed horizontal tree, then the remaining elements
+//!   in sequence. [`Kernel::max`] keeps 8 lanes under `_mm256_max_ps`'s
+//!   rule. The scalar kernel spells these orders out in portable Rust
+//!   without `mul_add`: Rust never fuses `a * b + c`, so each step rounds
+//!   like `_mm256_mul_ps` followed by `_mm256_add_ps`.
+//! * The graph path and every decode path (single step, multi-position and
+//!   forked, all one decoder forward) stay bit-identical to each other:
+//!   every path calls the same kernel ops over the same slices. The
+//!   masked-softmax prefix trick (exp-underflowed lanes are exact zeros and
+//!   must be no-ops) is why [`softmax_row`]'s exp-sum stays sequential — a
+//!   lane-tree sum over a zero tail would *not* be a structural no-op.
 //!
-//! Because modes differ bitwise, anything keyed on output bytes must carry
-//! the mode: serve cache keys embed [`active_name`], and cached artifacts
-//! produced under one mode must not be compared bit-for-bit against another
-//! (equivalence at tolerance is what the conformance suite pins).
+//! `crates/nn/tests/kernel_conformance.rs` compares the two kernels op by
+//! op, bit for bit; the root `tests/contracts.rs` compares whole models
+//! trained and decoded under each ISA.
 
 // The AVX2 implementation is the one place (besides `storage`) that needs
 // `unsafe`: `#[target_feature]` functions and raw-pointer loads/stores.
@@ -68,37 +62,16 @@ pub const K_TILE: usize = 8;
 // Mode selection
 // ---------------------------------------------------------------------------
 
-/// What the user asked for (`VEGA_KERNEL` / [`set_mode`]).
+/// Which ISA [`set_mode`] should select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Use the best ISA the CPU supports (AVX2 when detected, else scalar).
     Auto,
-    /// Force the scalar reference kernel.
+    /// Force the scalar kernel.
     Scalar,
     /// Request AVX2; falls back to scalar (with a logged notice) when the
     /// CPU lacks it.
     Avx2,
-}
-
-impl KernelMode {
-    /// Parses a `VEGA_KERNEL` value. Unknown strings yield `None`.
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "auto" => Some(KernelMode::Auto),
-            "scalar" => Some(KernelMode::Scalar),
-            "avx2" => Some(KernelMode::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelMode::Auto => "auto",
-            KernelMode::Scalar => "scalar",
-            KernelMode::Avx2 => "avx2",
-        }
-    }
 }
 
 /// The ISA a mode resolved to — what actually executes.
@@ -111,7 +84,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name (embedded in cache keys and bench rows).
+    /// Stable lowercase name (printed in startup logs and bench rows).
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -154,7 +127,7 @@ fn resolve(mode: KernelMode) -> Isa {
             } else {
                 vega_obs::global().event(
                     vega_obs::Level::Warn,
-                    "VEGA_KERNEL=avx2 requested but the CPU lacks AVX2; using scalar",
+                    "AVX2 kernel requested but the CPU lacks AVX2; using scalar",
                 );
                 Isa::Scalar
             }
@@ -162,44 +135,27 @@ fn resolve(mode: KernelMode) -> Isa {
     }
 }
 
-#[cold]
-fn resolve_from_env() -> Isa {
-    let mode = match std::env::var("VEGA_KERNEL") {
-        Ok(v) => KernelMode::parse(&v).unwrap_or_else(|| {
-            vega_obs::global().event(
-                vega_obs::Level::Warn,
-                format!("unknown VEGA_KERNEL value `{v}` (want auto|scalar|avx2); using auto"),
-            );
-            KernelMode::Auto
-        }),
-        Err(_) => KernelMode::Auto,
-    };
-    let isa = resolve(mode);
-    ACTIVE_ISA.store(isa as u8, Ordering::Relaxed);
-    isa
-}
-
-/// The ISA every kernel op dispatches to. Resolved from `VEGA_KERNEL` on
-/// first use; override with [`set_mode`].
+/// The ISA every kernel op dispatches to: AVX2 when the CPU has it, resolved
+/// on first use; override with [`set_mode`].
 #[inline]
 pub fn active() -> Isa {
     match ACTIVE_ISA.load(Ordering::Relaxed) {
         0 => Isa::Scalar,
         1 => Isa::Avx2,
-        _ => resolve_from_env(),
+        _ => set_mode(KernelMode::Auto),
     }
 }
 
-/// [`active`]'s stable name (`"scalar"` | `"avx2"`) — the string serve
-/// cache keys and bench rows embed.
+/// [`active`]'s stable name (`"scalar"` | `"avx2"`) — the string startup
+/// logs, serve stats and bench rows print.
 pub fn active_name() -> &'static str {
     active().name()
 }
 
 /// Re-resolves the active kernel from `mode` (for tests and benches; the
-/// process default comes from `VEGA_KERNEL`). Returns what the mode
-/// resolved to — [`KernelMode::Avx2`] resolves to [`Isa::Scalar`], with a
-/// logged notice, when the CPU lacks AVX2.
+/// process default is [`KernelMode::Auto`]). Returns what the mode resolved
+/// to — [`KernelMode::Avx2`] resolves to [`Isa::Scalar`], with a logged
+/// notice, when the CPU lacks AVX2. Every mode computes the same bits.
 ///
 /// Process-global: concurrent callers race, so tests that switch modes must
 /// serialize themselves (the conformance suite holds a lock).
@@ -235,11 +191,9 @@ pub(crate) use with_kernel;
 
 /// The inner-loop ops every hot path is built from.
 ///
-/// Implementations must be pure functions of their inputs (no timing or
-/// alignment dependence) so each mode is individually deterministic. `axpy`
-/// and `fma_tile` must round each output element exactly like the scalar
-/// chain (multiply, then add, per `k` in order); the reductions may reorder
-/// lanes but must use one fixed order per input length.
+/// The one contract: every implementation returns [`ScalarKernel`]'s bits
+/// for every input — no timing, alignment or ISA dependence. The scalar
+/// kernel is the portable statement of each op's order.
 pub trait Kernel {
     /// Stable lowercase name.
     fn name(&self) -> &'static str;
@@ -268,9 +222,52 @@ pub trait Kernel {
     fn max(&self, x: &[f32]) -> f32;
 }
 
-/// The original scalar loops — the reference semantics every other
-/// implementation is measured against.
+/// The portable kernel: plain Rust that performs each op in the order the
+/// AVX2 kernel's lanes do, so both return the same bits.
 pub struct ScalarKernel;
+
+/// Sums `term(a[i], b[i])` over the slices' common length in the AVX2
+/// kernel's order: 32-element blocks into four 8-lane accumulators, then
+/// 8-element blocks into accumulator 0, then the fixed tree — lanes
+/// `(a0 + a1) + (a2 + a3)`, halves `v[j] + v[j + 4]`, then
+/// `(q0 + q2) + (q1 + q3)` — then the remaining elements in sequence. The
+/// fixed-size arrays let the compiler keep the lanes in vector registers
+/// without reordering any lane's chain, and `term` must not use `mul_add`:
+/// unfused, each step rounds like `_mm256_mul_ps` then `_mm256_add_ps`.
+/// One-slice ops pass their slice twice and ignore the second element.
+#[inline(always)]
+fn lane_tree_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [[0.0f32; 8]; 4];
+    let (blocks_a, blocks_b) = (a.chunks_exact(32), b.chunks_exact(32));
+    let (rest_a, rest_b) = (blocks_a.remainder(), blocks_b.remainder());
+    for (ca, cb) in blocks_a.zip(blocks_b) {
+        let ca: &[f32; 32] = ca.try_into().expect("32-element block");
+        let cb: &[f32; 32] = cb.try_into().expect("32-element block");
+        for (t, lanes) in acc.iter_mut().enumerate() {
+            for (l, s) in lanes.iter_mut().enumerate() {
+                *s += term(ca[8 * t + l], cb[8 * t + l]);
+            }
+        }
+    }
+    let (octs_a, octs_b) = (rest_a.chunks_exact(8), rest_b.chunks_exact(8));
+    let (tail_a, tail_b) = (octs_a.remainder(), octs_b.remainder());
+    for (ca, cb) in octs_a.zip(octs_b) {
+        let ca: &[f32; 8] = ca.try_into().expect("8-element block");
+        let cb: &[f32; 8] = cb.try_into().expect("8-element block");
+        for (l, s) in acc[0].iter_mut().enumerate() {
+            *s += term(ca[l], cb[l]);
+        }
+    }
+    let v: [f32; 8] = std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]));
+    let q: [f32; 4] = std::array::from_fn(|j| v[j] + v[j + 4]);
+    let mut s = (q[0] + q[2]) + (q[1] + q[3]);
+    for (&x, &y) in tail_a.iter().zip(tail_b) {
+        s += term(x, y);
+    }
+    s
+}
 
 impl Kernel for ScalarKernel {
     fn name(&self) -> &'static str {
@@ -280,11 +277,7 @@ impl Kernel for ScalarKernel {
     #[inline]
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len(), "dot length");
-        let mut s = 0.0f32;
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            s += x * y;
-        }
-        s
+        lane_tree_sum(a, b, |x, y| x * y)
     }
 
     #[inline]
@@ -312,25 +305,34 @@ impl Kernel for ScalarKernel {
 
     #[inline]
     fn sum(&self, x: &[f32]) -> f32 {
-        let mut s = 0.0f32;
-        for &v in x {
-            s += v;
-        }
-        s
+        lane_tree_sum(x, x, |v, _| v)
     }
 
     #[inline]
     fn sq_diff_sum(&self, x: &[f32], mean: f32) -> f32 {
-        let mut s = 0.0f32;
-        for &v in x {
-            s += (v - mean) * (v - mean);
-        }
-        s
+        lane_tree_sum(x, x, |v, _| (v - mean) * (v - mean))
     }
 
+    /// Eight lanes over 8-element blocks, each step `if a > b { a } else
+    /// { b }` (`_mm256_max_ps`'s rule, which returns `b` on a tie or a
+    /// NaN), the same rule down the tree `max(v[j], v[j + 4])` →
+    /// `max(max(q0, q2), max(q1, q3))`, then [`f32::max`] over the tail.
+    /// Under eight elements the lanes stay `-inf` and only the tail counts.
     #[inline]
     fn max(&self, x: &[f32]) -> f32 {
-        x.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        let gt = |a: f32, b: f32| if a > b { a } else { b };
+        let octs = x.chunks_exact(8);
+        let tail = octs.remainder();
+        let mut v = [f32::NEG_INFINITY; 8];
+        for c in octs {
+            let c: &[f32; 8] = c.try_into().expect("8-element block");
+            for (l, m) in v.iter_mut().enumerate() {
+                *m = gt(*m, c[l]);
+            }
+        }
+        let q: [f32; 4] = std::array::from_fn(|j| gt(v[j], v[j + 4]));
+        let m = gt(gt(q[0], q[2]), gt(q[1], q[3]));
+        tail.iter().fold(m, |m, &t| m.max(t))
     }
 }
 
@@ -703,8 +705,7 @@ pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
     });
 }
 
-/// Dot product under the active kernel (ascending index order in scalar
-/// mode; fixed-tree lanes under AVX2).
+/// Dot product under the active kernel (the fixed lane-tree order).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     with_kernel!(kr => kr.dot(a, b))
@@ -725,7 +726,7 @@ pub fn max(x: &[f32]) -> f32 {
 /// In-place softmax over one row: max, exponentiate accumulating the sum,
 /// divide.
 ///
-/// The exp-sum is **sequential in every mode**: the graph path softmaxes
+/// The exp-sum is **sequential**, not a lane tree: the graph path softmaxes
 /// full rows whose causally-masked lanes underflow to exact `0.0`, while
 /// the decode path softmaxes only the live prefix — a sequential sum over
 /// an exact-zero tail is a chain of exact no-ops, so the two agree bit for
@@ -762,7 +763,7 @@ pub fn layer_norm_row(x: &[f32], gain: &[f32], bias: &[f32], out: &mut [f32]) ->
     })
 }
 
-/// `x += y` elementwise (order-free; identical in every mode).
+/// `x += y` elementwise (order-free).
 pub fn add_assign(x: &mut [f32], y: &[f32]) {
     for (a, b) in x.iter_mut().zip(y.iter()) {
         *a += *b;
@@ -772,16 +773,6 @@ pub fn add_assign(x: &mut [f32], y: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(KernelMode::parse("auto"), Some(KernelMode::Auto));
-        assert_eq!(KernelMode::parse(""), Some(KernelMode::Auto));
-        assert_eq!(KernelMode::parse("Scalar"), Some(KernelMode::Scalar));
-        assert_eq!(KernelMode::parse(" AVX2 "), Some(KernelMode::Avx2));
-        assert_eq!(KernelMode::parse("neon"), None);
-        assert_eq!(KernelMode::Avx2.name(), "avx2");
-    }
 
     #[test]
     fn scalar_kernel_reference_values() {

@@ -15,10 +15,10 @@
 //! reference decode.
 //!
 //! Every hot inner loop dispatches through the [`mod@kernel`] tier: a
-//! [`Kernel`] trait with a scalar reference implementation and a
-//! runtime-detected AVX2 implementation, selected by `VEGA_KERNEL`
-//! (`auto` | `scalar` | `avx2`). Each mode is individually deterministic;
-//! see the module docs for the cross-mode tolerance contract.
+//! [`Kernel`] trait with a portable scalar implementation and an AVX2
+//! implementation used when the CPU has it. Both return the same bits for
+//! every op, so results do not depend on which one runs; see the module
+//! docs.
 //!
 //! # Examples
 //! ```

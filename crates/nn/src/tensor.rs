@@ -303,14 +303,13 @@ impl Tensor {
     ///
     /// Small products use the plain kernels; larger ones use cache-blocked
     /// kernels, parallelized over row blocks through `vega-par` when big
-    /// enough. The inner loops dispatch through the [`crate::kernel`] tier
-    /// (`VEGA_KERNEL`): non-transposed products accumulate each output
-    /// element one rank-1 update at a time in ascending `k` order
-    /// ([`Kernel::axpy`], bit-identical in every mode, with the exact
-    /// zero-skip as a no-op for the finite values training produces);
+    /// enough. The inner loops dispatch through the [`crate::kernel`] tier:
+    /// non-transposed products accumulate each output element one rank-1
+    /// update at a time in ascending `k` order ([`Kernel::axpy`], with the
+    /// exact zero-skip as a no-op for the finite values training produces);
     /// transposed products take one full-length [`Kernel::dot`] per output
-    /// element. Within a mode all dispatch paths — any tile size, any
-    /// thread count — produce bit-identical results.
+    /// element. All dispatch paths — any tile size, any thread count, any
+    /// ISA — produce bit-identical results.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -346,8 +345,7 @@ impl Tensor {
     }
 
     /// The plain (untiled) kernels, kept as the small-matrix fast path and
-    /// as the reference the tiled kernels are tested against bit-for-bit
-    /// within each kernel mode.
+    /// as the reference the tiled kernels are tested against bit-for-bit.
     fn matmul_scalar(&self, other: &Tensor, transpose_other: bool) -> Tensor {
         with_kernel!(kr => if transpose_other {
             let mut out = vec![0.0f32; self.rows * other.rows];
@@ -379,15 +377,14 @@ impl Tensor {
 
     /// Cache-blocked kernel for output rows `r0..r1`; returns the dense
     /// `(r1-r0) × out_cols` slab, matching [`Tensor::matmul_scalar`]
-    /// bit-for-bit within each kernel mode.
+    /// bit-for-bit.
     ///
     /// The non-transposed branch blocks over `k`, which only reorders the
     /// loop traversal — each output element still receives its rank-1
     /// updates one at a time in ascending `k`. The transposed branch takes
     /// one full-length [`Kernel::dot`] per output element instead of
     /// accumulating per-tile partials: a tiled sum would split the kernel's
-    /// own reduction chains at tile boundaries and diverge from the untiled
-    /// path under AVX2.
+    /// own lane tree at tile boundaries and diverge from the untiled path.
     fn matmul_block(
         &self,
         other: &Tensor,

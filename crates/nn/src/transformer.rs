@@ -311,7 +311,7 @@ impl Transformer {
 
     /// Applies the decode output projection to each row of `xn` exactly as
     /// the incremental fast path does, so the graph reference twins stay
-    /// bit-identical to [`crate::DecodeState::step`] in every kernel mode.
+    /// bit-identical to [`crate::DecodeState::step`].
     fn project_rows(&self, xn: &Tensor) -> Tensor {
         let w = self.store.value(self.w_out);
         let b = self.store.value(self.b_out);

@@ -163,13 +163,13 @@ impl Engine {
     /// The content address of one `(target, group)` generation.
     ///
     /// The key covers the model digest, the target name and its description
-    /// digest, the group name, the exact signature feature-vector ids the
-    /// model would be fed, and the active kernel mode. Everything downstream
-    /// of the signature input (body feature vectors, candidate ranking) is a
-    /// deterministic function of the same description index *within a kernel
-    /// mode* — scalar and AVX2 kernels differ in reduction order, so the
-    /// mode must be part of the address or a cache hit could cross modes and
-    /// break the equal-keys-imply-byte-identical-payloads contract.
+    /// digest, the group name, and the exact signature feature-vector ids the
+    /// model would be fed. Everything downstream of the signature input (body
+    /// feature vectors, candidate ranking) is a deterministic function of the
+    /// same description index, and every kernel ISA computes the same bits,
+    /// so the key carries no kernel field: equal keys imply byte-identical
+    /// payloads whichever ISA runs. The cache lives in one process's memory,
+    /// so it never spans two platform libms.
     ///
     /// # Errors
     /// [`EngineError`] with [`ErrorKind::UnknownTarget`] or
@@ -187,13 +187,12 @@ impl Engine {
             self.vega.max_input_len(),
         );
         let mut h = StableHasher::new();
-        h.write_str("vega-serve/v2");
+        h.write_str("vega-serve/v3");
         h.write_str(&self.model_digest);
         h.write_str(target);
         h.write_str(&ctx.digest);
         h.write_str(group);
         h.write_ids(&sig_input);
-        h.write_str(vega_nn::kernel::active_name());
         Ok(h.finish_hex())
     }
 

@@ -177,9 +177,9 @@ pub struct ServeStats {
     pub decode_step_p90: f64,
     /// p99 of the `decode.step_seconds` obs histogram (NaN when empty).
     pub decode_step_p99: f64,
-    /// Active SIMD kernel (`"scalar"` or `"avx2"`, from `VEGA_KERNEL` — see
-    /// `vega_nn::kernel`). Cache keys embed it, so operators can tell which
-    /// mode a node's cached payloads belong to.
+    /// Active SIMD kernel (`"scalar"` or `"avx2"`, whichever the CPU runs —
+    /// see `vega_nn::kernel`). Both compute the same bits; the ISA decides
+    /// only speed.
     pub kernel: &'static str,
     /// Heap bytes each replica of the live set owns privately (weights not
     /// borrowed from a shared checkpoint mapping). Zero after a v2 mmap

@@ -6,10 +6,12 @@
 //! two-lane FNV-1a definition in `serve::hash`; if any of them changes, the
 //! on-the-wire key format changed and every cached/traced digest in the
 //! wild is invalidated — that must be a deliberate, versioned decision
-//! (bump the `vega-serve/v2` domain string), never an accident. One such
-//! decision has happened: v1 → v2 appended the kernel mode (`scalar` |
-//! `avx2`) as the final field, so cached payloads can never be served
-//! across kernel modes whose low bits differ.
+//! (bump the `vega-serve/v3` domain string), never an accident. Two such
+//! decisions have happened: v1 → v2 appended the kernel mode (`scalar` |
+//! `avx2`) as the final field, so cached payloads could never be served
+//! across kernel modes whose low bits differed; v2 → v3 dropped that field
+//! again once every kernel ISA computed the same bits, so one key now
+//! addresses the same payload whichever ISA runs.
 //!
 //! The model digest's *input* changed once without changing the key
 //! format: `Engine::model_digest` used to hash the model's JSON
@@ -44,23 +46,17 @@ fn digest_str_golden_vectors() {
 #[test]
 fn cache_key_format_golden_vector() {
     // The exact field sequence Engine::cache_key feeds: domain string, model
-    // digest, target name, target-description digest, function group, the
-    // signature feature ids, then the kernel-mode name. Synthetic stand-ins
-    // keep the vector independent of any trained model; both mode suffixes
-    // are pinned so a mode-string change cannot slip by unnoticed.
-    let key = |mode: &str| {
-        let mut h = StableHasher::new();
-        h.write_str("vega-serve/v2");
-        h.write_str("0123456789abcdef0123456789abcdef");
-        h.write_str("RISCV");
-        h.write_str("fedcba9876543210fedcba9876543210");
-        h.write_str("getRelocType");
-        h.write_ids(&[1, 2, 3, 40, 500]);
-        h.write_str(mode);
-        h.finish_hex()
-    };
-    assert_eq!(key("scalar"), "4200a8506c07a50b485b60e57a162b6d");
-    assert_eq!(key("avx2"), "f784463ba55cda781f6b9c4316b1a91a");
+    // digest, target name, target-description digest, function group, then
+    // the signature feature ids. Synthetic stand-ins keep the vector
+    // independent of any trained model.
+    let mut h = StableHasher::new();
+    h.write_str("vega-serve/v3");
+    h.write_str("0123456789abcdef0123456789abcdef");
+    h.write_str("RISCV");
+    h.write_str("fedcba9876543210fedcba9876543210");
+    h.write_str("getRelocType");
+    h.write_ids(&[1, 2, 3, 40, 500]);
+    assert_eq!(h.finish_hex(), "992579133e4a35745cb13e46ca1a7482");
 }
 
 #[test]

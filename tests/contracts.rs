@@ -6,7 +6,8 @@ use std::sync::{Mutex, MutexGuard};
 use vega_cpplite::lex;
 use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, Vocab};
 use vega_nn::decode::softmax_row;
-use vega_nn::{GruConfig, Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::kernel::{self, avx2_available, KernelMode};
+use vega_nn::{GruConfig, GruSeq2Seq, Seq2Seq, TensorTable, Transformer, TransformerConfig};
 
 /// Serializes this file's tests: the obs counters some of them read are
 /// process-global, and every test here runs an encoder.
@@ -179,6 +180,87 @@ fn decoder_forward_paths_agree_bitwise() {
             lp += row[to].max(1e-12).ln();
         }
         assert_eq!(forked[i].to_bits(), lp.to_bits(), "fork, pair {i}");
+    }
+}
+
+/// Every model path the kernel tier serves, run under `mode`: labelled bit
+/// patterns in a fixed order. Training runs the graph forward and backward
+/// (the transposed `dot` in `Tensor::matmul`, layer norm, softmax max); the
+/// decode paths run the row kernels.
+fn isa_trace(mode: KernelMode) -> Vec<(&'static str, Vec<u32>)> {
+    kernel::set_mode(mode);
+    let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|v| v.to_bits()).collect() };
+    let ids = |toks: &[usize]| -> Vec<u32> { toks.iter().map(|&t| t as u32).collect() };
+    // 40 logits fill one 32-element block and one 8-element block of the
+    // lane tree.
+    let (vocab, bos, eos) = (40, 0, 1);
+    let mut tf = Transformer::new(TransformerConfig::tiny(vocab));
+    let mut losses = Vec::new();
+    for _ in 0..4 {
+        for pair in [[2, 13, 24, 35, 7], [38, 3, 19, 4, 30], [9, 9, 21, 33, 2]] {
+            losses.push(tf.train_example(&pair, &pair, bos, eos));
+        }
+        tf.step(3e-3);
+    }
+    let mut table = TensorTable::new();
+    tf.to_json_value_tabled(&mut table);
+    let weights: Vec<u32> = table
+        .into_bytes()
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+
+    let src = [2, 13, 24, 35, 7];
+    let pairs: Vec<(Vec<usize>, Vec<usize>)> = vec![
+        (vec![bos, 2, 13, 24, 35], vec![2, 13, 24, 35, eos]),
+        (vec![bos, 2, 13, 5], vec![2, 13, 5, eos]),
+    ];
+    let greedy = ids(&tf.greedy(&src, bos, eos, 16));
+    let mut st = tf.begin_decode(&src);
+    st.step(bos);
+    let step_row = bits(st.step(2));
+    let forked = bits(&st.forced_logprobs(&pairs));
+    let graph = tf.forced_logprob_graph(&src, &pairs[0].0, &pairs[0].1);
+
+    let mut gru = GruSeq2Seq::new(GruConfig::tiny(vocab));
+    let gru_greedy = ids(&gru.greedy(&src, bos, eos, 16));
+    let gru_lp = gru.forced_logprob(&src, &pairs[1].0, &pairs[1].1);
+    vec![
+        ("training losses", bits(&losses)),
+        ("trained weights", weights),
+        ("greedy stream", greedy),
+        ("step logits row", step_row),
+        ("forced_logprobs", forked),
+        ("forced_logprob_graph", bits(&[graph])),
+        ("GRU greedy stream", gru_greedy),
+        ("GRU forced_logprob", bits(&[gru_lp])),
+    ]
+}
+
+/// Every kernel ISA computes the same bits: a tiny transformer trained a
+/// few steps from its seed, its greedy stream, a decode-step logits row,
+/// forked scoring over pairs sharing a prefix, the graph scorer, and a
+/// tiny GRU's greedy stream and score, recorded once under the scalar
+/// kernel and once under AVX2, are equal bit for bit. On a CPU without AVX2
+/// the AVX2 leg is skipped with a notice.
+#[test]
+fn kernel_isas_agree_bitwise() {
+    let _serial = serial();
+    let scalar = isa_trace(KernelMode::Scalar);
+    let avx2 = avx2_available().then(|| isa_trace(KernelMode::Avx2));
+    kernel::set_mode(KernelMode::Auto);
+    let Some(avx2) = avx2 else {
+        eprintln!("kernel_isas_agree_bitwise: CPU lacks AVX2; AVX2 leg skipped");
+        return;
+    };
+    for ((what, s), (_, a)) in scalar.iter().zip(&avx2) {
+        if let Some(i) = s.iter().zip(a).position(|(x, y)| x != y) {
+            panic!(
+                "{what}: value {i} differs, scalar {:#010x} vs avx2 {:#010x}",
+                s[i], a[i]
+            );
+        }
+        assert_eq!(s.len(), a.len(), "{what}: lengths differ");
     }
 }
 
