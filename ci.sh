@@ -170,6 +170,15 @@ VEGA_SERVE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_serve.json" \
   cargo bench -p vega-bench --bench serve | tee "$SMOKE_DIR/serve-bench.txt"
 grep -q "serve: smoke=ok" "$SMOKE_DIR/serve-bench.txt"
 
+# Generate bench smoke: on the tiny pipeline, ranking one RISC-V backend's
+# slots through `rank_by_name` (each candidate keyed once) must beat the
+# comparator sort it replaced by the floor, with both orders asserted equal
+# first, and the replay must rank exactly what generation ranks.
+echo "== generate bench smoke =="
+VEGA_GENERATE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_generate.json" \
+  cargo bench -p vega-bench --bench generate | tee "$SMOKE_DIR/generate-bench.txt"
+grep -q "generate: smoke=ok" "$SMOKE_DIR/generate-bench.txt"
+
 # End-to-end benchmark: vegabench is a package of its own (an empty
 # `[workspace]`, path dependencies on `crates/*`), so the workspace build
 # above never compiles it. Build and unit-test it, then run every workload

@@ -2,11 +2,12 @@
 //!
 //! For a new target, VEGA sees only its description files. Per statement
 //! template it (1) replays the learned update-site recipes to collect
-//! candidate values from the new target's files, (2) selects the candidate
-//! most similar in name to the values the slot took on training targets, (3)
-//! builds the feature vector and lets CodeBE generate `[CS] statement`, and
-//! (4) assembles the kept statements (score ≥ 0.5) back into a function
-//! following the template's tree structure.
+//! candidate values from the new target's files and ranks each slot's
+//! candidates once by name similarity to the values the slot took on
+//! training targets, (2) fills the feature vector with each slot's best
+//! candidate, (3) lets CodeBE generate `[CS] statement` and realizes it from
+//! the same ranking, and (4) assembles the kept statements (score ≥ 0.5)
+//! back into a function following the template's tree structure.
 
 use crate::features::{
     global_signals, resolve_bool_for_target, PropCatalog, TemplateFeatures, TgtIndex, ValueSource,
@@ -15,7 +16,7 @@ use crate::featvec::{
     build_input, confidence_score, slot_candidate_counts, template_line_pieces, ResolvedValue,
     ResolvedValues, SIG_NODE,
 };
-use crate::template::{FunctionTemplate, PatTok, StmtTemplate};
+use crate::template::{FunctionTemplate, PatTok, SlotData, StmtTemplate};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 use vega_cpplite::{lex, parse_function, Function, Stmt, StmtKind, Token};
@@ -53,35 +54,74 @@ pub struct GeneratedFunction {
 /// Maximum decode length for one statement.
 const DECODE_LEN: usize = 72;
 
-/// Name-similarity between a candidate value and a set of reference values:
-/// max Jaccard of lowercase subword pieces. Used for Stage 3 value selection
-/// and by the ForkFlow baseline's renamer.
-pub fn name_similarity(candidate: &str, train_values: &[String]) -> f64 {
-    let cand: HashSet<String> = split_ident(candidate)
+/// Reference values for name similarity, split once into their lowercase
+/// subword-piece sets so scoring many candidates against them re-splits
+/// nothing. Used for Stage 3 value selection and by the ForkFlow baseline's
+/// renamer.
+#[derive(Debug)]
+pub struct NameRefs {
+    pieces: Vec<Vec<String>>,
+}
+
+impl NameRefs {
+    /// Splits every reference value.
+    pub fn new(train_values: &[String]) -> Self {
+        NameRefs {
+            pieces: train_values.iter().map(|v| name_pieces(v)).collect(),
+        }
+    }
+
+    /// Name similarity of `candidate` to these references: the max Jaccard
+    /// index of lowercase subword pieces. Never NaN, and 0 (not −0) when
+    /// nothing matches.
+    pub fn similarity(&self, candidate: &str) -> f64 {
+        let cand = name_pieces(candidate);
+        if cand.is_empty() {
+            return 0.0;
+        }
+        self.pieces
+            .iter()
+            .map(|tv| {
+                let inter = cand.iter().filter(|p| tv.binary_search(p).is_ok()).count();
+                inter as f64 / (cand.len() + tv.len() - inter) as f64
+            })
+            .fold(0.0, f64::max)
+    }
+}
+
+/// A name's distinct lowercase subword pieces that hold an alphanumeric
+/// character, sorted.
+fn name_pieces(name: &str) -> Vec<String> {
+    let mut pieces: Vec<String> = split_ident(name)
         .into_iter()
         .map(|p| p.to_lowercase())
-        .filter(|p| p.chars().any(|c| c.is_alphanumeric()))
+        .filter(|p| p.chars().any(char::is_alphanumeric))
         .collect();
-    if cand.is_empty() {
-        return 0.0;
-    }
-    train_values
-        .iter()
-        .map(|tv| {
-            let tvs: HashSet<String> = split_ident(tv)
-                .into_iter()
-                .map(|p| p.to_lowercase())
-                .filter(|p| p.chars().any(|c| c.is_alphanumeric()))
-                .collect();
-            let inter = cand.intersection(&tvs).count();
-            let union = cand.union(&tvs).count();
-            if union == 0 {
-                0.0
-            } else {
-                inter as f64 / union as f64
-            }
+    pieces.sort_unstable();
+    pieces.dedup();
+    pieces
+}
+
+/// Orders `candidates` best first by name similarity to `train_values`,
+/// putting values not in `used` ahead of used ones at equal similarity, and
+/// keeps the first `cap`. Each candidate is keyed once, and the sort is
+/// stable: candidates with equal keys keep their input order.
+pub fn rank_by_name(
+    candidates: Vec<String>,
+    train_values: &[String],
+    used: Option<&HashSet<String>>,
+    cap: usize,
+) -> Vec<String> {
+    let refs = NameRefs::new(train_values);
+    let mut keyed: Vec<(f64, bool, String)> = candidates
+        .into_iter()
+        .map(|c| {
+            let unused = !used.is_some_and(|u| u.contains(&c));
+            (refs.similarity(&c), unused, c)
         })
-        .fold(0.0, f64::max)
+        .collect();
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+    keyed.into_iter().take(cap).map(|(_, _, c)| c).collect()
 }
 
 /// Generation-time state tracking recently chosen def names so that numeric
@@ -108,7 +148,8 @@ impl GenState {
     }
 }
 
-/// Ranked candidate values for one slot (best first, capped).
+/// Ranked candidate values for one slot (best first, capped). Every call
+/// counts in `generate.slot_rankings`.
 fn slot_candidates_ranked(
     prop_idx: usize,
     source: &ValueSource,
@@ -117,6 +158,7 @@ fn slot_candidates_ranked(
     state: &GenState,
     cap: usize,
 ) -> Vec<String> {
+    vega_obs::global().counter_add("generate.slot_rankings", 1);
     // Def-scoped fields (latency/opcode of the instruction the previous
     // statement named) have a single right answer.
     if let ValueSource::Field { field } = source {
@@ -130,19 +172,6 @@ fn slot_candidates_ranked(
             }
         }
     }
-    let mut candidates = ix.candidates(source);
-    // Field values come in both original and lowercase spellings (assembly
-    // names are conventionally lowercase; partial matching in the paper is
-    // case-tolerant too).
-    if matches!(source, ValueSource::Field { .. }) {
-        let lowers: Vec<String> = candidates
-            .iter()
-            .map(|c| c.to_lowercase())
-            .filter(|l| !candidates.contains(l))
-            .collect();
-        candidates.extend(lowers);
-    }
-    candidates.dedup();
     // A def pinned by a *field value* (the opcode number the previous case
     // named) is the near-certain answer for a def-name slot. A def chosen by
     // name must not hijack later def slots (`ADD` guarding a fold must still
@@ -156,20 +185,63 @@ fn slot_candidates_ranked(
             }
         }
     }
-    let used = state.used_values.get(&prop_idx);
-    candidates.sort_by(|a, b| {
-        let ka = (
-            name_similarity(a, train_values),
-            u8::from(!used.is_some_and(|u| u.contains(a))),
-        );
-        let kb = (
-            name_similarity(b, train_values),
-            u8::from(!used.is_some_and(|u| u.contains(b))),
-        );
-        kb.partial_cmp(&ka).unwrap()
-    });
-    candidates.truncate(cap);
+    rank_by_name(
+        slot_candidates(source, ix),
+        train_values,
+        state.used_values.get(&prop_idx),
+        cap,
+    )
+}
+
+/// The values a slot whose property has value source `source` ranks on a
+/// new target, in discovery order.
+pub fn slot_candidates(source: &ValueSource, ix: &TgtIndex) -> Vec<String> {
+    let mut candidates = ix.candidates(source);
+    // Field values come in both original and lowercase spellings (assembly
+    // names are conventionally lowercase; partial matching in the paper is
+    // case-tolerant too).
+    if matches!(source, ValueSource::Field { .. }) {
+        let lowers: Vec<String> = candidates
+            .iter()
+            .map(|c| c.to_lowercase())
+            .filter(|l| !candidates.contains(l))
+            .collect();
+        candidates.extend(lowers);
+    }
+    candidates.dedup();
     candidates
+}
+
+/// A slot's property index and its candidate values, best first.
+type SlotRanking = (usize, Vec<String>);
+
+/// Ranks each slot of a statement once, against the generation state before
+/// its head decode: indexed by slot id, `None` for a slot without a property
+/// value source. The feature vector, realization and the dropped-statement
+/// record all read this one ranking.
+fn rank_slots(
+    node_id: usize,
+    node: &StmtTemplate,
+    feats: &TemplateFeatures,
+    ix: &TgtIndex,
+    state: &GenState,
+) -> Vec<Option<SlotRanking>> {
+    node.slots
+        .iter()
+        .enumerate()
+        .map(|(slot_id, slot)| {
+            let prop_idx = *feats.slot_props.get(&(node_id, slot_id))?;
+            let source = feats.props[prop_idx].source.as_ref()?;
+            let train_values: Vec<String> = slot
+                .values
+                .values()
+                .map(|v| crate::features::slot_value_string(v))
+                .filter(|s| !s.is_empty())
+                .collect();
+            let ranked = slot_candidates_ranked(prop_idx, source, ix, &train_values, state, 8);
+            Some((prop_idx, ranked))
+        })
+        .collect()
 }
 
 /// Marks a chosen value as consumed and tracks def scoping: choosing a def
@@ -205,15 +277,14 @@ fn note_choice(
     }
 }
 
-/// Resolves `V_k` for a *new* target in Stage 3.
-#[allow(clippy::too_many_arguments)]
+/// Resolves `V_k` for a *new* target in Stage 3: the boolean properties,
+/// then each ranked slot's best candidate (`rankings` is empty for the
+/// signature).
 fn generation_values(
-    template: &FunctionTemplate,
     feats: &TemplateFeatures,
-    node_id: usize,
     ix: &TgtIndex,
     catalog: &PropCatalog,
-    state: &mut GenState,
+    rankings: &[Option<SlotRanking>],
 ) -> ResolvedValues {
     let mut values = vec![ResolvedValue::Null; feats.props.len()];
     for (i, prop) in feats.props.iter().enumerate() {
@@ -221,25 +292,9 @@ fn generation_values(
             values[i] = ResolvedValue::Bool(resolve_bool_for_target(prop, ix, catalog));
         }
     }
-    if node_id != SIG_NODE {
-        let node = &template.stmts[node_id];
-        for (slot_id, slot) in node.slots.iter().enumerate() {
-            let Some(&prop_idx) = feats.slot_props.get(&(node_id, slot_id)) else {
-                continue;
-            };
-            let Some(source) = feats.props[prop_idx].source.as_ref() else {
-                continue;
-            };
-            let train_values: Vec<String> = slot
-                .values
-                .values()
-                .map(|v| crate::features::slot_value_string(v))
-                .filter(|s| !s.is_empty())
-                .collect();
-            let ranked = slot_candidates_ranked(prop_idx, source, ix, &train_values, state, 8);
-            if let Some(v) = ranked.first() {
-                values[prop_idx] = ResolvedValue::Str(v.clone());
-            }
+    for (prop_idx, ranked) in rankings.iter().flatten() {
+        if let Some(v) = ranked.first() {
+            values[*prop_idx] = ResolvedValue::Str(v.clone());
         }
     }
     ResolvedValues { values }
@@ -260,13 +315,11 @@ pub fn signature_feature_input(
     catalog: &PropCatalog,
     max_input_len: usize,
 ) -> Vec<usize> {
-    // SIG_NODE resolution never touches slot state, so a fresh GenState is
-    // exactly what generate_function sees at this point.
-    let mut state = GenState::new(target_ns);
+    // The signature ranks no slots, so it reads no generation state.
     let norm = TargetNorm::new(target_ns);
     let signals = global_signals(ix);
     let sig_node = signature_node_for(template);
-    let mut sig_values = generation_values(template, feats, SIG_NODE, ix, catalog, &mut state);
+    let mut sig_values = generation_values(feats, ix, catalog, &[]);
     crate::featvec::append_global_signals(&mut sig_values, &signals);
     let mut sig_tline = Vec::new();
     template_line_pieces(&sig_node, vocab, &mut sig_tline);
@@ -378,7 +431,8 @@ pub fn try_generate_function(
     let mut kept_heads: BTreeMap<usize, Vec<Token>> = BTreeMap::new();
     for node_id in preorder {
         let node = &template.stmts[node_id];
-        let mut values = generation_values(template, feats, node_id, ix, catalog, &mut state);
+        let rankings = rank_slots(node_id, node, feats, ix, &state);
+        let mut values = generation_values(feats, ix, catalog, &rankings);
         crate::featvec::append_global_signals(&mut values, &signals);
         let mut tline = Vec::new();
         template_line_pieces(node, &model.vocab, &mut tline);
@@ -405,8 +459,8 @@ pub fn try_generate_function(
             // Record the prior-best realization so Err-CS (dropped but
             // actually correct) remains measurable.
             let mut chosen: BTreeMap<usize, Vec<Token>> = BTreeMap::new();
-            for (slot_id, _) in node.slots.iter().enumerate() {
-                let (_, runs) = slot_candidate_runs(node_id, slot_id, node, feats, ix, &state);
+            for (slot_id, (slot, ranking)) in node.slots.iter().zip(&rankings).enumerate() {
+                let (_, runs) = slot_candidate_runs(slot, ranking.as_ref(), &state.new_norm);
                 chosen.insert(slot_id, runs.first().cloned().unwrap_or_default());
             }
             let line = Stmt::new(node.kind, fill_pattern(node, &chosen), Vec::new()).head_line();
@@ -428,9 +482,9 @@ pub fn try_generate_function(
             &mut session,
             &norm,
             node,
-            node_id,
             feats,
             ix,
+            &rankings,
             score_id,
             &mut state,
             deadline,
@@ -466,24 +520,14 @@ pub fn try_generate_function(
     })
 }
 
-/// Candidate token runs for one slot of a node: discovered new-target values
-/// when the slot has a property, the slot's training token runs otherwise
-/// (right for target-independent literals like field masks).
+/// Candidate token runs for one slot: its ranked new-target values when it
+/// has a nonempty ranking, the slot's training token runs otherwise (right
+/// for target-independent literals like field masks).
 fn slot_candidate_runs(
-    node_id: usize,
-    slot_id: usize,
-    node: &StmtTemplate,
-    feats: &TemplateFeatures,
-    ix: &TgtIndex,
-    state: &GenState,
+    slot: &SlotData,
+    ranking: Option<&SlotRanking>,
+    new_norm: &TargetNorm,
 ) -> (Option<usize>, Vec<Vec<Token>>) {
-    let slot = &node.slots[slot_id];
-    let train_values: Vec<String> = slot
-        .values
-        .values()
-        .map(|v| crate::features::slot_value_string(v))
-        .filter(|s| !s.is_empty())
-        .collect();
     // Training runs shape candidate typing: a slot whose values are string
     // literals must be filled with a string literal, not a bare token.
     let exemplar = slot.values.values().next();
@@ -497,13 +541,10 @@ fn slot_candidate_runs(
             _ => lex(c).unwrap_or_else(|_| vec![Token::ident(c)]),
         }
     };
-    if let Some(&prop_idx) = feats.slot_props.get(&(node_id, slot_id)) {
-        if let Some(source) = feats.props[prop_idx].source.as_ref() {
-            let ranked = slot_candidates_ranked(prop_idx, source, ix, &train_values, state, 8);
-            if !ranked.is_empty() {
-                let runs = ranked.iter().map(|c| typed_run(c)).collect();
-                return (Some(prop_idx), runs);
-            }
+    if let Some((prop_idx, ranked)) = ranking {
+        if !ranked.is_empty() {
+            let runs = ranked.iter().map(|c| typed_run(c)).collect();
+            return (Some(*prop_idx), runs);
         }
     }
     // Fallback: distinct training runs, most common first, with the source
@@ -515,8 +556,8 @@ fn slot_candidate_runs(
         let renamed: Vec<Token> = v
             .iter()
             .map(|t| match t {
-                Token::Ident(id) => Token::Ident(state.new_norm.restore(&src_norm.anonymize(id))),
-                Token::Str(st) => Token::Str(state.new_norm.restore(&src_norm.anonymize(st))),
+                Token::Ident(id) => Token::Ident(new_norm.restore(&src_norm.anonymize(id))),
+                Token::Str(st) => Token::Str(new_norm.restore(&src_norm.anonymize(st))),
                 other => other.clone(),
             })
             .collect();
@@ -530,7 +571,7 @@ fn slot_candidate_runs(
 /// Realizes a statement's head by filling each slot with the candidate the
 /// model scores highest (sequential left-to-right choice, remaining slots
 /// held at their prior-best), scoring on the statement's `session` with one
-/// batched call per slot.
+/// batched call per slot. Candidates come from the statement's `rankings`.
 /// Fallible because candidate scoring runs the model, which can abort at
 /// `deadline` when routed through a backend.
 #[allow(clippy::too_many_arguments)]
@@ -539,9 +580,9 @@ fn realize_statement(
     session: &mut DecodeSession<'_>,
     norm: &TargetNorm,
     node: &StmtTemplate,
-    node_id: usize,
     feats: &TemplateFeatures,
     ix: &TgtIndex,
+    rankings: &[Option<SlotRanking>],
     score_id: Option<usize>,
     state: &mut GenState,
     deadline: Option<Instant>,
@@ -559,7 +600,7 @@ fn realize_statement(
     for &sid in &slot_ids {
         options.insert(
             sid,
-            slot_candidate_runs(node_id, sid, node, feats, ix, state),
+            slot_candidate_runs(&node.slots[sid], rankings[sid].as_ref(), &state.new_norm),
         );
     }
     // Current assignment: prior-best everywhere.
@@ -921,8 +962,9 @@ mod tests {
             "fixup_arm_movt_hi16".to_string(),
             "fixup_MIPS_HI16".to_string(),
         ];
-        let hi = name_similarity("fixup_riscv_hi16", &train);
-        let lo = name_similarity("fixup_riscv_call", &train);
+        let refs = NameRefs::new(&train);
+        let hi = refs.similarity("fixup_riscv_hi16");
+        let lo = refs.similarity("fixup_riscv_call");
         assert!(hi > lo, "hi {hi} lo {lo}");
     }
 }

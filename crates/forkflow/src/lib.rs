@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use vega::{name_similarity, TgtIndex, ValueSource};
+use vega::{NameRefs, TgtIndex, ValueSource};
 use vega_corpus::{ArchSpec, Backend, Corpus, TargetData};
 use vega_cpplite::{Function, Stmt, Token};
 
@@ -189,16 +189,14 @@ impl ForkFlow {
     }
 }
 
+/// The candidate most similar in name to `value` (the last one on a tie).
 fn best_match(value: &str, candidates: &[String]) -> Option<String> {
-    let value_vec = vec![value.to_string()];
+    let refs = NameRefs::new(&[value.to_string()]);
     candidates
         .iter()
-        .max_by(|a, b| {
-            name_similarity(a, &value_vec)
-                .partial_cmp(&name_similarity(b, &value_vec))
-                .unwrap()
-        })
-        .cloned()
+        .map(|c| (refs.similarity(c), c))
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, c)| c.clone())
 }
 
 /// Forks the whole `source` backend onto `target` using only the target's
@@ -223,6 +221,16 @@ mod tests {
     use super::*;
     use vega_corpus::{Corpus, CorpusConfig};
     use vega_minicc::regression_test;
+
+    #[test]
+    fn best_match_keeps_the_last_of_equal_maxima() {
+        let cands = ["fixup_a_hi16", "R_X_NONE", "fixup_b_hi16"].map(String::from);
+        assert_eq!(
+            best_match("fixup_mips_hi16", &cands).as_deref(),
+            Some("fixup_b_hi16")
+        );
+        assert_eq!(best_match("fixup_mips_hi16", &[]), None);
+    }
 
     #[test]
     fn fork_renames_namespace_and_values() {

@@ -3,6 +3,7 @@
 //! crate suites under `ci.sh` catch, in seconds.
 
 use std::sync::{Mutex, MutexGuard};
+use vega::{generate_function, TgtIndex, Vega, VegaConfig};
 use vega_cpplite::lex;
 use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, Vocab};
 use vega_nn::decode::softmax_row;
@@ -308,4 +309,55 @@ fn v2_checkpoint_round_trips_bitwise_and_rejects_corruption() {
     let err = load("model.json", br#"{"vocab":{"pieces":[]},"model":{}}"#);
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rank once per statement: generating a function ranks each (preorder
+/// node, slot) pair whose slot has a property with a value source exactly
+/// once, counted in `generate.slot_rankings`. The feature vector,
+/// realization and the dropped-statement record all read that one ranking,
+/// so the count holds for kept and dropped statements alike (the case
+/// requires both to occur).
+#[test]
+fn generation_ranks_each_slot_once() {
+    let _serial = serial();
+    let vega = Vega::train(VegaConfig::tiny());
+    let ix = TgtIndex::build(vega.corpus.tgt_fs("RISCV").expect("RISCV descriptions"));
+    let mut model = vega.model().clone();
+    let rankings = || vega_obs::global().counter("generate.slot_rankings");
+    let (mut ranked, mut kept, mut dropped) = (0, 0, 0);
+    for bundle in vega.templates.values() {
+        let (template, feats) = (&bundle.template, &bundle.features);
+        let want: usize = template
+            .preorder()
+            .into_iter()
+            .map(|node| {
+                (0..template.stmts[node].slots.len())
+                    .filter(|&slot| {
+                        feats
+                            .slot_props
+                            .get(&(node, slot))
+                            .is_some_and(|&p| feats.props[p].source.is_some())
+                    })
+                    .count()
+            })
+            .sum();
+        let before = rankings();
+        let f = generate_function(
+            &mut model,
+            "RISCV",
+            template,
+            feats,
+            &ix,
+            &vega.catalog,
+            vega.max_input_len(),
+        );
+        assert_eq!(rankings() - before, want as u64, "{}", template.name);
+        ranked += want;
+        kept += f.stmts.iter().skip(1).filter(|s| s.kept).count();
+        dropped += f.stmts.iter().skip(1).filter(|s| !s.kept).count();
+    }
+    assert!(
+        ranked > 0 && kept > 0 && dropped > 0,
+        "{ranked} rankings over {kept} kept and {dropped} dropped statements"
+    );
 }

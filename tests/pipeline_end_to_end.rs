@@ -1,9 +1,13 @@
 //! End-to-end integration: corpus → templates → features → model →
 //! generation → pass@1 evaluation → corrected compiler, across crates.
 
+use std::fmt::Write as _;
 use vega::{Vega, VegaConfig};
+use vega_corpus::EVAL_TARGET_NAMES;
 use vega_eval::{corrected_backend, eval_generated_backend};
 use vega_minicc::{benchmark_suite, regression_test, run_kernel, BackendVm, OptLevel};
+use vega_serve::hash::digest_str;
+use vega_serve::protocol::render_generated;
 
 fn tiny_vega() -> Vega {
     let mut cfg = VegaConfig::tiny();
@@ -135,6 +139,59 @@ fn pipeline_is_bit_identical_across_thread_counts() {
         one.0 == four.0,
         "encoded model bytes differ across thread counts"
     );
+}
+
+/// Every generated function of the three Fig. 7 targets, one line each:
+/// target, module, name, confidence, kept/total statements, and a digest over
+/// the function's served rendering plus every statement record (node, exact
+/// score bits, kept, line). A Stage-3 change that moves any generated byte
+/// fails here even when pass@1 does not move. On a mismatch the actual file
+/// is written to the test scratch directory (`CARGO_TARGET_TMPDIR`) so the
+/// difference can be reviewed and, for an intended behaviour change, copied
+/// over the golden.
+#[test]
+fn generated_backends_match_golden() {
+    let mut vega = tiny_vega();
+    let mut actual = String::new();
+    for target in EVAL_TARGET_NAMES {
+        let gen = vega.generate_backend(target);
+        for (module, f) in &gen.functions {
+            let mut record = render_generated(target, &f.name, *module, f).render();
+            for s in &f.stmts {
+                let (node, score, kept) = (s.node, s.score.to_bits(), s.kept);
+                write!(record, "\n{node}\t{score:016x}\t{kept}\t{}", s.line).unwrap();
+            }
+            let kept = f.stmts.iter().filter(|s| s.kept).count();
+            writeln!(
+                actual,
+                "{target}\t{}\t{}\t{:.4}\t{kept}/{}\t{}",
+                module.code(),
+                f.name,
+                f.confidence,
+                f.stmts.len(),
+                digest_str(&record)
+            )
+            .unwrap();
+        }
+    }
+    let golden = include_str!("golden/backends_tiny.txt");
+    if actual != golden {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("backends_tiny.txt");
+        std::fs::write(&out, &actual).expect("write actual backends");
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .find(|(a, g)| a != g)
+            .map_or_else(
+                || "line count differs".to_string(),
+                |(a, g)| format!("want {g}\n got {a}"),
+            );
+        panic!(
+            "generated backends differ from tests/golden/backends_tiny.txt \
+             (actual written to {}):\n{first}",
+            out.display()
+        );
+    }
 }
 
 #[test]
