@@ -7,8 +7,8 @@
 //! machine-readable baseline to `BENCH_decode.json` (override the path with
 //! `VEGA_BENCH_OUT`; `VEGA_DECODE_BENCH_FAST=1` shrinks the sample count for
 //! the CI smoke run). A matmul section times the dot-heavy transposed
-//! product and the axpy non-transposed product per mode, since those are the
-//! two inner-loop shapes the kernel tier dispatches.
+//! product and the k-tiled non-transposed product per mode, since those are
+//! the two inner-loop shapes `Tensor::matmul` dispatches.
 //!
 //! The ISA headline is measured on a *wide* decode (d_model 128): the small
 //! config's 40-wide rows leave exp/normalization — scalar by the
@@ -33,7 +33,7 @@
 
 use std::time::Instant;
 use vega_bench::fmt_secs;
-use vega_nn::kernel::{self, avx2_available, KernelMode};
+use vega_nn::kernel::{self, avx2_available, Isa};
 use vega_nn::{forced_pair, DecodeState, Tensor, Transformer, TransformerConfig};
 use vega_obs::json::Json;
 
@@ -48,10 +48,9 @@ const AVX2_SPEEDUP_FLOOR: f64 = 1.2;
 
 /// Smoke floor for AVX2-vs-scalar on `forks8`, the many-row wide decode.
 /// Decode is axpy-shaped (ascending-`k`, bit-identical across modes),
-/// which the scalar build auto-vectorizes with SSE2 — and this host
-/// executes 256-bit mul/add streams at barely above its 128-bit rate
-/// (plain matmul measures ~1.2× too), so ~1.1–1.3× *is* the honest decode
-/// ratio here. The gate only guards against AVX2 regressing below scalar.
+/// which the scalar build auto-vectorizes with SSE2, so ~1.1–1.6× *is* the
+/// honest decode ratio on a 2-vCPU AVX2 host. The gate only guards against
+/// AVX2 regressing below scalar.
 const AVX2_DECODE_FLOOR: f64 = 1.05;
 
 /// Deterministic pseudo-random token ids (splitmix64).
@@ -84,12 +83,12 @@ fn min_secs(samples: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn available_modes() -> Vec<KernelMode> {
+fn available_modes() -> Vec<Isa> {
     if avx2_available() {
-        vec![KernelMode::Scalar, KernelMode::Avx2]
+        vec![Isa::Scalar, Isa::Avx2]
     } else {
         println!("(CPU lacks AVX2; benching scalar only)");
-        vec![KernelMode::Scalar]
+        vec![Isa::Scalar]
     }
 }
 
@@ -113,8 +112,8 @@ fn main() {
 
     println!("== decode (small config, vocab {VOCAB}, src len {SRC_LEN}) ==");
     for mode in available_modes() {
-        let isa = kernel::set_mode(mode);
-        let kname = isa.name();
+        kernel::set_mode(mode);
+        let kname = mode.name();
         for &threads in &[1usize, 4] {
             vega_par::set_threads(threads);
             for &prefix in &[8usize, 32, 96] {
@@ -202,7 +201,8 @@ fn main() {
         // graph, and every mode's stream equal to the first's.
         let mut streams = Vec::new();
         for &mode in &modes {
-            let kname = kernel::set_mode(mode).name();
+            kernel::set_mode(mode);
+            let kname = mode.name();
             let reference = wide.forced_steps(&wide_src, &wide_feed);
             assert_eq!(
                 reference,
@@ -222,7 +222,8 @@ fn main() {
         let mut states: Vec<DecodeState> = Vec::new();
         let mut fork_bits: Vec<Vec<u32>> = Vec::new();
         for &mode in &modes {
-            let kname = kernel::set_mode(mode).name();
+            kernel::set_mode(mode);
+            let kname = mode.name();
             let mut st = wide.begin_decode(&wide_src);
             let forked: Vec<u32> = st
                 .forced_logprobs(&fork_pairs)
@@ -267,7 +268,8 @@ fn main() {
             }
         }
         for (mi, &mode) in modes.iter().enumerate() {
-            let kname = kernel::set_mode(mode).name();
+            kernel::set_mode(mode);
+            let kname = mode.name();
             let (inc_secs, forks_secs) = (inc_min[mi], forks_min[mi]);
             let inc_tps = wide_feed.len() as f64 / inc_secs;
             let forks_tps = fork_tokens as f64 / forks_secs;
@@ -298,7 +300,8 @@ fn main() {
     // Matmul section: the two inner-loop shapes the kernel tier serves.
     // Transposed products take one full-length dot per output element (the
     // fixed lane tree, where AVX2's 8-wide lanes win most); non-transposed
-    // products are ascending-k axpy chains, vectorized over the output row.
+    // products run the k-tiled `rows_matmul_into`, ascending-k chains
+    // vectorized over the output row.
     println!("== matmul ({MM_DIM}x{MM_DIM} · {MM_DIM}x{MM_DIM}, 1 thread) ==");
     let a = Tensor::from_vec(
         MM_DIM,
@@ -316,8 +319,8 @@ fn main() {
     );
     let mut mm_secs_by_mode: Vec<(&'static str, f64, f64)> = Vec::new();
     for mode in available_modes() {
-        let isa = kernel::set_mode(mode);
-        let kname = isa.name();
+        kernel::set_mode(mode);
+        let kname = mode.name();
         let t_secs = min_secs(mm_samples, || {
             std::hint::black_box(a.matmul(&b, true));
         });
@@ -346,7 +349,7 @@ fn main() {
         mm_secs_by_mode.push((kname, t_secs, n_secs));
     }
 
-    kernel::set_mode(KernelMode::Auto);
+    kernel::set_mode(Isa::detect());
     vega_par::set_threads(0);
 
     // AVX2-vs-scalar ratios (1.0 when only one mode ran).

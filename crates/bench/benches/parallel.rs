@@ -1,40 +1,12 @@
-//! 1-thread vs N-thread wall-clock for the `vega-par`-accelerated hot paths:
-//! the tiled/parallel matmul kernel and one data-parallel fine-tune epoch.
-//! The outputs are bit-identical across rows by construction — only the
-//! wall-clock may differ (on a single-core host the rows should roughly tie).
+//! 1-thread vs N-thread wall-clock for one data-parallel fine-tune epoch,
+//! whose gradient shards fan out over the `vega-par` pool. The outputs are
+//! bit-identical across rows by construction — only the wall-clock may
+//! differ (on a single-core host the rows should roughly tie).
 
 use vega_bench::Bench;
 use vega_cpplite::lex;
 use vega_model::{tokens_to_pieces, CodeBe, TrainConfig, Vocab};
-use vega_nn::{Tensor, TransformerConfig};
-
-/// Deterministic pseudo-random tensor (splitmix64).
-fn fill(rows: usize, cols: usize, seed: u64) -> Tensor {
-    let mut state = seed;
-    let data = (0..rows * cols)
-        .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            ((z >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-        })
-        .collect();
-    Tensor::from_vec(rows, cols, data)
-}
-
-fn bench_matmul(threads: &[usize]) {
-    let a = fill(256, 256, 1);
-    let b = fill(256, 256, 2);
-    let mut g = Bench::group("matmul 256x256x256");
-    for &t in threads {
-        vega_par::set_threads(t);
-        g.bench_function(&format!("{t} thread(s)"), || a.matmul(&b, false));
-    }
-    vega_par::set_threads(0);
-    g.finish();
-}
+use vega_nn::TransformerConfig;
 
 fn bench_finetune_epoch(threads: &[usize]) {
     // A small synthetic mapping task, big enough to fill several
@@ -83,6 +55,5 @@ fn bench_finetune_epoch(threads: &[usize]) {
 fn main() {
     let n = vega_par::threads().max(4);
     let threads = [1, n];
-    bench_matmul(&threads);
     bench_finetune_epoch(&threads);
 }

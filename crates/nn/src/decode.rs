@@ -38,11 +38,13 @@
 //! shares one logits projection.
 //!
 //! The row count picks the loop, never the result. One row takes the
-//! per-`k` [`row_matmul_into`]; several rows take the k-tiled loop, which
-//! streams each weight matrix, the logits projection's included, once for
-//! all of them. Per row both are the same f32 operations in the same
-//! order. The transformer encoder runs its weight products on the same
-//! k-tiled loop, one row per source position.
+//! per-`k` [`row_matmul_into`]; several rows take the k-tiled
+//! `rows_matmul_into`, which streams each weight matrix, the logits
+//! projection's included, once for all of them. Per row both are the same
+//! f32 operations in the same order. The transformer encoder runs its weight
+//! products on the same k-tiled loop, one row per source position, and so
+//! does every `A·B` of [`Tensor::matmul`], in training and in the graph
+//! references.
 //!
 //! # Bit-identity
 //!
@@ -55,12 +57,12 @@
 //! byte-identical payloads), and the golden vectors all assume generation
 //! is a pure function of (weights, input). The specific invariants:
 //!
-//! * Row kernels are the *same code* as [`Tensor::matmul`]'s inner loops —
-//!   both dispatch through the [`crate::kernel`] tier, which accumulates
-//!   each output element one rank-1 update at a time in ascending `k`
-//!   (with the exact zero-skip) and takes one full-length dot per
-//!   transposed-product element, so the decode and graph paths cannot
-//!   drift apart.
+//! * Row kernels are the *same code* as [`Tensor::matmul`]: its `A·B` is
+//!   `rows_matmul_into` over every row, which accumulates each output
+//!   element one rank-1 update at a time in ascending `k` (with the exact
+//!   zero-skip), and its `A·Bᵀ` takes the same full-length dot per element
+//!   that the decode paths' attention scores take, so the decode and graph
+//!   paths cannot drift apart.
 //! * The causal mask adds `-1e9` before softmax in the graph path; `exp`
 //!   underflows those lanes to exactly `0.0`, so softmax over the unmasked
 //!   prefix — what the cache computes — yields the identical row, and the
@@ -70,7 +72,6 @@
 //!   association).
 
 use crate::gru::{GruCell, GruConfig, GruSeq2Seq};
-use crate::kernel::{with_kernel, Kernel, K_TILE};
 use crate::params::ParamId;
 use crate::tensor::Tensor;
 use crate::transformer::{FfParams, LnParams, Transformer, TransformerConfig};
@@ -119,14 +120,15 @@ pub mod tally {
 // Row kernels (shared by the transformer and GRU fast paths)
 // ---------------------------------------------------------------------------
 //
-// The hand-rolled per-row loops that used to live here are now the single
-// implementations in `crate::kernel`, dispatched on the CPU's ISA. The
+// The row loops live in `crate::kernel`, dispatched on the CPU's ISA. The
 // decode fast paths and the tensor/graph path call the exact same code, so
 // their f32 sequences cannot drift apart. Attention-weighted sums over
 // cached value rows (`out = scores · v_rows`) are `row_matmul_into` too: its
 // zero-skip drops exactly the softmax lanes that underflowed to zero, as the
 // graph path's matmul does.
-pub(crate) use crate::kernel::{add_assign, dot, layer_norm_row, row_matmul_into};
+pub(crate) use crate::kernel::{
+    add_assign, dot, layer_norm_row, row_matmul_into, rows_matmul_into,
+};
 
 /// In-place softmax over one row (re-exported from the kernel tier; see
 /// [`crate::kernel::softmax_row`] for the determinism contract).
@@ -134,72 +136,6 @@ pub(crate) use crate::kernel::{add_assign, dot, layer_norm_row, row_matmul_into}
 /// Public so tests and benches can replicate `forced_logprob`'s exact f32
 /// sequence from single-step logits rows instead of reimplementing it.
 pub use crate::kernel::softmax_row;
-
-/// `out[s] = a[s] · b` for every scratch row `s` in `rows`, where `a` holds
-/// one row per scratch index at stride `b.rows` and `out` one at stride
-/// `b.cols` — the matmul behind every decode path.
-///
-/// One row runs [`row_matmul_into`]'s per-`k` loop. Several rows run a
-/// k-blocked loop: weight rows are streamed sequentially (so the hardware
-/// prefetcher sees one linear pass over the matrix) in blocks of
-/// [`K_TILE`], and inside a block every row consumes all [`K_TILE`] weight
-/// rows while they are cache-hot — the weight bytes cross the cache
-/// hierarchy **once** for all rows instead of once per row. When a row's
-/// [`K_TILE`] activations are all nonzero the fused path folds all eight
-/// rank-1 updates into one pass over the output row (eight FMAs per
-/// load/store instead of one); otherwise the per-k path applies exactly the
-/// nonzero terms.
-///
-/// Per row, the accumulation into any output element is element-by-element
-/// in ascending `k` with the exact zero-skip (the fused [`Kernel::fma_tile`]
-/// path's `+=` chain is the same rounding sequence), i.e. bit-identical to
-/// [`row_matmul_into`] on that row alone; blocking only reorders work
-/// *across* rows, and no f32 op mixes rows.
-fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
-    let (kdim, odim) = (b.rows, b.cols);
-    if let [s] = *rows {
-        let (a, out) = (
-            &a[s * kdim..(s + 1) * kdim],
-            &mut out[s * odim..(s + 1) * odim],
-        );
-        return row_matmul_into(a, b, out);
-    }
-    for &s in rows {
-        out[s * odim..(s + 1) * odim].fill(0.0);
-    }
-    with_kernel!(kr => {
-        let mut kb = 0;
-        while kb + K_TILE <= kdim {
-            let wrows: [&[f32]; K_TILE] = std::array::from_fn(|t| b.row(kb + t));
-            for &s in rows {
-                let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
-                let orow = &mut out[s * odim..(s + 1) * odim];
-                if avs.iter().all(|&av| av != 0.0) {
-                    kr.fma_tile(&avs, &wrows, orow);
-                } else {
-                    for (&av, row) in avs.iter().zip(wrows.iter()) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        kr.axpy(av, row, orow);
-                    }
-                }
-            }
-            kb += K_TILE;
-        }
-        // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
-        for k in kb..kdim {
-            let brow = b.row(k);
-            for &s in rows {
-                let av = a[s * kdim + k];
-                if av == 0.0 {
-                    continue;
-                }
-                kr.axpy(av, brow, &mut out[s * odim..(s + 1) * odim]);
-            }
-        }
-    });
-}
 
 /// The logits projection every decode path and both graph references run:
 /// `out[s] = xn[s] · w + b` for every scratch row `s` in `rows` (`xn` at
@@ -1099,34 +1035,5 @@ mod tests {
         }
         assert_eq!(masked[3], 0.0);
         assert_eq!(masked[4], 0.0);
-    }
-
-    #[test]
-    fn rows_matmul_matches_row_kernel_bitwise() {
-        // kdim 12 = one K_TILE block plus a 4-row tail.
-        let b = Tensor::from_vec(12, 3, (0..36).map(|i| i as f32 * 0.3 - 5.0).collect());
-        // Three scratch rows at stride 12: row 1 has no zeros (fused tile
-        // path), rows 0 and 2 hold zeros (zero-skip path). Listing all three
-        // runs the k-tiled loop; listing one runs the per-k loop.
-        let a: Vec<f32> = (0..36)
-            .map(|i| {
-                if i % 5 == 0 && i / 12 != 1 {
-                    0.0
-                } else {
-                    (i as f32 * 0.37).sin() + 0.1
-                }
-            })
-            .collect();
-        for rows in [&[2, 0, 1][..], &[1]] {
-            let mut out = vec![7.0f32; 3 * 3];
-            rows_matmul_into(rows, &a, &b, &mut out);
-            for &s in rows {
-                let mut single = vec![0.0f32; 3];
-                row_matmul_into(&a[s * 12..(s + 1) * 12], &b, &mut single);
-                for (x, y) in out[s * 3..(s + 1) * 3].iter().zip(&single) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
     }
 }

@@ -72,9 +72,6 @@ enum Op {
     ConcatRows {
         parts: Vec<usize>,
     },
-    MeanRows {
-        a: usize,
-    },
 }
 
 struct Node {
@@ -318,23 +315,6 @@ impl<'p> Graph<'p> {
         )
     }
 
-    /// Mean over rows, yielding a 1×cols tensor (sequence pooling).
-    pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
-        let t = &self.nodes[a.0].value;
-        let mut out = vec![0.0f32; t.cols];
-        for r in 0..t.rows {
-            for c in 0..t.cols {
-                out[c] += t.at(r, c);
-            }
-        }
-        let n = t.rows.max(1) as f32;
-        for v in &mut out {
-            *v /= n;
-        }
-        let out = Tensor::from_vec(1, t.cols, out);
-        self.push(Op::MeanRows { a: a.0 }, out)
-    }
-
     /// Softmax cross-entropy over `logits` rows against `targets`, then full
     /// backward pass; parameter gradients are accumulated into the store.
     /// Returns the mean loss.
@@ -561,20 +541,6 @@ impl<'p> Graph<'p> {
                         acc(&mut grads[p], dp);
                     }
                 }
-                Op::MeanRows { a } => {
-                    let a = *a;
-                    let rows = self.nodes[a].value.rows;
-                    let n = rows.max(1) as f32;
-                    let mut dx = Tensor::zeros(rows, gy.cols);
-                    let gys = gy.as_slice();
-                    let dxs = dx.as_mut_slice();
-                    for r in 0..rows {
-                        for c in 0..gys.len() {
-                            dxs[r * gys.len() + c] = gys[c] / n;
-                        }
-                    }
-                    acc(&mut grads[a], dx);
-                }
             }
         }
     }
@@ -686,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_concat_and_mean() {
+    fn grad_check_concat_cols() {
         grad_check((4, 3), |g, w| {
             let x = g.constant(Tensor::from_vec(
                 2,
@@ -695,16 +661,14 @@ mod tests {
             ));
             let h = g.matmul(x, w, false);
             let hc = g.concat_cols(h, h);
-            let m = g.mean_rows(hc);
-            // Project 1x6 back through w twice (3+3): split via matmul with
-            // constant to get logits 1x4.
+            // Project the 2x6 concatenation straight to 2x4 logits.
             let proj = g.constant(Tensor::from_vec(
                 6,
                 4,
                 (0..24).map(|i| (i as f32) * 0.05 - 0.3).collect(),
             ));
-            let logits = g.matmul(m, proj, false);
-            (logits, vec![3])
+            let logits = g.matmul(hc, proj, false);
+            (logits, vec![3, 1])
         });
     }
 

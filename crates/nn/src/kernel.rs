@@ -1,11 +1,12 @@
 //! The SIMD kernel tier: one home for the inner-loop math, with runtime ISA
 //! dispatch.
 //!
-//! Every hot f32 loop in the crate — the matmul kernels in
-//! [`Tensor::matmul`](crate::Tensor::matmul), the decoder forward's row ops
-//! (its per-`k` single-row matmul and its k-tiled multi-row matmul), and the
-//! softmax/layer-norm reductions — routes through the [`Kernel`] trait
-//! defined here. Two implementations exist:
+//! Every hot f32 loop in the crate routes through the [`Kernel`] trait
+//! defined here: the two matmul loops, [`row_matmul_into`] for one row and
+//! the k-tiled `rows_matmul_into` for several (the decoder forward and
+//! every `A·B` of [`Tensor::matmul`](crate::Tensor::matmul) run them), the
+//! transposed products' dot, and the softmax/layer-norm reductions. Two
+//! implementations exist:
 //!
 //! * [`ScalarKernel`] — portable Rust, and the statement of the order every
 //!   op accumulates in (the callers add the exact `a == 0.0` skip).
@@ -54,27 +55,15 @@
 use crate::tensor::Tensor;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// `k`-dimension block width of the decoder forward's multi-row matmul
-/// loop (see [`Kernel::fma_tile`] and `decode::rows_matmul_into`).
+/// `k`-dimension block width of the k-tiled multi-row matmul (see
+/// [`Kernel::fma_tile`]).
 pub const K_TILE: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Mode selection
 // ---------------------------------------------------------------------------
 
-/// Which ISA [`set_mode`] should select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Use the best ISA the CPU supports (AVX2 when detected, else scalar).
-    Auto,
-    /// Force the scalar kernel.
-    Scalar,
-    /// Request AVX2; falls back to scalar (with a logged notice) when the
-    /// CPU lacks it.
-    Avx2,
-}
-
-/// The ISA a mode resolved to — what actually executes.
+/// The ISA every kernel op dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// Portable scalar loops.
@@ -89,6 +78,15 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
+        }
+    }
+
+    /// The process default: AVX2 when the CPU has it, else scalar.
+    pub fn detect() -> Isa {
+        if avx2_available() {
+            Isa::Avx2
+        } else {
+            Isa::Scalar
         }
     }
 }
@@ -107,42 +105,22 @@ pub fn avx2_available() -> bool {
 
 const ISA_UNRESOLVED: u8 = u8::MAX;
 
-/// The resolved ISA, encoded as `Isa as u8`; `ISA_UNRESOLVED` before first
+/// The active ISA, encoded as `Isa as u8`; `ISA_UNRESOLVED` before first
 /// use. One relaxed load on the hot path.
 static ACTIVE_ISA: AtomicU8 = AtomicU8::new(ISA_UNRESOLVED);
 
-fn resolve(mode: KernelMode) -> Isa {
-    match mode {
-        KernelMode::Scalar => Isa::Scalar,
-        KernelMode::Auto => {
-            if avx2_available() {
-                Isa::Avx2
-            } else {
-                Isa::Scalar
-            }
-        }
-        KernelMode::Avx2 => {
-            if avx2_available() {
-                Isa::Avx2
-            } else {
-                vega_obs::global().event(
-                    vega_obs::Level::Warn,
-                    "AVX2 kernel requested but the CPU lacks AVX2; using scalar",
-                );
-                Isa::Scalar
-            }
-        }
-    }
-}
-
-/// The ISA every kernel op dispatches to: AVX2 when the CPU has it, resolved
-/// on first use; override with [`set_mode`].
+/// The ISA every kernel op dispatches to: [`Isa::detect`], resolved on first
+/// use; override with [`set_mode`].
 #[inline]
 pub fn active() -> Isa {
     match ACTIVE_ISA.load(Ordering::Relaxed) {
         0 => Isa::Scalar,
         1 => Isa::Avx2,
-        _ => set_mode(KernelMode::Auto),
+        _ => {
+            let isa = Isa::detect();
+            set_mode(isa);
+            isa
+        }
     }
 }
 
@@ -152,17 +130,20 @@ pub fn active_name() -> &'static str {
     active().name()
 }
 
-/// Re-resolves the active kernel from `mode` (for tests and benches; the
-/// process default is [`KernelMode::Auto`]). Returns what the mode resolved
-/// to — [`KernelMode::Avx2`] resolves to [`Isa::Scalar`], with a logged
-/// notice, when the CPU lacks AVX2. Every mode computes the same bits.
+/// Switches every kernel op to `isa` (for tests and benches; the process
+/// default is [`Isa::detect`]). Every ISA computes the same bits.
 ///
-/// Process-global: concurrent callers race, so tests that switch modes must
+/// Process-global: concurrent callers race, so tests that switch ISA must
 /// serialize themselves (the conformance suite holds a lock).
-pub fn set_mode(mode: KernelMode) -> Isa {
-    let isa = resolve(mode);
+///
+/// # Panics
+/// Panics on [`Isa::Avx2`] when the CPU lacks AVX2 ([`avx2_available`]).
+pub fn set_mode(isa: Isa) {
+    assert!(
+        isa == Isa::Scalar || avx2_available(),
+        "AVX2 kernel selected on a CPU without AVX2"
+    );
     ACTIVE_ISA.store(isa as u8, Ordering::Relaxed);
-    isa
 }
 
 /// Dispatches `$body` once over the active kernel, binding `$k` to a
@@ -175,8 +156,8 @@ macro_rules! with_kernel {
                 $body
             }
             $crate::kernel::Isa::Avx2 => {
-                // Invariant: `active()` returns `Avx2` only after
-                // `avx2_available()` succeeded, so the kernel is safe to run.
+                // Invariant: `set_mode` admits `Avx2` only when
+                // `avx2_available()`, so the kernel is safe to run.
                 let $k = &$crate::kernel::Avx2Kernel::new_unchecked();
                 $body
             }
@@ -397,10 +378,11 @@ impl Kernel for Avx2Kernel {
         unsafe { avx2::sq_diff_sum(x, mean) }
     }
 
+    /// The scalar kernel's 8-lane max: an intrinsic copy of it was no
+    /// faster end to end.
     #[inline]
     fn max(&self, x: &[f32]) -> f32 {
-        // SAFETY: as above.
-        unsafe { avx2::max(x) }
+        ScalarKernel.max(x)
     }
 }
 
@@ -644,32 +626,6 @@ mod avx2 {
         }
         s
     }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max(x: &[f32]) -> f32 {
-        let n = x.len();
-        let xp = x.as_ptr();
-        let mut i = 0;
-        let mut m = f32::NEG_INFINITY;
-        if n >= 8 {
-            let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-            while i + 8 <= n {
-                acc = _mm256_max_ps(acc, _mm256_loadu_ps(xp.add(i)));
-                i += 8;
-            }
-            let lo = _mm256_castps256_ps128(acc);
-            let hi = _mm256_extractf128_ps(acc, 1);
-            let q = _mm_max_ps(lo, hi);
-            let p = _mm_max_ps(q, _mm_movehl_ps(q, q));
-            let s = _mm_max_ss(p, _mm_shuffle_ps(p, p, 0b01));
-            m = _mm_cvtss_f32(s);
-        }
-        while i < n {
-            m = m.max(x[i]);
-            i += 1;
-        }
-        m
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,10 +639,10 @@ mod avx2 {
 /// underflowed to exact zero must be exact no-ops).
 ///
 /// Kept as a plain per-`k` [`Kernel::axpy`] loop rather than the
-/// [`Kernel::fma_tile`] tiling the decoder forward uses for several rows:
+/// [`Kernel::fma_tile`] tiling `rows_matmul_into` uses for several rows:
 /// single-row outputs here are short (d_model-ish), so the chained-add tile
 /// is latency-bound and measured slower on AVX2, while the zero-skip
-/// matters (softmax tails). The forward's one-row matmul is this loop.
+/// matters (softmax tails). Every one-row matmul is this loop.
 pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
     // `<=` rather than `==`: the decoder forward attends each row over a
     // causal *prefix* of a K/V cache that already holds every row of its
@@ -701,6 +657,73 @@ pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
                 continue;
             }
             kr.axpy(av, b.row(k), out);
+        }
+    });
+}
+
+/// `out[s] = a[s] · b` for every scratch row `s` in `rows`, where `a` holds
+/// one row per scratch index at stride `b.rows` and `out` one at stride
+/// `b.cols` — the matmul behind every decode path, and behind
+/// [`Tensor::matmul`]'s `A·B` over all of `A`'s rows.
+///
+/// One row runs [`row_matmul_into`]'s per-`k` loop. Several rows run a
+/// k-blocked loop: weight rows are streamed sequentially (so the hardware
+/// prefetcher sees one linear pass over the matrix) in blocks of
+/// [`K_TILE`], and inside a block every row consumes all [`K_TILE`] weight
+/// rows while they are cache-hot — the weight bytes cross the cache
+/// hierarchy **once** for all rows instead of once per row. When a row's
+/// [`K_TILE`] activations are all nonzero the fused path folds all eight
+/// rank-1 updates into one pass over the output row (eight FMAs per
+/// load/store instead of one); otherwise the per-k path applies exactly the
+/// nonzero terms.
+///
+/// Per row, the accumulation into any output element is element-by-element
+/// in ascending `k` with the exact zero-skip (the fused [`Kernel::fma_tile`]
+/// path's `+=` chain is the same rounding sequence), i.e. bit-identical to
+/// [`row_matmul_into`] on that row alone; blocking only reorders work
+/// *across* rows, and no f32 op mixes rows.
+pub(crate) fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (kdim, odim) = (b.rows, b.cols);
+    if let [s] = *rows {
+        let (a, out) = (
+            &a[s * kdim..(s + 1) * kdim],
+            &mut out[s * odim..(s + 1) * odim],
+        );
+        return row_matmul_into(a, b, out);
+    }
+    for &s in rows {
+        out[s * odim..(s + 1) * odim].fill(0.0);
+    }
+    with_kernel!(kr => {
+        let mut kb = 0;
+        while kb + K_TILE <= kdim {
+            let wrows: [&[f32]; K_TILE] = std::array::from_fn(|t| b.row(kb + t));
+            for &s in rows {
+                let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
+                let orow = &mut out[s * odim..(s + 1) * odim];
+                if avs.iter().all(|&av| av != 0.0) {
+                    kr.fma_tile(&avs, &wrows, orow);
+                } else {
+                    for (&av, row) in avs.iter().zip(wrows.iter()) {
+                        if av == 0.0 {
+                            continue;
+                        }
+                        kr.axpy(av, row, orow);
+                    }
+                }
+            }
+            kb += K_TILE;
+        }
+        // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
+        for k in kb..kdim {
+            let brow = b.row(k);
+            for &s in rows {
+                let av = a[s * kdim + k];
+                if av == 0.0 {
+                    continue;
+                }
+                kr.axpy(av, brow, &mut out[s * odim..(s + 1) * odim]);
+            }
         }
     });
 }
@@ -788,17 +811,31 @@ mod tests {
     }
 
     #[test]
-    fn avx2_resolution_falls_back_when_unavailable() {
-        // On machines with AVX2 this resolves to Avx2; elsewhere it must
-        // fall back to Scalar (with a notice) rather than fault.
-        let isa = resolve(KernelMode::Avx2);
-        if avx2_available() {
-            assert_eq!(isa, Isa::Avx2);
-            assert!(Avx2Kernel::new().is_some());
-        } else {
-            assert_eq!(isa, Isa::Scalar);
-            assert!(Avx2Kernel::new().is_none());
+    fn rows_matmul_matches_row_kernel_bitwise() {
+        // kdim 12 = one K_TILE block plus a 4-row tail.
+        let b = Tensor::from_vec(12, 3, (0..36).map(|i| i as f32 * 0.3 - 5.0).collect());
+        // Three scratch rows at stride 12: row 1 has no zeros (fused tile
+        // path), rows 0 and 2 hold zeros (zero-skip path). Listing all three
+        // runs the k-tiled loop; listing one runs the per-k loop.
+        let a: Vec<f32> = (0..36)
+            .map(|i| {
+                if i % 5 == 0 && i / 12 != 1 {
+                    0.0
+                } else {
+                    (i as f32 * 0.37).sin() + 0.1
+                }
+            })
+            .collect();
+        for rows in [&[2, 0, 1][..], &[1]] {
+            let mut out = vec![7.0f32; 3 * 3];
+            rows_matmul_into(rows, &a, &b, &mut out);
+            for &s in rows {
+                let mut single = vec![0.0f32; 3];
+                row_matmul_into(&a[s * 12..(s + 1) * 12], &b, &mut single);
+                for (x, y) in out[s * 3..(s + 1) * 3].iter().zip(&single) {
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
         }
-        assert_eq!(resolve(KernelMode::Scalar), Isa::Scalar);
     }
 }

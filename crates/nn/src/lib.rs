@@ -52,7 +52,7 @@ mod transformer;
 pub use decode::{DecodeState, GruDecodeState};
 pub use graph::{Graph, NodeId};
 pub use gru::{GruConfig, GruSeq2Seq};
-pub use kernel::{Isa, Kernel, KernelMode};
+pub use kernel::{Isa, Kernel};
 pub use params::{Init, ParamId, ParamStore};
 pub use seq2seq::{argmax, forced_pair, looks_degenerate, train_until, Seq2Seq};
 pub use storage::{ByteRegion, TensorTable};

@@ -1,6 +1,10 @@
 //! Dense 2-D tensors (row-major `f32`) with the handful of kernels the
 //! sequence models need.
 //!
+//! Products run on the [`crate::kernel`] tier's loops: [`Tensor::matmul`]'s
+//! `A·B` is the decoder forward's k-tiled `rows_matmul_into`, so training
+//! and inference multiply through one loop.
+//!
 //! Storage is abstracted behind [`Tensor`]: a tensor either owns its values
 //! (`Vec<f32>`, the default for anything freshly built or trained) or
 //! borrows a read-only slice of a shared [`ByteRegion`] — a mapped v2
@@ -14,17 +18,6 @@ use crate::kernel::{self, with_kernel, Kernel};
 use crate::storage::{ByteRegion, TensorTable};
 use std::sync::Arc;
 use vega_obs::json::{Json, JsonError};
-
-/// `k`-dimension block width for the cache-blocked matmul kernels.
-const TILE_K: usize = 64;
-/// Output rows per parallel work item. A constant (not derived from the
-/// thread count) so the block decomposition never varies — though per-row
-/// results are independent of blocking anyway.
-const ROW_BLOCK: usize = 16;
-/// Multiply-adds below which the scalar kernels win (no blocking overhead).
-const TILED_MIN_WORK: usize = 1 << 15;
-/// Multiply-adds below which even the tiled kernel stays on one thread.
-const PAR_MIN_WORK: usize = 1 << 18;
 
 /// Where a tensor's values live.
 #[derive(Clone)]
@@ -301,125 +294,31 @@ impl Tensor {
 
     /// Matrix product `self · other` (optionally with `other` transposed).
     ///
-    /// Small products use the plain kernels; larger ones use cache-blocked
-    /// kernels, parallelized over row blocks through `vega-par` when big
-    /// enough. The inner loops dispatch through the [`crate::kernel`] tier:
-    /// non-transposed products accumulate each output element one rank-1
-    /// update at a time in ascending `k` order ([`Kernel::axpy`], with the
-    /// exact zero-skip as a no-op for the finite values training produces);
-    /// transposed products take one full-length [`Kernel::dot`] per output
-    /// element. All dispatch paths — any tile size, any thread count, any
-    /// ISA — produce bit-identical results.
+    /// `A·B` runs the kernel tier's `rows_matmul_into` over every row of
+    /// `self`, the k-tiled loop the decoder forward runs: each output element
+    /// receives its rank-1 updates one at a time in ascending `k`, with the
+    /// exact zero-skip (a no-op for the finite values training produces).
+    /// `A·Bᵀ` takes one full-length [`Kernel::dot`] per output element.
+    /// Either ISA gives the same bits.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor, transpose_other: bool) -> Tensor {
-        let (inner, out_cols) = if transpose_other {
+        if transpose_other {
             assert_eq!(self.cols, other.cols, "matmul(T) inner dim");
-            (self.cols, other.rows)
-        } else {
-            assert_eq!(self.cols, other.rows, "matmul inner dim");
-            (self.cols, other.cols)
-        };
-        let work = self.rows * out_cols * inner;
-        if work < TILED_MIN_WORK {
-            return self.matmul_scalar(other, transpose_other);
-        }
-        if work < PAR_MIN_WORK || self.rows <= ROW_BLOCK {
-            let block = self.matmul_block(other, transpose_other, 0, self.rows);
-            return Tensor::from_vec(self.rows, out_cols, block);
-        }
-        let mut out = Tensor::zeros(self.rows, out_cols);
-        let ranges: Vec<(usize, usize)> = (0..self.rows)
-            .step_by(ROW_BLOCK)
-            .map(|r0| (r0, (r0 + ROW_BLOCK).min(self.rows)))
-            .collect();
-        let blocks = vega_par::par_map(ranges, |_, (r0, r1)| {
-            (r0, self.matmul_block(other, transpose_other, r0, r1))
-        });
-        let out_data = out.as_mut_slice();
-        for (r0, block) in blocks {
-            out_data[r0 * out_cols..r0 * out_cols + block.len()].copy_from_slice(&block);
-        }
-        out
-    }
-
-    /// The plain (untiled) kernels, kept as the small-matrix fast path and
-    /// as the reference the tiled kernels are tested against bit-for-bit.
-    fn matmul_scalar(&self, other: &Tensor, transpose_other: bool) -> Tensor {
-        with_kernel!(kr => if transpose_other {
-            let mut out = vec![0.0f32; self.rows * other.rows];
-            for i in 0..self.rows {
+            let mut out = Vec::with_capacity(self.rows * other.rows);
+            with_kernel!(kr => for i in 0..self.rows {
                 let a = self.row(i);
-                for j in 0..other.rows {
-                    out[i * other.rows + j] = kr.dot(a, other.row(j));
-                }
-            }
+                out.extend((0..other.rows).map(|j| kr.dot(a, other.row(j))));
+            });
             Tensor::from_vec(self.rows, other.rows, out)
         } else {
+            assert_eq!(self.cols, other.rows, "matmul inner dim");
+            let rows: Vec<usize> = (0..self.rows).collect();
             let mut out = vec![0.0f32; self.rows * other.cols];
-            for i in 0..self.rows {
-                let a = self.row(i);
-                let orow = i * other.cols;
-                let out_row = &mut out[orow..orow + other.cols];
-                for (k, &av) in a.iter().enumerate() {
-                    // Exact no-op skip: for the finite values training
-                    // produces, `o += 0.0 * b` leaves every bit unchanged.
-                    if av == 0.0 {
-                        continue;
-                    }
-                    kr.axpy(av, other.row(k), out_row);
-                }
-            }
+            kernel::rows_matmul_into(&rows, self.as_slice(), other, &mut out);
             Tensor::from_vec(self.rows, other.cols, out)
-        })
-    }
-
-    /// Cache-blocked kernel for output rows `r0..r1`; returns the dense
-    /// `(r1-r0) × out_cols` slab, matching [`Tensor::matmul_scalar`]
-    /// bit-for-bit.
-    ///
-    /// The non-transposed branch blocks over `k`, which only reorders the
-    /// loop traversal — each output element still receives its rank-1
-    /// updates one at a time in ascending `k`. The transposed branch takes
-    /// one full-length [`Kernel::dot`] per output element instead of
-    /// accumulating per-tile partials: a tiled sum would split the kernel's
-    /// own lane tree at tile boundaries and diverge from the untiled path.
-    fn matmul_block(
-        &self,
-        other: &Tensor,
-        transpose_other: bool,
-        r0: usize,
-        r1: usize,
-    ) -> Vec<f32> {
-        let out_cols = if transpose_other {
-            other.rows
-        } else {
-            other.cols
-        };
-        let mut out = vec![0.0f32; (r1 - r0) * out_cols];
-        with_kernel!(kr => if transpose_other {
-            for i in r0..r1 {
-                let a = self.row(i);
-                let orow = (i - r0) * out_cols;
-                for j in 0..other.rows {
-                    out[orow + j] = kr.dot(a, other.row(j));
-                }
-            }
-        } else {
-            for kb in (0..self.cols).step_by(TILE_K) {
-                let ke = (kb + TILE_K).min(self.cols);
-                for i in r0..r1 {
-                    let a = &self.row(i)[kb..ke];
-                    let orow = (i - r0) * out_cols;
-                    let out_row = &mut out[orow..orow + out_cols];
-                    for (k, &av) in a.iter().enumerate() {
-                        kr.axpy(av, other.row(kb + k), out_row);
-                    }
-                }
-            }
-        });
-        out
+        }
     }
 
     /// `self + other`, elementwise.
@@ -645,7 +544,7 @@ mod tests {
     }
 
     /// Deterministic pseudo-random fill (splitmix64) with zeros and negative
-    /// values mixed in, so the scalar kernel's zero-skip branch is exercised.
+    /// values mixed in, so the zero-skip branches are exercised.
     fn fill(rows: usize, cols: usize, seed: u64) -> Tensor {
         let mut state = seed;
         let data = (0..rows * cols)
@@ -665,13 +564,40 @@ mod tests {
         Tensor::from_vec(rows, cols, data)
     }
 
+    /// The untiled reference: one [`Kernel::axpy`] per `k` with the exact
+    /// zero-skip for `A·B`, one [`Kernel::dot`] per element for `A·Bᵀ` —
+    /// the per-element order every `matmul` must keep.
+    fn untiled_matmul(a: &Tensor, b: &Tensor, transpose_b: bool) -> Vec<f32> {
+        with_kernel!(kr => if transpose_b {
+            (0..a.rows)
+                .flat_map(|i| (0..b.rows).map(move |j| kr.dot(a.row(i), b.row(j))))
+                .collect()
+        } else {
+            let mut out = vec![0.0f32; a.rows * b.cols];
+            for i in 0..a.rows {
+                let out_row = &mut out[i * b.cols..(i + 1) * b.cols];
+                for (k, &av) in a.row(i).iter().enumerate() {
+                    if av != 0.0 {
+                        kr.axpy(av, b.row(k), out_row);
+                    }
+                }
+            }
+            out
+        })
+    }
+
     #[test]
-    fn tiled_kernels_agree_exactly_with_scalar_on_shape_grid() {
-        // Shapes straddle the tile sizes (TILE_K = 64, ROW_BLOCK = 16) and
-        // include dims not divisible by either.
+    fn matmul_matches_untiled_reference_on_shape_grid() {
+        // Inner dims straddle K_TILE (the fused tile and its per-k tail), and
+        // the grid includes zero- and one-row products.
+        use crate::kernel::K_TILE;
         for &(m, k, n) in &[
+            (0, 9, 4),
             (1, 1, 1),
+            (1, 17, 10),
             (3, 5, 7),
+            (9, K_TILE - 1, 5),
+            (12, K_TILE + 1, 33),
             (16, 64, 16),
             (17, 65, 19),
             (33, 130, 9),
@@ -681,45 +607,19 @@ mod tests {
             let a = fill(m, k, 0xA5EED ^ (m * 1000 + k) as u64);
             let b = fill(k, n, 0xB5EED ^ (k * 1000 + n) as u64);
             let bt = fill(n, k, 0xC5EED ^ (n * 1000 + k) as u64);
-            for (tiled, scalar) in [
-                (a.matmul_block(&b, false, 0, m), a.matmul_scalar(&b, false)),
-                (a.matmul_block(&bt, true, 0, m), a.matmul_scalar(&bt, true)),
+            for (got, want) in [
+                (a.matmul(&b, false), untiled_matmul(&a, &b, false)),
+                (a.matmul(&bt, true), untiled_matmul(&a, &bt, true)),
             ] {
-                assert_eq!(tiled.len(), scalar.len());
-                for (i, (x, y)) in tiled.iter().zip(scalar.as_slice()).enumerate() {
+                assert_eq!(got.len(), want.len());
+                for (i, (x, y)) in got.as_slice().iter().zip(&want).enumerate() {
                     assert_eq!(
                         x.to_bits(),
                         y.to_bits(),
-                        "{m}x{k}x{n} elem {i}: tiled {x} vs scalar {y}"
+                        "{m}x{k}x{n} elem {i}: matmul {x} vs untiled {y}"
                     );
                 }
             }
-            // The public entry point (whatever path it dispatches to,
-            // including the parallel one) matches the scalar kernel too.
-            let via_public = a.matmul(&b, false);
-            let scalar = a.matmul_scalar(&b, false);
-            assert!(via_public
-                .as_slice()
-                .iter()
-                .zip(scalar.as_slice())
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-    }
-
-    #[test]
-    fn parallel_matmul_is_bit_identical_across_thread_counts() {
-        // Big enough to cross PAR_MIN_WORK and fan out over row blocks.
-        let a = fill(96, 80, 1);
-        let b = fill(80, 64, 2);
-        vega_par::set_threads(1);
-        let one = a.matmul(&b, false);
-        vega_par::set_threads(4);
-        let four = a.matmul(&b, false);
-        vega_par::set_threads(0);
-        assert!(one
-            .as_slice()
-            .iter()
-            .zip(four.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

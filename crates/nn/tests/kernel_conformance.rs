@@ -23,13 +23,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 use vega_corpus::Mix64;
-use vega_nn::kernel::{self, avx2_available, Avx2Kernel, Kernel, KernelMode, ScalarKernel, K_TILE};
+use vega_nn::kernel::{self, avx2_available, Avx2Kernel, Isa, Kernel, ScalarKernel, K_TILE};
 
 /// Serializes tests that touch the process-global kernel mode.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Acquires the mode lock (poison-tolerant: a prior panic must not cascade)
-/// and returns a guard that restores `Auto` on drop.
+/// and returns a guard that restores the detected ISA on drop.
 fn mode_guard() -> (MutexGuard<'static, ()>, ModeRestore) {
     let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     (guard, ModeRestore)
@@ -39,7 +39,7 @@ struct ModeRestore;
 
 impl Drop for ModeRestore {
     fn drop(&mut self) {
-        kernel::set_mode(KernelMode::Auto);
+        kernel::set_mode(Isa::detect());
     }
 }
 
@@ -317,10 +317,10 @@ fn row_matmul_is_bit_identical_across_modes() {
         let a = gen_wide_vec(&mut rng, kdim);
         let b = vega_nn::Tensor::from_vec(kdim, odim, gen_wide_vec(&mut rng, kdim * odim));
         let mut s_out = vec![0.0f32; odim];
-        kernel::set_mode(KernelMode::Scalar);
+        kernel::set_mode(Isa::Scalar);
         kernel::row_matmul_into(&a, &b, &mut s_out);
         let mut a_out = vec![0.0f32; odim];
-        kernel::set_mode(KernelMode::Avx2);
+        kernel::set_mode(Isa::Avx2);
         kernel::row_matmul_into(&a, &b, &mut a_out);
         assert_bits(&s_out, &a_out, &format!("row_matmul {kdim}x{odim}"));
     }
@@ -329,15 +329,16 @@ fn row_matmul_is_bit_identical_across_modes() {
 #[test]
 fn masked_softmax_prefix_stays_exact_in_every_mode() {
     let _guard = mode_guard();
-    let modes: &[KernelMode] = if avx2_available() {
-        &[KernelMode::Scalar, KernelMode::Avx2]
+    let isas: &[Isa] = if avx2_available() {
+        &[Isa::Scalar, Isa::Avx2]
     } else {
         eprintln!("kernel_conformance::softmax: CPU lacks AVX2; checking scalar only");
-        &[KernelMode::Scalar]
+        &[Isa::Scalar]
     };
     let mut rng = Mix64::keyed(0xC0DE, "conformance/softmax");
-    for &mode in modes {
-        let isa = kernel::set_mode(mode).name();
+    for &isa in isas {
+        kernel::set_mode(isa);
+        let isa = isa.name();
         for &live in &[1usize, 3, 8, 9, 31, 40] {
             let scores: Vec<f32> = (0..live).map(|_| gen_value(&mut rng)).collect();
             // Graph path: full row, masked lanes pushed to -1e9 so exp
@@ -379,10 +380,10 @@ fn layer_norm_row_is_bit_identical_across_modes() {
         let gain = gen_wide_vec(&mut rng, d);
         let bias = gen_wide_vec(&mut rng, d);
         let mut s_out = vec![0.0f32; d];
-        kernel::set_mode(KernelMode::Scalar);
+        kernel::set_mode(Isa::Scalar);
         let (s_mean, s_std) = kernel::layer_norm_row(&x, &gain, &bias, &mut s_out);
         let mut a_out = vec![0.0f32; d];
-        kernel::set_mode(KernelMode::Avx2);
+        kernel::set_mode(Isa::Avx2);
         let (a_mean, a_std) = kernel::layer_norm_row(&x, &gain, &bias, &mut a_out);
         assert_bits(
             &[s_mean, s_std],

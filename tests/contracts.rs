@@ -5,10 +5,10 @@
 use std::sync::{Mutex, MutexGuard};
 use vega::{generate_function, TgtIndex, Vega, VegaConfig};
 use vega_cpplite::lex;
-use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, Vocab};
+use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, TrainConfig, Vocab};
 use vega_nn::decode::softmax_row;
-use vega_nn::kernel::{self, avx2_available, KernelMode};
-use vega_nn::{GruConfig, GruSeq2Seq, Seq2Seq, TensorTable, Transformer, TransformerConfig};
+use vega_nn::kernel::{self, avx2_available};
+use vega_nn::{GruConfig, GruSeq2Seq, Isa, Seq2Seq, TensorTable, Transformer, TransformerConfig};
 
 /// Serializes this file's tests: the obs counters some of them read are
 /// process-global, and every test here runs an encoder.
@@ -184,12 +184,12 @@ fn decoder_forward_paths_agree_bitwise() {
     }
 }
 
-/// Every model path the kernel tier serves, run under `mode`: labelled bit
+/// Every model path the kernel tier serves, run under `isa`: labelled bit
 /// patterns in a fixed order. Training runs the graph forward and backward
-/// (the transposed `dot` in `Tensor::matmul`, layer norm, softmax max); the
+/// (both orientations of `Tensor::matmul`, layer norm, softmax max); the
 /// decode paths run the row kernels.
-fn isa_trace(mode: KernelMode) -> Vec<(&'static str, Vec<u32>)> {
-    kernel::set_mode(mode);
+fn isa_trace(isa: Isa) -> Vec<(&'static str, Vec<u32>)> {
+    kernel::set_mode(isa);
     let bits = |row: &[f32]| -> Vec<u32> { row.iter().map(|v| v.to_bits()).collect() };
     let ids = |toks: &[usize]| -> Vec<u32> { toks.iter().map(|&t| t as u32).collect() };
     // 40 logits fill one 32-element block and one 8-element block of the
@@ -247,9 +247,9 @@ fn isa_trace(mode: KernelMode) -> Vec<(&'static str, Vec<u32>)> {
 #[test]
 fn kernel_isas_agree_bitwise() {
     let _serial = serial();
-    let scalar = isa_trace(KernelMode::Scalar);
-    let avx2 = avx2_available().then(|| isa_trace(KernelMode::Avx2));
-    kernel::set_mode(KernelMode::Auto);
+    let scalar = isa_trace(Isa::Scalar);
+    let avx2 = avx2_available().then(|| isa_trace(Isa::Avx2));
+    kernel::set_mode(Isa::detect());
     let Some(avx2) = avx2 else {
         eprintln!("kernel_isas_agree_bitwise: CPU lacks AVX2; AVX2 leg skipped");
         return;
@@ -309,6 +309,61 @@ fn v2_checkpoint_round_trips_bitwise_and_rejects_corruption() {
     let err = load("model.json", br#"{"vocab":{"pieces":[]},"model":{}}"#);
     assert!(matches!(err, CkptError::Corrupt(_)), "{err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a of the v2 checkpoint [`training_bits_are_pinned_at_every_pool_size`]
+/// trains, recorded from the code whose `Tensor::matmul` still chose among
+/// an untiled loop, a 64-wide k-tiled loop and a row-block fan-out.
+const TRAINED_CKPT_DIGEST: u64 = 0x948c_7543_8255_07cb;
+
+/// Training bits: a small-config transformer pretrained for a few denoising
+/// steps and fine-tuned for one epoch writes the same v2 checkpoint at
+/// `vega_par` pool sizes 1 and 4, and its bytes digest to
+/// [`TRAINED_CKPT_DIGEST`]. The lengths give every product size the old
+/// dispatch told apart: the 5- and 6-token sequences' projections stay under
+/// 2^15 multiply-adds, the feed-forward layers of the longer ones run
+/// between 2^15 and 2^18, and the 48-token logits (228-piece vocabulary)
+/// and their gradients pass 2^18 over more than 16 rows. Pretraining runs
+/// on the calling thread, so at pool size 4 those products were the ones
+/// that fanned out.
+#[test]
+fn training_bits_are_pinned_at_every_pool_size() {
+    let _serial = serial();
+    let vocab = Vocab::build(std::iter::empty());
+    let n = vocab.len();
+    let seq = |len: usize, salt: usize| -> Vec<usize> {
+        (0..len)
+            .map(|i| 11 + (i * 7 + salt * 31) % (n - 11))
+            .collect()
+    };
+    let sequences = [seq(48, 1), seq(6, 2), seq(20, 3)];
+    let pairs: Vec<(Vec<usize>, Vec<usize>)> = (0..12)
+        .map(|i| (seq([5, 30, 12][i % 3], i), seq([7, 40, 10][i % 3], i + 5)))
+        .collect();
+    let cfg = TrainConfig {
+        pretrain_steps: 6,
+        finetune_epochs: 1,
+        lr: 2e-3,
+        seed: 3,
+    };
+    let train = |pool: usize| -> Vec<u8> {
+        vega_par::set_threads(pool);
+        let mut model = CodeBe::transformer(vocab.clone(), TransformerConfig::small);
+        model.pretrain(&sequences, cfg.pretrain_steps, cfg.lr, cfg.seed);
+        model.finetune(&pairs, &cfg);
+        encode_v2(&model)
+    };
+    let (one, four) = (train(1), train(4));
+    vega_par::set_threads(0);
+    assert!(
+        one == four,
+        "pool sizes 1 and 4 wrote different checkpoints"
+    );
+    let digest = vega_fault::fnv1a_64(&one);
+    assert_eq!(
+        digest, TRAINED_CKPT_DIGEST,
+        "trained checkpoint digest {digest:#018x} moved"
+    );
 }
 
 /// Rank once per statement: generating a function ranks each (preorder
