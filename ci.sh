@@ -27,16 +27,12 @@ VEGA_THREADS=4 cargo test -q --workspace
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
-# Decode fast path: the incremental KV-cached decoder must be bit-identical
-# to the autograd-graph reference at both pool sizes, and its primitives
-# (`step_many`, the one-pass forced-scoring prefill, the forked candidate
-# forward) bitwise sound (the full workspace runs above include this suite
-# too; the explicit stage keeps the contract visible and greppable). The
-# bench smoke asserts the incremental path is not slower than the graph path
-# on the small config.
-echo "== decode equivalence =="
-VEGA_THREADS=1 cargo test -q -p vega-nn --test decode_equivalence
-VEGA_THREADS=4 cargo test -q -p vega-nn --test decode_equivalence
+# Decode fast path: both workspace runs above include
+# `crates/nn/tests/decode_equivalence.rs`, which holds the incremental
+# KV-cached decoder bit-identical to the autograd-graph reference and its
+# primitives (`step_many`, the one-pass forced-scoring prefill, the forked
+# candidate forward) bitwise sound. The decode bench smoke below asserts the
+# incremental path is not slower than the graph path on the small config.
 
 # Every kernel ISA computes the same bits: both workspace runs above include
 # the kernel conformance suite, which switches ISA in process and compares
@@ -164,7 +160,9 @@ grep -q "ckpt: smoke=ok" "$SMOKE_DIR/ckpt-bench.txt"
 # scoring a request's candidates on one decode session (one encoder pass)
 # must beat one forced_logprob per candidate, and one batched
 # forced_logprobs call over the candidates must beat one forced_logprob per
-# candidate on one encoded state (the batched floor).
+# candidate on one encoded state (the batched floor); on the tiny pipeline,
+# a cached backend request must beat a replay of the per-group work a hit
+# used to do (the cached-backend floor).
 echo "== serve bench smoke =="
 VEGA_SERVE_BENCH_FAST=1 VEGA_BENCH_OUT="$SMOKE_DIR/BENCH_serve.json" \
   cargo bench -p vega-bench --bench serve | tee "$SMOKE_DIR/serve-bench.txt"

@@ -1,9 +1,11 @@
 //! Graph-path vs incremental (KV-cached) decode throughput, per kernel mode.
 //!
 //! Runs teacher-forced decodes of controlled length (prefix 8/32/96) through
-//! both paths on the small transformer config at 1 and 4 threads, under
-//! every kernel mode this CPU can run (`scalar` always, `avx2` when
-//! detected — see `vega_nn::kernel`), reports tokens/sec, and writes a
+//! both paths on the small transformer config on one thread (no decode path
+//! and no `Tensor::matmul` uses the `vega-par` pool, so more threads would
+//! time the same work), under every kernel mode this CPU can run (`scalar`
+//! always, `avx2` when detected — see `vega_nn::kernel`), reports
+//! tokens/sec, and writes a
 //! machine-readable baseline to `BENCH_decode.json` (override the path with
 //! `VEGA_BENCH_OUT`; `VEGA_DECODE_BENCH_FAST=1` shrinks the sample count for
 //! the CI smoke run). A matmul section times the dot-heavy transposed
@@ -110,59 +112,53 @@ fn main() {
     // the AVX2-vs-scalar ratio is computed from).
     let mut inc_tps_by_mode: Vec<(&'static str, f64)> = Vec::new();
 
-    println!("== decode (small config, vocab {VOCAB}, src len {SRC_LEN}) ==");
+    vega_par::set_threads(1);
+    println!("== decode (small config, vocab {VOCAB}, src len {SRC_LEN}, 1 thread) ==");
     for mode in available_modes() {
         kernel::set_mode(mode);
         let kname = mode.name();
-        for &threads in &[1usize, 4] {
-            vega_par::set_threads(threads);
-            for &prefix in &[8usize, 32, 96] {
-                let feed = &feed[..prefix];
-                // The timed workloads are also an equivalence check.
-                let reference = model.forced_steps(&src, feed);
-                assert_eq!(
-                    reference,
-                    model.forced_steps_graph(&src, feed),
-                    "incremental and graph decode diverged \
-                     (kernel {kname}, prefix {prefix}, {threads} threads)"
-                );
-                let inc_secs = min_secs(samples, || {
-                    std::hint::black_box(model.forced_steps(&src, feed));
-                });
-                let graph_secs = min_secs(samples, || {
-                    std::hint::black_box(model.forced_steps_graph(&src, feed));
-                });
-                let inc_tps = prefix as f64 / inc_secs;
-                let graph_tps = prefix as f64 / graph_secs;
-                let speedup = graph_secs / inc_secs;
-                println!(
-                    "[{kname:>6}] prefix {prefix:>2}, {threads} thread(s): incremental {:>9}/decode ({inc_tps:>9.0} tok/s) | graph {:>9}/decode ({graph_tps:>8.0} tok/s) | speedup {speedup:.1}x",
-                    fmt_secs(inc_secs),
-                    fmt_secs(graph_secs),
-                );
-                for (path, secs, tps) in [
-                    ("incremental", inc_secs, inc_tps),
-                    ("graph", graph_secs, graph_tps),
-                ] {
-                    rows.push(Json::obj([
-                        ("prefix", Json::num_usize(prefix)),
-                        ("threads", Json::num_usize(threads)),
-                        ("path", Json::str(path)),
-                        ("kernel", Json::str(kname)),
-                        ("seconds_per_decode", Json::num_f64(secs)),
-                        ("tokens_per_sec", Json::num_f64(tps)),
-                    ]));
-                }
-                if prefix == 96 {
-                    if threads == 1 {
-                        speedup_p96_t1 = speedup;
-                        inc_tps_by_mode.push((kname, inc_tps));
-                    }
-                    smoke_ok &= inc_tps >= graph_tps;
-                }
+        for &prefix in &[8usize, 32, 96] {
+            let feed = &feed[..prefix];
+            // The timed workloads are also an equivalence check.
+            let reference = model.forced_steps(&src, feed);
+            assert_eq!(
+                reference,
+                model.forced_steps_graph(&src, feed),
+                "incremental and graph decode diverged (kernel {kname}, prefix {prefix})"
+            );
+            let inc_secs = min_secs(samples, || {
+                std::hint::black_box(model.forced_steps(&src, feed));
+            });
+            let graph_secs = min_secs(samples, || {
+                std::hint::black_box(model.forced_steps_graph(&src, feed));
+            });
+            let inc_tps = prefix as f64 / inc_secs;
+            let graph_tps = prefix as f64 / graph_secs;
+            let speedup = graph_secs / inc_secs;
+            println!(
+                "[{kname:>6}] prefix {prefix:>2}: incremental {:>9}/decode ({inc_tps:>9.0} tok/s) | graph {:>9}/decode ({graph_tps:>8.0} tok/s) | speedup {speedup:.1}x",
+                fmt_secs(inc_secs),
+                fmt_secs(graph_secs),
+            );
+            for (path, secs, tps) in [
+                ("incremental", inc_secs, inc_tps),
+                ("graph", graph_secs, graph_tps),
+            ] {
+                rows.push(Json::obj([
+                    ("prefix", Json::num_usize(prefix)),
+                    ("threads", Json::num_usize(1)),
+                    ("path", Json::str(path)),
+                    ("kernel", Json::str(kname)),
+                    ("seconds_per_decode", Json::num_f64(secs)),
+                    ("tokens_per_sec", Json::num_f64(tps)),
+                ]));
+            }
+            if prefix == 96 {
+                speedup_p96_t1 = speedup;
+                inc_tps_by_mode.push((kname, inc_tps));
+                smoke_ok &= inc_tps >= graph_tps;
             }
         }
-        vega_par::set_threads(1);
     }
 
     // Wide decode: the per-ISA headline. d_model 128 / 4 heads / d_ff 256 is

@@ -11,8 +11,9 @@
 //! greedy decode must answer exactly as a fresh `begin_decode` per call.
 //! `step_many` must match the same tokens fed one `step` at a time, and the
 //! forced scorer's one-pass prefill must match a token-stepped loop.
-//! `ci.sh` runs this suite at `VEGA_THREADS=1` and `4`, under every kernel
-//! mode the CPU runs.
+//! `ci.sh` runs this suite in both of its workspace test runs, under the
+//! detected kernel ISA (every ISA computes the same bits, and vega-nn does
+//! not read the `VEGA_THREADS` pool size).
 
 use vega_nn::{
     forced_pair, DecodeState, GruConfig, GruDecodeState, GruSeq2Seq, Seq2Seq, Transformer,

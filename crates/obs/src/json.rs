@@ -7,8 +7,14 @@
 //! weights round-trip losslessly; the writer emits pure-ASCII output (every
 //! non-ASCII scalar is `\u`-escaped), which keeps JSONL lines single-line and
 //! terminal-safe.
+//!
+//! A value that is rendered many times can be rendered once and kept as
+//! [`Json::Raw`] text: `render` writes it verbatim, so a tree holding it
+//! renders to the same bytes as the tree it came from, and cloning it bumps a
+//! reference count instead of copying the tree.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed or to-be-written JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +31,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object as an ordered key→value list.
     Obj(Vec<(String, Json)>),
+    /// Already-rendered JSON text, written out verbatim by [`Json::render`].
+    /// [`Json::parse`] never produces it, and the typed accessors treat it
+    /// as opaque; equality compares the text.
+    Raw(Arc<str>),
 }
 
 /// Error produced by [`Json::parse`] or the typed accessors.
@@ -210,6 +220,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(raw) => out.push_str(raw),
+            Json::Raw(text) => out.push_str(text),
             Json::Str(s) => {
                 out.push('"');
                 escape_into(s, out);
@@ -501,6 +512,24 @@ mod tests {
         ]);
         let text = v.render();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn raw_parts_render_as_the_tree_they_came_from() {
+        let part = Json::obj([
+            ("s", Json::str("q\"ü")),
+            ("n", Json::Arr(vec![Json::num_f64(0.25), Json::Null])),
+        ]);
+        let whole = |p: Json| Json::obj([("id", Json::Null), ("parts", Json::Arr(vec![p]))]);
+        let raw = Json::Raw(part.render().into());
+        assert_eq!(raw.render(), part.render());
+        assert_eq!(whole(raw.clone()).render(), whole(part.clone()).render());
+        // Clones share the text; parsing yields the tree, never `Raw`.
+        match (&raw, raw.clone()) {
+            (Json::Raw(a), Json::Raw(b)) => assert!(Arc::ptr_eq(a, &b)),
+            other => panic!("expected raw text, got {other:?}"),
+        }
+        assert_eq!(Json::parse(&raw.render()).unwrap(), part);
     }
 
     #[test]

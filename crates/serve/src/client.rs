@@ -17,7 +17,8 @@
 //! server adopts it, stamps its spans and flight-recorder records with it,
 //! and echoes it back beside a per-stage `timing` breakdown.
 
-use std::io::{Read, Write};
+use crate::protocol::LineBuf;
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 use vega_obs::json::Json;
@@ -74,7 +75,7 @@ fn splitmix(mut z: u64) -> u64 {
 pub struct Client {
     stream: TcpStream,
     addr: String,
-    buf: Vec<u8>,
+    lines: LineBuf,
     tracer: Option<TraceIdGen>,
 }
 
@@ -89,7 +90,7 @@ impl Client {
         Ok(Client {
             stream,
             addr: addr.to_string(),
-            buf: Vec::new(),
+            lines: LineBuf::default(),
             tracer: None,
         })
     }
@@ -140,7 +141,7 @@ impl Client {
     /// Propagates connect/configure errors.
     pub fn reconnect(&mut self) -> std::io::Result<()> {
         self.stream = open(&self.addr)?;
-        self.buf.clear();
+        self.lines = LineBuf::default();
         Ok(())
     }
 
@@ -152,20 +153,15 @@ impl Client {
     pub fn request_raw(&mut self, line: &str) -> std::io::Result<String> {
         self.stream.write_all(line.as_bytes())?;
         self.stream.write_all(b"\n")?;
-        let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = self.buf.drain(..=pos).collect();
-                return Ok(String::from_utf8_lossy(&line_bytes).trim().to_string());
+            if let Some(line) = self.lines.next_line() {
+                return Ok(line);
             }
-            match self.stream.read(&mut chunk)? {
-                0 => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed before a response line arrived",
-                    ))
-                }
-                n => self.buf.extend_from_slice(&chunk[..n]),
+            if self.lines.fill(&mut self.stream)? == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed before a response line arrived",
+                ));
             }
         }
     }

@@ -1,12 +1,13 @@
 //! The generation engine: a trained [`Vega`] pipeline prepared for serving.
 //!
-//! Stage-1 artifacts (templates, features, the `PropList` catalog) and each
-//! target's description index are built once at startup; request handling
-//! only reads them. Cache keys are content addresses over everything a
-//! generation depends on: the model checkpoint, the target's description
-//! files, and the encoded signature feature vector — two requests with equal
-//! keys are guaranteed byte-identical generations, so the server may answer
-//! the second from cache.
+//! Stage-1 artifacts (templates, features, the `PropList` catalog), each
+//! target's description index and every `(target, group)` cache key are
+//! built once at startup; request handling only reads them, so
+//! [`Engine::cache_key`] is a table lookup. Cache keys are content addresses
+//! over everything a generation depends on: the model checkpoint, the
+//! target's description files, and the encoded signature feature vector —
+//! two requests with equal keys are guaranteed byte-identical generations,
+//! so the server may answer the second from cache.
 
 use crate::hash::StableHasher;
 use crate::protocol::ErrorKind;
@@ -53,15 +54,32 @@ pub fn model_digest(model: &CodeBe) -> String {
     h.finish_hex()
 }
 
+/// The exact signature feature-vector ids generation feeds the model first
+/// for `target` and `bundle`.
+fn signature_input(
+    vega: &Vega,
+    target: &str,
+    ix: &TgtIndex,
+    bundle: &vega::TemplateBundle,
+) -> Vec<usize> {
+    signature_feature_input(
+        &vega.model().vocab,
+        target,
+        &bundle.template,
+        &bundle.features,
+        ix,
+        &vega.catalog,
+        vega.max_input_len(),
+    )
+}
+
 /// Per-target serving state.
 #[derive(Debug)]
 struct TargetCtx {
     /// The description-file index Stage 3 resolves values against.
     ix: TgtIndex,
-    /// Content digest of the description files — part of every cache key, so
-    /// a corpus rebuilt with different descriptions can never alias an old
-    /// cache entry.
-    digest: String,
+    /// Every group's cache key ([`Engine::cache_key`]), by group name.
+    keys: BTreeMap<String, String>,
 }
 
 /// A trained pipeline plus precomputed per-target serving state.
@@ -72,25 +90,40 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Prepares `vega` for serving: indexes every corpus target and
-    /// fingerprints the model.
+    /// Prepares `vega` for serving: indexes every corpus target,
+    /// fingerprints the model, and computes the cache key of every
+    /// `(target, group)` pair.
     pub fn new(vega: Vega) -> Self {
+        let model_digest = model_digest(vega.model());
         let mut targets = BTreeMap::new();
         for t in vega.corpus.targets() {
+            let target = t.spec.name.as_str();
+            // Content digest of the description files: part of every key,
+            // so a corpus rebuilt with different descriptions can never
+            // alias an old cache entry.
             let mut h = StableHasher::new();
             for (path, content) in t.descriptions.iter() {
                 h.write_str(path);
                 h.write_str(content);
             }
-            targets.insert(
-                t.spec.name.clone(),
-                TargetCtx {
-                    ix: TgtIndex::build(&t.descriptions),
-                    digest: h.finish_hex(),
-                },
-            );
+            let digest = h.finish_hex();
+            let ix = TgtIndex::build(&t.descriptions);
+            let keys = vega
+                .templates
+                .iter()
+                .map(|(group, bundle)| {
+                    let mut h = StableHasher::new();
+                    h.write_str("vega-serve/v3");
+                    h.write_str(&model_digest);
+                    h.write_str(target);
+                    h.write_str(&digest);
+                    h.write_str(group);
+                    h.write_ids(&signature_input(&vega, target, &ix, bundle));
+                    (group.clone(), h.finish_hex())
+                })
+                .collect();
+            targets.insert(t.spec.name.clone(), TargetCtx { ix, keys });
         }
-        let model_digest = model_digest(vega.model());
         Engine {
             vega,
             targets,
@@ -151,13 +184,20 @@ impl Engine {
     }
 
     fn bundle(&self, group: &str) -> Result<&vega::TemplateBundle, EngineError> {
-        self.vega.templates.get(group).ok_or_else(|| EngineError {
+        self.vega
+            .templates
+            .get(group)
+            .ok_or_else(|| self.unknown_group(group))
+    }
+
+    fn unknown_group(&self, group: &str) -> EngineError {
+        EngineError {
             kind: ErrorKind::UnknownGroup,
             msg: format!(
                 "unknown function group `{group}`; available groups: {}",
                 self.group_names().join(", ")
             ),
-        })
+        }
     }
 
     /// The content address of one `(target, group)` generation.
@@ -171,29 +211,17 @@ impl Engine {
     /// payloads whichever ISA runs. The cache lives in one process's memory,
     /// so it never spans two platform libms.
     ///
+    /// Every key is computed once, in [`Engine::new`]; this is a lookup.
+    ///
     /// # Errors
     /// [`EngineError`] with [`ErrorKind::UnknownTarget`] or
     /// [`ErrorKind::UnknownGroup`].
     pub fn cache_key(&self, target: &str, group: &str) -> Result<String, EngineError> {
         let ctx = self.target_ctx(target)?;
-        let bundle = self.bundle(group)?;
-        let sig_input = signature_feature_input(
-            &self.vega.model().vocab,
-            target,
-            &bundle.template,
-            &bundle.features,
-            &ctx.ix,
-            &self.vega.catalog,
-            self.vega.max_input_len(),
-        );
-        let mut h = StableHasher::new();
-        h.write_str("vega-serve/v3");
-        h.write_str(&self.model_digest);
-        h.write_str(target);
-        h.write_str(&ctx.digest);
-        h.write_str(group);
-        h.write_ids(&sig_input);
-        Ok(h.finish_hex())
+        ctx.keys
+            .get(group)
+            .cloned()
+            .ok_or_else(|| self.unknown_group(group))
     }
 
     /// Generates one function on the given model replica.
@@ -303,15 +331,7 @@ impl Engine {
                 });
             }
         }
-        let sig_input = signature_feature_input(
-            &self.vega.model().vocab,
-            target,
-            &bundle.template,
-            &bundle.features,
-            &ctx.ix,
-            &self.vega.catalog,
-            self.vega.max_input_len(),
-        );
+        let sig_input = signature_input(&self.vega, target, &ctx.ix, bundle);
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(abort_error(DecodeAbort::Expired));
         }
@@ -339,8 +359,74 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vega::VegaConfig;
     use vega_model::{TrainConfig, Vocab};
     use vega_nn::TransformerConfig;
+
+    /// The key table built in `Engine::new` holds, for every target and
+    /// group, the key hashed afresh from the `vega-serve/v3` field sequence;
+    /// unknown targets and groups fail as before, target first.
+    #[test]
+    fn precomputed_cache_keys_equal_fresh_ones() {
+        let mut cfg = VegaConfig::tiny();
+        cfg.train.pretrain_steps = 0;
+        cfg.train.finetune_epochs = 0;
+        let engine = Engine::new(Vega::train(cfg));
+        let vega = engine.vega();
+        let groups = engine.group_names();
+        for t in vega.corpus.targets() {
+            let target = t.spec.name.as_str();
+            let mut h = StableHasher::new();
+            for (path, content) in t.descriptions.iter() {
+                h.write_str(path);
+                h.write_str(content);
+            }
+            let description_digest = h.finish_hex();
+            let ix = TgtIndex::build(&t.descriptions);
+            for (group, bundle) in &vega.templates {
+                let mut h = StableHasher::new();
+                h.write_str("vega-serve/v3");
+                h.write_str(engine.model_digest());
+                h.write_str(target);
+                h.write_str(&description_digest);
+                h.write_str(group);
+                h.write_ids(&signature_feature_input(
+                    &vega.model().vocab,
+                    target,
+                    &bundle.template,
+                    &bundle.features,
+                    &ix,
+                    &vega.catalog,
+                    vega.max_input_len(),
+                ));
+                assert_eq!(
+                    engine.cache_key(target, group).unwrap(),
+                    h.finish_hex(),
+                    "{target}/{group}"
+                );
+            }
+        }
+
+        let unknown_target = vega.corpus.try_target("NOPE").unwrap_err().to_string();
+        assert!(unknown_target.contains("NOPE"), "{unknown_target}");
+        let unknown_group = format!(
+            "unknown function group `nope`; available groups: {}",
+            groups.join(", ")
+        );
+        for (target, group, kind, msg) in [
+            (
+                "NOPE",
+                groups[0].as_str(),
+                ErrorKind::UnknownTarget,
+                &unknown_target,
+            ),
+            ("NOPE", "nope", ErrorKind::UnknownTarget, &unknown_target),
+            ("RISCV", "nope", ErrorKind::UnknownGroup, &unknown_group),
+        ] {
+            let e = engine.cache_key(target, group).unwrap_err();
+            assert_eq!((e.kind, &e.msg), (kind, msg), "{target}/{group}");
+        }
+    }
 
     #[test]
     fn model_digest_follows_weights_not_storage() {

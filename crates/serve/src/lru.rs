@@ -1,8 +1,10 @@
 //! A content-addressed LRU cache with hit/miss/eviction accounting.
 //!
-//! Keys are the stable hex digests from [`crate::hash`]; values are the fully
-//! rendered response payloads, so a cache hit is byte-identical to the miss
-//! that populated it. Recency is tracked with a monotone tick and a
+//! Keys are the stable hex digests from [`crate::hash`]. The server's values
+//! are the fully rendered `result` payloads, kept as shared `Arc<str>` text,
+//! so a cache hit is byte-identical to the miss that populated it and
+//! [`LruCache::get`]'s clone bumps a reference count instead of copying the
+//! payload. Recency is tracked with a monotone tick and a
 //! `BTreeMap<tick, key>` index — both lookups and evictions are `O(log n)`
 //! with no unsafe code and no linked lists.
 

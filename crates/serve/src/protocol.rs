@@ -57,6 +57,7 @@
 //! (`metrics`) and Prometheus text exposition (`text`); `flightdump`
 //! returns the flight recorder's retained records.
 
+use std::io::Read;
 use vega::{GeneratedFunction, SIG_NODE};
 use vega_corpus::Module;
 use vega_obs::json::Json;
@@ -304,6 +305,60 @@ pub fn render_generated(target: &str, group: &str, module: Module, gf: &Generate
     ])
 }
 
+/// Bytes asked of the stream per [`LineBuf::fill`].
+const READ_CHUNK: usize = 4096;
+
+/// Splits a byte stream into protocol lines, on both ends of a connection.
+/// Each byte is scanned for the line end once, however many reads its line
+/// arrives in, and a consumed line is dropped from the buffer at the next
+/// read, so framing costs time linear in the bytes received.
+#[derive(Debug, Default)]
+pub(crate) struct LineBuf {
+    buf: Vec<u8>,
+    /// Start of the first line not yet returned.
+    start: usize,
+    /// `buf[start..scanned]` holds no line end.
+    scanned: usize,
+}
+
+impl LineBuf {
+    /// The next complete line, lossily decoded and trimmed, or `None` until
+    /// its line end has arrived.
+    pub(crate) fn next_line(&mut self) -> Option<String> {
+        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                let end = self.scanned + i;
+                let line = String::from_utf8_lossy(&self.buf[self.start..end])
+                    .trim()
+                    .to_string();
+                self.start = end + 1;
+                self.scanned = self.start;
+                Some(line)
+            }
+            None => {
+                self.scanned = self.buf.len();
+                None
+            }
+        }
+    }
+
+    /// Reads once from `stream` into the buffer, returning the byte count
+    /// (0 at end of stream).
+    ///
+    /// # Errors
+    /// The read's error; the buffer keeps what it held.
+    pub(crate) fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
+        self.buf.drain(..self.start);
+        self.scanned -= self.start;
+        self.start = 0;
+        let len = self.buf.len();
+        self.buf.resize(len + READ_CHUNK, 0);
+        let read = stream.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+        read
+    }
+}
+
 /// A success envelope around extra fields.
 pub fn ok_response(id: &Json, fields: impl IntoIterator<Item = (&'static str, Json)>) -> String {
     let mut all = vec![
@@ -430,6 +485,35 @@ mod tests {
         assert_eq!(id, Json::Null);
         let (_, msg) = parse_request(r#"{"op":"frobnicate"}"#).unwrap_err();
         assert!(msg.contains("frobnicate"));
+    }
+
+    #[test]
+    fn line_buf_splits_lines_across_and_within_reads() {
+        let mut lines = LineBuf::default();
+        let mut stream: &[u8] = b"{\"op\":\"ping\"}\r\n\n  x \ntail";
+        let mut got = Vec::new();
+        // One byte per read: every line spans reads.
+        loop {
+            while let Some(line) = lines.next_line() {
+                got.push(line);
+            }
+            let (head, rest) = stream.split_at(stream.len().min(1));
+            stream = rest;
+            if lines.fill(&mut &head[..]).unwrap() == 0 {
+                break;
+            }
+        }
+        assert_eq!(got, ["{\"op\":\"ping\"}", "", "x"]);
+        // Several lines in one read come out in order; the unterminated
+        // tail waits for its line end.
+        let mut lines = LineBuf::default();
+        lines.fill(&mut &b"a\nb\nc"[..]).unwrap();
+        assert_eq!(lines.next_line().as_deref(), Some("a"));
+        assert_eq!(lines.next_line().as_deref(), Some("b"));
+        assert_eq!(lines.next_line(), None);
+        lines.fill(&mut &b"d\n"[..]).unwrap();
+        assert_eq!(lines.next_line().as_deref(), Some("cd"));
+        assert_eq!(lines.buf.len() - lines.start, 0, "nothing left over");
     }
 
     #[test]

@@ -21,9 +21,9 @@
 
 use crate::engine::Engine;
 use crate::lru::LruCache;
-use crate::protocol::{self, ErrorKind, Request};
+use crate::protocol::{self, ErrorKind, LineBuf, Request};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -106,7 +106,8 @@ struct Job {
 #[derive(Debug, Clone)]
 enum Outcome {
     Done {
-        payload: Json,
+        /// The rendered `result` payload, shared with the cache entry.
+        payload: Arc<str>,
         /// Queue wait of the job that produced the payload, in ms.
         queue_ms: u64,
         /// Decode time attributed to the generation, in ms.
@@ -125,7 +126,8 @@ enum Outcome {
 struct State {
     queue: VecDeque<Job>,
     inflight: BTreeMap<String, Vec<Sender<Outcome>>>,
-    cache: LruCache<Json>,
+    /// Rendered `result` payloads by cache key: a hit clones an `Arc`.
+    cache: LruCache<Arc<str>>,
     shutting_down: bool,
     requests: u64,
     coalesced: u64,
@@ -448,13 +450,9 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
     let obs = vega_obs::global();
     let idle_cap = Duration::from_millis(shared.cfg.conn_idle_timeout_ms);
     let mut last_line = Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut lines = LineBuf::default();
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes);
-            let line = line.trim();
+        while let Some(line) = lines.next_line() {
             if line.is_empty() {
                 continue;
             }
@@ -469,7 +467,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
             if chaos && vega_fault::check(vega_fault::sites::SERVE_CONN_DROP).is_some() {
                 return;
             }
-            let response = handle_line(shared, line);
+            let response = handle_line(shared, &line);
             // Chaos site: a stalled response (argument = milliseconds).
             if chaos {
                 if let Some(f) = vega_fault::check(vega_fault::sites::SERVE_CONN_STALL) {
@@ -496,9 +494,9 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         }
-        match stream.read(&mut chunk) {
+        match lines.fill(&mut stream) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -668,14 +666,14 @@ fn generate_ok(
     id: &Json,
     cached: bool,
     coalesced: bool,
-    payload: Json,
+    payload: Arc<str>,
     trace: Option<TraceCtx>,
     timing: Json,
 ) -> String {
     let mut fields = vec![
         ("cached", Json::Bool(cached)),
         ("coalesced", Json::Bool(coalesced)),
-        ("result", payload),
+        ("result", Json::Raw(payload)),
     ];
     if let Some(t) = trace {
         fields.push(("trace", Json::str(t.render())));
@@ -768,7 +766,7 @@ fn handle_backend(
             Submit::Reject { kind, msg } => Err((kind, msg)),
         };
         match outcome {
-            Ok(payload) => functions.push(payload),
+            Ok(payload) => functions.push(Json::Raw(payload)),
             Err((kind, msg)) => errors.push(Json::obj([
                 ("group", Json::str(group.clone())),
                 ("error", Json::str(kind.code())),
@@ -954,7 +952,7 @@ fn handle_swap(shared: &Shared, id: &Json, path: &str) -> String {
 }
 
 enum Submit {
-    Cached(Json),
+    Cached(Arc<str>),
     Wait {
         rx: Receiver<Outcome>,
         coalesced: bool,
@@ -1119,13 +1117,17 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
 
 /// Publishes a finished job: cache + counters on success (a failed or
 /// expired generation is never cached — no partial output can poison the
-/// content-addressed cache), waiter notification either way.
+/// content-addressed cache), waiter notification either way. The payload is
+/// rendered once here; the cache entry and every waiter share that text.
 fn settle_job(shared: &Shared, run: JobRun) {
     let obs = vega_obs::global();
     let (job, result, queue_ms, tokens, decode_ms) = run;
     match result {
         Ok((module, gf)) => {
-            let payload = protocol::render_generated(&job.target, &job.group, module, &gf);
+            let payload: Arc<str> =
+                protocol::render_generated(&job.target, &job.group, module, &gf)
+                    .render()
+                    .into();
             {
                 let mut st = shared.state.lock().unwrap();
                 st.cache.insert(&job.key, payload.clone());

@@ -8,6 +8,7 @@
 //! process-global and the scenarios deliberately flip it between 1 and 4.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
 use vega::{Vega, VegaConfig};
 use vega_model::CodeBe;
@@ -430,7 +431,8 @@ fn telemetry_and_flight(checkpoint: &CodeBe, t0: &str, g0: &str, expected: &str)
 /// direct in-process scoring on a backend-free replica, `timing.tokens` is
 /// the summed candidate length, and malformed requests (an out-of-vocabulary
 /// id, an over-long candidate, an unknown group, an empty candidate list)
-/// are rejected explicitly, never decoded.
+/// are rejected explicitly, never decoded. A request line of over 64 KB,
+/// written in 1 KB pieces, is answered correctly.
 fn served_score_matches_direct(checkpoint: &CodeBe, t: &str, g: &str) {
     vega_par::set_threads(1);
     let candidates: Vec<Vec<usize>> = vec![vec![5, 9, 2], vec![5, 9], vec![7, 7, 7, 7]];
@@ -502,10 +504,35 @@ fn served_score_matches_direct(checkpoint: &CodeBe, t: &str, g: &str) {
         .unwrap();
     assert_eq!(error_code(&Json::parse(&raw).unwrap()), "bad_request");
 
+    // A 64 KB request line (the score request, padded with whitespace the
+    // parser skips) written in 1 KB pieces is framed and answered like the
+    // short one.
+    let cands = Json::Arr(
+        candidates
+            .iter()
+            .map(|c| Json::Arr(c.iter().map(|&id| Json::num_usize(id)).collect()))
+            .collect(),
+    );
+    let long = format!(
+        r#"{{"op":"score","target":"{t}","group":"{g}","candidates":{}{}}}"#,
+        cands.render(),
+        " ".repeat(64 * 1024)
+    ) + "\n";
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for piece in long.as_bytes().chunks(1024) {
+        stream.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let mut answer = String::new();
+    BufReader::new(&stream).read_line(&mut answer).unwrap();
+    let resp = Json::parse(answer.trim()).unwrap();
+    assert_eq!(resp.field("scores").unwrap().render(), direct_render);
+
     // Every handled score request (errors included) is counted; the
     // unparseable line is not.
     let stats = c.op("stats").unwrap();
-    assert_eq!(stat_u64(&stats, "score_requests"), 5);
+    assert_eq!(stat_u64(&stats, "score_requests"), 6);
 
     server.shutdown();
     server.join_with_stats();

@@ -9,6 +9,8 @@ use vega_model::{encode_v2, tokens_to_pieces, CkptError, CodeBe, TrainConfig, Vo
 use vega_nn::decode::softmax_row;
 use vega_nn::kernel::{self, avx2_available};
 use vega_nn::{GruConfig, GruSeq2Seq, Isa, Seq2Seq, TensorTable, Transformer, TransformerConfig};
+use vega_obs::json::Json;
+use vega_serve::{protocol, Client, Engine, ServeConfig, Server};
 
 /// Serializes this file's tests: the obs counters some of them read are
 /// process-global, and every test here runs an encoder.
@@ -415,4 +417,87 @@ fn generation_ranks_each_slot_once() {
         ranked > 0 && kept > 0 && dropped > 0,
         "{ranked} rankings over {kept} kept and {dropped} dropped statements"
     );
+}
+
+/// The served `backend` op, cold and cached: on the tiny pipeline behind an
+/// in-process server, a cold `backend` request and its cached repeat answer
+/// the same line byte for byte, and that line is the one rendered from
+/// direct `Engine::generate` output. A cached `generate` carries the same
+/// `result` bytes as its miss.
+#[test]
+fn served_cache_hits_are_byte_identical() {
+    let _serial = serial();
+    let engine = Engine::new(Vega::train(VegaConfig::tiny()));
+    let (targets, groups) = (engine.target_names(), engine.group_names());
+    let (backend_target, generate_target, group) = (&targets[0], &targets[1], &groups[0]);
+    let direct = |target: &str, group: &str| -> Json {
+        let (module, f) = engine.generate(target, group).expect("direct generation");
+        protocol::render_generated(target, group, module, &f)
+    };
+    let expected_backend = protocol::ok_response(
+        &Json::Null,
+        [
+            ("target", Json::str(backend_target.as_str())),
+            (
+                "functions",
+                Json::Arr(groups.iter().map(|g| direct(backend_target, g)).collect()),
+            ),
+            ("errors", Json::Arr(Vec::new())),
+        ],
+    );
+    let expected_result = direct(generate_target, group).render();
+
+    let server = Server::start(
+        engine,
+        ServeConfig {
+            batch: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind 127.0.0.1:0");
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let backend = format!(r#"{{"op":"backend","target":"{backend_target}"}}"#);
+    let cold = client.request_raw(&backend).expect("cold backend");
+    let cold_stats = server.stats();
+    let cached = client.request_raw(&backend).expect("cached backend");
+    let cached_stats = server.stats();
+    assert_eq!(
+        (cold_stats.generated, cold_stats.cache_hits),
+        (groups.len() as u64, 0),
+        "the first backend request generates every group"
+    );
+    assert_eq!(
+        (cached_stats.generated, cached_stats.cache_hits),
+        (groups.len() as u64, groups.len() as u64),
+        "the repeat is answered from the cache"
+    );
+    assert!(
+        cold == expected_backend,
+        "cold backend line differs from direct generation"
+    );
+    assert!(
+        cached == cold,
+        "cached backend line differs from the cold one"
+    );
+
+    let mut result = |cached: bool| -> String {
+        let resp = client
+            .generate(generate_target, group, None)
+            .expect("generate");
+        assert_eq!(
+            resp.field("cached").unwrap(),
+            &Json::Bool(cached),
+            "{}",
+            resp.render()
+        );
+        resp.field("result").unwrap().render()
+    };
+    let miss = result(false);
+    assert_eq!(
+        miss, expected_result,
+        "served result differs from direct generation"
+    );
+    assert_eq!(result(true), miss, "cached result differs from its miss");
+    server.shutdown();
+    server.join();
 }
