@@ -16,6 +16,12 @@ cargo build --release --workspace
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Lints over every target (tests, benches, examples included). Warnings are
+# printed; a deny-level lint (clippy's correctness group, e.g.
+# `approx_constant`) fails the gate.
+echo "== clippy =="
+cargo clippy --workspace --all-targets
+
 # The suite runs twice so the determinism promise is exercised at both a
 # sequential and a parallel vega-par pool size (outputs must be identical).
 echo "== test (VEGA_THREADS=1) =="
@@ -25,7 +31,10 @@ echo "== test (VEGA_THREADS=4) =="
 VEGA_THREADS=4 cargo test -q --workspace
 
 SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+# The vegabench stage below rewrites the benchmark's lock file (cargo
+# resolves the benchmark's own workspace), so exit puts the saved copy back.
+cp -p vegabench/Cargo.lock "$SMOKE_DIR/vegabench.Cargo.lock"
+trap 'cp -p "$SMOKE_DIR/vegabench.Cargo.lock" vegabench/Cargo.lock; rm -rf "$SMOKE_DIR"' EXIT
 
 # Decode fast path: both workspace runs above include
 # `crates/nn/tests/decode_equivalence.rs`, which holds the incremental

@@ -118,7 +118,7 @@ fn main() {
     let rounds = if fast_mode { 2 } else { 5 };
 
     vega_par::set_threads(1);
-    let mut vega = Vega::train(VegaConfig::tiny());
+    let vega = Vega::train(VegaConfig::tiny());
     println!("== generate (tiny pipeline, 1 compute thread, {rounds} rounds) ==");
 
     let rankings = backend_rankings(&vega, "RISCV");

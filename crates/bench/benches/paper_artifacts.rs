@@ -11,7 +11,7 @@ use vega_minicc::{benchmark_suite, run_kernel, BackendVm, OptLevel};
 
 /// Fig. 7 — inference: generating one backend from description files.
 fn bench_fig7_inference() {
-    let mut vega = trained_tiny_vega();
+    let vega = trained_tiny_vega();
     let mut g = Bench::group("fig7_inference");
     g.bench_function("generate_backend(RISCV)", || vega.generate_backend("RISCV"));
     g.finish();
@@ -19,7 +19,7 @@ fn bench_fig7_inference() {
 
 /// Fig. 8 — pass@1 evaluation of a generated backend.
 fn bench_fig8_passk() {
-    let mut vega = trained_tiny_vega();
+    let vega = trained_tiny_vega();
     let backend = vega.generate_backend("RISCV");
     let mut g = Bench::group("fig8_passk");
     g.bench_function("eval_generated_backend(RISCV)", || {
@@ -30,7 +30,7 @@ fn bench_fig8_passk() {
 
 /// Table 2 — error-taxonomy computation over an evaluated backend.
 fn bench_table2_taxonomy() {
-    let mut vega = trained_tiny_vega();
+    let vega = trained_tiny_vega();
     let backend = vega.generate_backend("RI5CY");
     let eval = eval_generated_backend(&vega.corpus, &backend);
     let mut g = Bench::group("table2_taxonomy");

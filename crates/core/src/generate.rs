@@ -335,7 +335,7 @@ pub fn signature_feature_input(
 /// # Panics
 /// Panics if the model's decode backend aborts despite the absent deadline.
 pub fn generate_function(
-    model: &mut CodeBe,
+    model: &CodeBe,
     target_ns: &str,
     template: &FunctionTemplate,
     feats: &TemplateFeatures,
@@ -366,7 +366,7 @@ pub fn generate_function(
 /// [`DecodeAbort::Broken`] when the backend failed.
 #[allow(clippy::too_many_arguments)]
 pub fn try_generate_function(
-    model: &mut CodeBe,
+    model: &CodeBe,
     target_ns: &str,
     template: &FunctionTemplate,
     feats: &TemplateFeatures,

@@ -515,7 +515,7 @@ impl Vega {
     }
 
     /// Exact-match rate on the verification split (the paper reports 99.03%).
-    pub fn verification_exact_match(&mut self) -> f64 {
+    pub fn verification_exact_match(&self) -> f64 {
         let pairs: Vec<(Vec<usize>, Vec<usize>)> = self
             .verify_samples
             .iter()
@@ -526,7 +526,7 @@ impl Vega {
 
     /// Stage 3: generates a complete backend for a target from its
     /// description files alone.
-    pub fn generate_backend(&mut self, target: &str) -> GeneratedBackend {
+    pub fn generate_backend(&self, target: &str) -> GeneratedBackend {
         let descriptions: VirtualFs = self.corpus.tgt_fs(target).cloned().unwrap_or_default();
         self.generate_backend_from(target, &descriptions)
     }
@@ -534,7 +534,7 @@ impl Vega {
     /// Stage 3 over explicit description files (for targets outside the
     /// corpus).
     pub fn generate_backend_from(
-        &mut self,
+        &self,
         target: &str,
         descriptions: &VirtualFs,
     ) -> GeneratedBackend {
@@ -542,28 +542,25 @@ impl Vega {
         let mut functions = Vec::new();
         let mut module_times: BTreeMap<Module, Duration> = BTreeMap::new();
         let stage3 = vega_obs::global().span("pipeline.stage3.generate");
-        // Functions generate independently on the pool, each against its own
-        // model replica — generation never mutates weights, so a replica
-        // decodes exactly what the shared sequential model would. Results
-        // come back in template order; Duration sums are exact integers, so
-        // `module_times` is reduction-order independent too.
+        // Functions generate independently on the pool, all on the one
+        // model: generation only reads weights (each decode owns its
+        // session state), so every worker decodes exactly what a sequential
+        // run would. Results come back in template order; Duration sums are
+        // exact integers, so `module_times` is reduction-order independent
+        // too.
         let bundles: Vec<&TemplateBundle> = self.templates.values().collect();
-        let model_ref = &self.model;
-        let catalog = &self.catalog;
-        let max_input_len = self.max_input_len;
         let generated = vega_par::par_map_slice(&bundles, |_, bundle| {
             // Child spans aggregate per module ("pipeline.stage3.generate.SEL"
             // etc.) while `module_times` keeps the public per-module map.
             let mspan = vega_obs::global().span(bundle.module.code());
-            let mut replica = model_ref.clone();
             let f = generate_function(
-                &mut replica,
+                &self.model,
                 target,
                 &bundle.template,
                 &bundle.features,
                 &ix,
-                catalog,
-                max_input_len,
+                &self.catalog,
+                self.max_input_len,
             );
             (bundle.module, mspan.finish(), f)
         });
@@ -584,7 +581,7 @@ impl Vega {
         &mut self.model
     }
 
-    /// Read access to the trained model (persistence, replica pooling).
+    /// Read access to the trained model (persistence, serving).
     pub fn model(&self) -> &CodeBe {
         &self.model
     }
@@ -801,7 +798,7 @@ mod tests {
 
     #[test]
     fn tiny_pipeline_trains_and_generates() {
-        let mut vega = Vega::train(VegaConfig::tiny());
+        let vega = Vega::train(VegaConfig::tiny());
         assert!(vega.templates.len() >= 30);
         assert!(!vega.train_samples.is_empty());
         assert!(!vega.verify_samples.is_empty());
@@ -845,12 +842,12 @@ mod tests {
 
     #[test]
     fn with_model_reuses_a_checkpoint_and_validates_fit() {
-        let mut trained = Vega::train(VegaConfig::tiny());
+        let trained = Vega::train(VegaConfig::tiny());
         let a = trained.generate_backend("RI5CY");
 
         // Same config + the trained model → identical generations, no stage 2.
         let checkpoint = trained.model().clone();
-        let mut served = Vega::with_model(VegaConfig::tiny(), checkpoint).unwrap();
+        let served = Vega::with_model(VegaConfig::tiny(), checkpoint).unwrap();
         assert!(
             served.timings.model_creation < trained.timings.model_creation,
             "validation must be cheaper than training"

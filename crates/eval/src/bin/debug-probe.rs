@@ -32,7 +32,7 @@ fn main() {
         seed: 1,
     };
 
-    let mut vega = Vega::train(cfg);
+    let vega = Vega::train(cfg);
     vega_obs::info!(
         "templates={} train={} verify={} stage2={:.0}s",
         vega.templates.len(),
@@ -57,7 +57,7 @@ fn main() {
         .take(120)
         .map(|s| (s.input.clone(), s.output.clone()))
         .collect();
-    let em = vega.model_mut().exact_match(&sub, 72);
+    let em = vega.model().exact_match(&sub, 72);
     vega_obs::info!(
         "verification exact match (first {} samples): {:.1}%",
         sub.len(),
@@ -65,15 +65,9 @@ fn main() {
     );
 
     // A couple of verify samples: expected vs generated.
-    for s in vega
-        .verify_samples
-        .iter()
-        .take(6)
-        .cloned()
-        .collect::<Vec<_>>()
-    {
-        let gen = vega.model_mut().generate(&s.input, 72);
-        let vocab = &vega.model_mut().vocab;
+    let vocab = &vega.model().vocab;
+    for s in vega.verify_samples.iter().take(6) {
+        let gen = vega.model().generate(&s.input, 72);
         vega_obs::debug!(
             "[{}::{}::{}]\n  expect: {:?} {}\n  gen:    {:?} {}",
             s.group,

@@ -150,7 +150,7 @@ fn ablation_split(base: &VegaConfig) -> String {
     let acc = |split: Split| -> Vec<(String, f64)> {
         let mut cfg = base.clone();
         cfg.split = split;
-        let mut vega = Vega::train(cfg);
+        let vega = Vega::train(cfg);
         vega_corpus::EVAL_TARGET_NAMES
             .iter()
             .map(|t| {
@@ -183,7 +183,7 @@ fn ablation_model(base: &VegaConfig) -> String {
         let mut cfg = base.clone();
         cfg.model = model;
         cfg.train.pretrain_steps = pretrain;
-        let mut vega = Vega::train(cfg);
+        let vega = Vega::train(cfg);
         let accs = vega_corpus::EVAL_TARGET_NAMES
             .iter()
             .map(|t| {

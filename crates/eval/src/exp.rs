@@ -43,7 +43,7 @@ impl Workbench {
         config: VegaConfig,
         checkpoint: Option<vega_model::CodeBe>,
     ) -> Result<Self, ModelLoadError> {
-        let mut vega = match checkpoint {
+        let vega = match checkpoint {
             Some(model) => Vega::with_model(config, model)?,
             None => Vega::train(config),
         };

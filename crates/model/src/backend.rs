@@ -8,10 +8,10 @@
 //! scored output, so it gets neither the session's encode-once nor its
 //! prefix-shared scoring. The in-tree users are timing interposers (the
 //! end-to-end benchmark's traced run, which wraps a backend-free clone of
-//! the model) and tests; the serving engine decodes locally on its replica
-//! pool. The backend contract demands bit-identity with the local path:
-//! installing or removing a backend must never change a single output bit,
-//! only where (and how fast) the arithmetic happens.
+//! the model) and tests; the serving engine decodes locally on its one
+//! shared model. The backend contract demands bit-identity with the local
+//! path: installing or removing a backend must never change a single output
+//! bit, only where (and how fast) the arithmetic happens.
 //!
 //! Backend calls are *fallible*: a backend may honour the per-call deadline
 //! it is handed, or fail outright. The local in-process path never aborts
@@ -72,7 +72,7 @@ pub trait DecodeBackend: Send + Sync {
 ///
 /// `CodeBe` derives `Debug`/`Clone`; trait objects provide neither, so the
 /// handle wraps the `Arc` and fills both in. Cloning a model clones the
-/// handle — replicas of one serve pool intentionally share a backend.
+/// handle, so a clone decodes through the same backend.
 #[derive(Clone)]
 pub struct BackendHandle(Arc<dyn DecodeBackend>);
 

@@ -17,11 +17,11 @@
 //!
 //! [`CodeBe::load_file`] maps the file once, verifies the digest before
 //! parsing anything, and hands every tensor a view into the mapping, so
-//! cloning the model for a serving replica copies descriptors, not weights,
-//! and training on a loaded model copies tensors out lazily
-//! (copy-on-write). Truncated, bit-flipped or otherwise damaged files are
-//! rejected with a named [`CkptError`] instead of being decoded into
-//! garbage weights; a file without the magic is [`CkptError::Corrupt`].
+//! cloning the model (a fine-tuning gradient shard's copy) copies
+//! descriptors, not weights, and training on a loaded model copies tensors
+//! out lazily (copy-on-write). Truncated, bit-flipped or otherwise damaged
+//! files are rejected with a named [`CkptError`] instead of being decoded
+//! into garbage weights; a file without the magic is [`CkptError::Corrupt`].
 //!
 //! [`CodeBe::save_file_v2`] writes `<path>.tmp` and renames it over `<path>`
 //! only once every byte is flushed, so a crash mid-save (simulated by the
@@ -159,33 +159,8 @@ impl CodeBe {
     /// mismatch, version mismatch, or undecodable payload; structural
     /// failures carry the byte offset of the problem.
     pub fn load_file(path: &Path) -> Result<CodeBe, CkptError> {
-        Self::load_file_opts(path, false)
-    }
-
-    /// As [`CodeBe::load_file`], paired with the format tag
-    /// ([`CKPT_FORMAT_V2`]) that load logs report.
-    ///
-    /// # Errors
-    /// See [`CodeBe::load_file`].
-    pub fn load_file_detect(path: &Path) -> Result<(CodeBe, &'static str), CkptError> {
-        Self::load_file(path).map(|model| (model, CKPT_FORMAT_V2))
-    }
-
-    /// As [`CodeBe::load_file`], with an optional prefault pass: when
-    /// `prefault` is true the mapped (or freshly read) checkpoint region is
-    /// warm-touched page by page before anything decodes, so a served model
-    /// never pays major-fault latency on its first generations. The touched
-    /// byte count is recorded on the `ckpt.prefault_bytes` counter.
-    ///
-    /// # Errors
-    /// See [`CodeBe::load_file`].
-    pub fn load_file_opts(path: &Path, prefault: bool) -> Result<CodeBe, CkptError> {
         let region = ByteRegion::from_file(path)
             .map_err(|e| CkptError::Io(format!("read {}: {e}", path.display())))?;
-        if prefault {
-            let touched = region.prefault();
-            vega_obs::global().counter_add("ckpt.prefault_bytes", touched as u64);
-        }
         let b = region.bytes();
         if b.len() >= 8 && b[..8] == V2_MAGIC {
             return load_v2(Arc::new(region));
@@ -200,6 +175,15 @@ impl CodeBe {
             "{}: no {CKPT_FORMAT_V2} magic `VEGACKP2` at byte 0",
             path.display()
         )))
+    }
+
+    /// As [`CodeBe::load_file`], paired with the format tag
+    /// ([`CKPT_FORMAT_V2`]) that load logs report.
+    ///
+    /// # Errors
+    /// See [`CodeBe::load_file`].
+    pub fn load_file_detect(path: &Path) -> Result<(CodeBe, &'static str), CkptError> {
+        Self::load_file(path).map(|model| (model, CKPT_FORMAT_V2))
     }
 }
 

@@ -384,7 +384,7 @@ impl CodeBe {
     /// # Panics
     /// Panics if an installed decode backend aborts; use
     /// [`CodeBe::try_generate`] to observe deadline expiry.
-    pub fn generate(&mut self, input: &[usize], max_len: usize) -> Vec<usize> {
+    pub fn generate(&self, input: &[usize], max_len: usize) -> Vec<usize> {
         self.try_generate(input, max_len, None)
             .expect("decode backend aborted a deadline-free generate")
     }
@@ -398,7 +398,7 @@ impl CodeBe {
     /// # Errors
     /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
     pub fn try_generate(
-        &mut self,
+        &self,
         input: &[usize],
         max_len: usize,
         deadline: Option<Instant>,
@@ -412,7 +412,7 @@ impl CodeBe {
     /// # Panics
     /// Panics if an installed decode backend aborts; use
     /// [`CodeBe::try_sequence_logprob`] to observe deadline expiry.
-    pub fn sequence_logprob(&mut self, input: &[usize], output: &[usize]) -> f32 {
+    pub fn sequence_logprob(&self, input: &[usize], output: &[usize]) -> f32 {
         self.try_sequence_logprob(input, output, None)
             .expect("decode backend aborted a deadline-free logprob")
     }
@@ -424,7 +424,7 @@ impl CodeBe {
     /// # Errors
     /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
     pub fn try_sequence_logprob(
-        &mut self,
+        &self,
         input: &[usize],
         output: &[usize],
         deadline: Option<Instant>,
@@ -461,7 +461,7 @@ impl CodeBe {
     }
 
     /// Exact-match rate over a verification set (the paper reports 99.03%).
-    pub fn exact_match(&mut self, pairs: &[(Vec<usize>, Vec<usize>)], max_len: usize) -> f64 {
+    pub fn exact_match(&self, pairs: &[(Vec<usize>, Vec<usize>)], max_len: usize) -> f64 {
         if pairs.is_empty() {
             return 1.0;
         }
@@ -593,13 +593,13 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let (mut m, seqs) = tiny_codebe(&["x = 1;"]);
+        let (m, seqs) = tiny_codebe(&["x = 1;"]);
         let path = std::env::temp_dir().join(format!(
             "vega-model-codebe-roundtrip-{}.ckpt",
             std::process::id()
         ));
         m.save_file_v2(&path).unwrap();
-        let mut m2 = CodeBe::load_file(&path).unwrap();
+        let m2 = CodeBe::load_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(m.generate(&seqs[0], 8), m2.generate(&seqs[0], 8));
         // Architecture metadata survives the round trip.

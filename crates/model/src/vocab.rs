@@ -50,8 +50,8 @@ const SPECIAL_NAMES: &[(&str, Special)] = &[
 
 /// A frozen subword vocabulary. Only the piece list is serialized; the
 /// lookup map is rebuilt on load. The contents live behind an `Arc`, so
-/// cloning a vocabulary — and hence spawning a model replica — shares one
-/// frozen piece table instead of copying thousands of strings.
+/// cloning a vocabulary — and hence a model — shares one frozen piece table
+/// instead of copying thousands of strings.
 #[derive(Debug, Clone)]
 pub struct Vocab {
     inner: std::sync::Arc<VocabInner>,

@@ -59,7 +59,7 @@ fn v2_checkpoints_roundtrip_share_weights_and_reject_corruption() {
     let raw = std::fs::read(&path).unwrap();
     assert_eq!(&raw[..8], &V2_MAGIC);
     assert_eq!(raw, encoded, "the file holds exactly the encoded bytes");
-    let (mut mapped, fmt) = CodeBe::load_file_detect(&path).unwrap();
+    let (mapped, fmt) = CodeBe::load_file_detect(&path).unwrap();
     assert_eq!(fmt, CKPT_FORMAT_V2);
     assert_eq!(
         encode_v2(&mapped),

@@ -4,9 +4,9 @@
 //! through an `Arc`: either a private read-only `mmap` of a checkpoint file
 //! (unix, little-endian targets) or an 8-byte-aligned heap copy everywhere
 //! else. The v2 checkpoint format lays its tensor data out little-endian and
-//! 64-byte aligned precisely so a mapped region can be used in place — every
-//! replica of a served model then shares one weight copy and spawning a
-//! replica costs descriptors, not a parse.
+//! 64-byte aligned precisely so a mapped region can be used in place — a
+//! loaded model and every clone of it share one weight copy, and a clone
+//! costs descriptors, not a parse.
 //!
 //! [`TensorTable`] is the writer side: it appends tensor payloads to a data
 //! region, aligning each to [`DATA_ALIGN`] and returning its offset for the
@@ -42,13 +42,10 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
-    /// `MADV_WILLNEED`: same value on linux and the BSDs/macOS.
-    pub const MADV_WILLNEED: i32 = 3;
 
     pub fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
@@ -197,38 +194,6 @@ impl ByteRegion {
             #[cfg(all(unix, target_endian = "little"))]
             RegionBuf::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
         }
-    }
-
-    /// Warm-touches the whole region so serving never pays page-fault
-    /// latency on the first token: advises the kernel to read ahead
-    /// (`MADV_WILLNEED`) when backed by a mapping, then reads one byte per
-    /// 4 KiB page so every page is resident before the region is used.
-    /// Returns the number of bytes made resident (the region length). Heap
-    /// copies skip the advice (their pages already exist) but still run the
-    /// touch pass, which is cheap and keeps the call's cost shape uniform.
-    pub fn prefault(&self) -> usize {
-        let bytes = self.bytes();
-        if bytes.is_empty() {
-            return 0;
-        }
-        #[cfg(all(unix, target_endian = "little"))]
-        if let RegionBuf::Mapped { ptr, len } = self.buf {
-            // SAFETY: the mapping is live for `len` bytes until drop;
-            // madvise is purely advisory, so the result can be ignored.
-            unsafe {
-                sys::madvise(ptr.cast(), len, sys::MADV_WILLNEED);
-            }
-        }
-        let mut acc = 0u8;
-        let mut i = 0;
-        while i < bytes.len() {
-            acc ^= bytes[i];
-            i += 4096;
-        }
-        acc ^= bytes[bytes.len() - 1];
-        // Keep the touch loop from being optimized away.
-        std::hint::black_box(acc);
-        bytes.len()
     }
 
     /// `count` f32 values starting at byte offset `off`, viewed in place.

@@ -560,7 +560,7 @@ mod tests {
             1.0,
             -3.5,
             1e-9,
-            3.141_592_7,
+            std::f32::consts::PI,
             f32::MAX,
             f32::MIN_POSITIVE,
         ] {

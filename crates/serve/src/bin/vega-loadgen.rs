@@ -498,11 +498,10 @@ fn main() {
                     let (t, g) = &pairs[*pair_ix];
                     let expect = if args.score {
                         // Recompute the worker's candidates (same pure
-                        // function of the pair index) and score them on a
-                        // backend-free local replica.
+                        // function of the pair index) and score them in
+                        // process on the loaded model.
                         let cands = score_candidates(*pair_ix, args.cands, args.cand_len);
-                        let mut replica = engine.replica();
-                        match engine.try_score_with(&mut replica, t, g, &cands, None) {
+                        match engine.try_score_with(engine.vega().model(), t, g, &cands, None) {
                             Ok(scores) => {
                                 Json::Arr(scores.into_iter().map(Json::num_f32).collect()).render()
                             }

@@ -4,15 +4,16 @@
 //! vega-serve --checkpoint PATH [--scale tiny|small] [--synthetic N] [--seed S]
 //!            [--addr HOST:PORT] [--port-file PATH]
 //!            [--cache-cap N] [--queue-cap N] [--batch N] [--threads N]
-//!            [--prefault 0|1] [--deadline-ms MS] [--slow-ms MS]
-//!            [--trace-out PATH] [--flight-cap N]
+//!            [--deadline-ms MS] [--slow-ms MS] [--trace-out PATH]
+//!            [--flight-cap N]
 //! ```
 //!
 //! Loads the checkpoint, rebuilds Stage-1 artifacts for the configured corpus
 //! (must match the checkpoint's training configuration), binds, and serves
 //! until a client sends `{"op":"shutdown"}` (or the process is killed).
-//! `--batch` sizes the replica pool (default: the `--threads` pool size);
-//! `--port-file` writes the resolved port for scripts binding port 0;
+//! `--batch` caps the jobs generated at once on the shared model (default:
+//! the `--threads` pool size); `--port-file` writes the resolved port for
+//! scripts binding port 0;
 //! `--slow-ms` injects per-generation latency so tests can provoke overload;
 //! `--flight-cap` sizes the flight recorder (default 256 records, 0
 //! disables). The recorder's retained records are served by the
@@ -22,7 +23,7 @@
 use std::path::PathBuf;
 use vega::{Scale, VegaConfig};
 use vega_serve::cli::{FlagError, Flags};
-use vega_serve::{load_checkpoint_prefault, ServeConfig, Server};
+use vega_serve::{load_checkpoint, ServeConfig, Server};
 
 struct Args {
     checkpoint: PathBuf,
@@ -36,14 +37,6 @@ struct Args {
 }
 
 const SCALES: &[(&str, Scale)] = &[("tiny", Scale::Tiny), ("small", Scale::Small)];
-const ON_OFF: &[(&str, bool)] = &[
-    ("0", false),
-    ("1", true),
-    ("off", false),
-    ("on", true),
-    ("false", false),
-    ("true", true),
-];
 
 fn parse_args() -> Result<Args, FlagError> {
     let mut args = Args {
@@ -74,7 +67,6 @@ fn parse_args() -> Result<Args, FlagError> {
             "--cache-cap" => args.serve.cache_cap = flags.value(f)?,
             "--queue-cap" => args.serve.queue_cap = flags.value(f)?,
             "--batch" => args.serve.batch = flags.value(f)?,
-            "--prefault" => args.serve.prefault = flags.choice(f, ON_OFF)?,
             "--threads" => args.threads = Some(flags.value(f)?),
             "--deadline-ms" => args.serve.default_deadline_ms = flags.value(f)?,
             "--slow-ms" => args.serve.slow_ms = flags.value(f)?,
@@ -116,7 +108,7 @@ fn main() {
         vega_par::set_threads(n);
     }
 
-    let checkpoint = match load_checkpoint_prefault(&args.checkpoint, args.serve.prefault) {
+    let checkpoint = match load_checkpoint(&args.checkpoint) {
         Ok(c) => c,
         Err(e) => {
             vega_obs::error!("{e}");

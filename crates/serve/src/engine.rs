@@ -159,7 +159,9 @@ impl Engine {
         self.vega.templates.keys().cloned().collect()
     }
 
-    /// A fresh model replica for a dispatcher worker.
+    /// A copy of the model (sharing a loaded checkpoint's mapped weights),
+    /// for a caller that installs its own decode backend without touching
+    /// the engine's.
     pub fn replica(&self) -> CodeBe {
         self.vega.model().clone()
     }
@@ -224,33 +226,17 @@ impl Engine {
             .ok_or_else(|| self.unknown_group(group))
     }
 
-    /// Generates one function on the given model replica.
-    ///
-    /// # Errors
-    /// [`EngineError`] with [`ErrorKind::UnknownTarget`] or
-    /// [`ErrorKind::UnknownGroup`].
-    pub fn generate_with(
-        &self,
-        model: &mut CodeBe,
-        target: &str,
-        group: &str,
-    ) -> Result<(Module, GeneratedFunction), EngineError> {
-        self.try_generate_with(model, target, group, None)
-    }
-
-    /// Generates one function on the given model replica. The local decode
-    /// path ignores `deadline` and runs to completion (the server checks
+    /// Generates one function on the engine's model. The local decode path
+    /// ignores `deadline` and runs to completion (the server checks
     /// deadlines before dispatch); it only reaches a decode backend
-    /// installed on the replica, which may abort on it.
+    /// installed on the model, which may abort on it.
     ///
     /// # Errors
-    /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
-    /// [`Engine::generate_with`]; [`ErrorKind::DeadlineExceeded`] when an
-    /// installed backend aborted at the deadline; [`ErrorKind::Internal`]
-    /// when the backend itself failed.
-    pub fn try_generate_with(
+    /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`];
+    /// [`ErrorKind::DeadlineExceeded`] when an installed backend aborted at
+    /// the deadline; [`ErrorKind::Internal`] when the backend itself failed.
+    pub fn try_generate(
         &self,
-        model: &mut CodeBe,
         target: &str,
         group: &str,
         deadline: Option<Instant>,
@@ -258,7 +244,7 @@ impl Engine {
         let ctx = self.target_ctx(target)?;
         let bundle = self.bundle(group)?;
         let gf = try_generate_function(
-            model,
+            self.vega.model(),
             target,
             &bundle.template,
             &bundle.features,
@@ -291,18 +277,20 @@ impl Engine {
     ///
     /// The deadline is checked once, before the forward; a forward that has
     /// started runs to completion (it is one pass, not a loop over
-    /// candidates). On a replica that carries a decode backend, the session
-    /// forwards each candidate to it unchanged, deadline included.
+    /// candidates). On a model that carries a decode backend, the session
+    /// forwards each candidate to it unchanged, deadline included. `model`
+    /// is the engine's own ([`Vega::model`]) or a copy of it
+    /// ([`Engine::replica`]), with or without a backend.
     ///
     /// # Errors
     /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
-    /// [`Engine::generate_with`]; [`ErrorKind::BadRequest`] for an empty,
+    /// [`Engine::try_generate`]; [`ErrorKind::BadRequest`] for an empty,
     /// over-long, or out-of-vocabulary candidate;
     /// [`ErrorKind::DeadlineExceeded`] / [`ErrorKind::Internal`] as in
-    /// [`Engine::try_generate_with`].
+    /// [`Engine::try_generate`].
     pub fn try_score_with(
         &self,
-        model: &mut CodeBe,
+        model: &CodeBe,
         target: &str,
         group: &str,
         candidates: &[Vec<usize>],
@@ -341,18 +329,17 @@ impl Engine {
             .map_err(abort_error)
     }
 
-    /// Generates one function on a one-off replica (the reference path the
+    /// Generates one function without a deadline (the reference path the
     /// loadgen verifier compares server responses against).
     ///
     /// # Errors
-    /// See [`Engine::generate_with`].
+    /// [`ErrorKind::UnknownTarget`] or [`ErrorKind::UnknownGroup`].
     pub fn generate(
         &self,
         target: &str,
         group: &str,
     ) -> Result<(Module, GeneratedFunction), EngineError> {
-        let mut replica = self.replica();
-        self.generate_with(&mut replica, target, group)
+        self.try_generate(target, group, None)
     }
 }
 

@@ -45,7 +45,5 @@ pub use client::{Client, RetryPolicy};
 pub use engine::{Engine, EngineError};
 pub use lru::LruCache;
 pub use protocol::{ErrorKind, Request};
-pub use registry::{
-    load_checkpoint, load_checkpoint_prefault, Checkpoint, CheckpointMeta, RegistryError,
-};
+pub use registry::{load_checkpoint, Checkpoint, CheckpointMeta, RegistryError};
 pub use server::{ServeConfig, ServeStats, Server};

@@ -25,8 +25,8 @@
 //! model's log-probability of emitting each candidate from the exact
 //! signature frame generation would decode from, in candidate order. At most
 //! [`MAX_SCORE_CANDIDATES`] candidates per request, each a non-empty array
-//! of token ids. The request is scored on its connection thread, on a
-//! model replica that encodes the signature once and scores every
+//! of token ids. The request is scored on its connection thread, on the
+//! shared model, which encodes the signature once and scores every
 //! candidate in one decoder forward (their shared prefix fed once).
 //!
 //! `deadline_ms` is checked before work starts: a `generate` job still

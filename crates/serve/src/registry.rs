@@ -54,28 +54,18 @@ pub struct Checkpoint {
 
 /// Reads, verifies, and parses a checkpoint file.
 ///
-/// The file is memory-mapped, so the model borrows it and replicas share its
-/// weights; its digest is verified first, so truncated or bit-flipped files
-/// are rejected before any weight decodes.
+/// The file is memory-mapped, so the model borrows its weights in place; its
+/// digest is verified first, so truncated or bit-flipped files are rejected
+/// before any weight decodes.
 ///
 /// # Errors
 /// [`RegistryError`] naming the path and the named [`vega_model::CkptError`]
 /// when the file cannot be read, fails its digest, or does not parse.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, RegistryError> {
-    load_checkpoint_prefault(path, false)
-}
-
-/// As [`load_checkpoint`], optionally prefaulting the checkpoint region
-/// (`MADV_WILLNEED` + a page-walk touch) so mapped weights are resident
-/// before the first request instead of being demand-paged mid-generation.
-///
-/// # Errors
-/// See [`load_checkpoint`].
-pub fn load_checkpoint_prefault(path: &Path, prefault: bool) -> Result<Checkpoint, RegistryError> {
     let bytes = std::fs::metadata(path)
         .map(|m| m.len() as usize)
         .unwrap_or(0);
-    let model = CodeBe::load_file_opts(path, prefault).map_err(|e| RegistryError {
+    let model = CodeBe::load_file(path).map_err(|e| RegistryError {
         msg: format!("{}: {e}", path.display()),
     })?;
     Ok(Checkpoint {

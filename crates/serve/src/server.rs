@@ -2,8 +2,8 @@
 //!
 //! One thread accepts connections, one thread per connection parses requests,
 //! and a single dispatcher thread drains the bounded queue in micro-batches,
-//! fanning each batch across a fixed pool of model replicas via `vega-par`.
-//! The control rules, in order, for a `generate` request:
+//! running each batch's jobs concurrently on the one shared model via
+//! `vega-par`. The control rules, in order, for a `generate` request:
 //!
 //! 1. **Cache** — if the content address is cached, answer immediately.
 //! 2. **Coalesce** — if the same key is already queued or generating, attach
@@ -30,7 +30,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vega_model::CodeBe;
 use vega_obs::json::Json;
 use vega_obs::TraceCtx;
 
@@ -43,28 +42,20 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Bounded queue capacity; a full queue sheds with `overloaded`.
     pub queue_cap: usize,
-    /// Micro-batch size == model replica pool size (0 → `vega_par::threads()`).
+    /// Jobs per micro-batch, generated concurrently on the shared model
+    /// (0 → `vega_par::threads()`).
     pub batch: usize,
     /// Deadline applied when a request carries none.
     pub default_deadline_ms: u64,
     /// Fault injection: sleep this long inside every fresh generation (used
     /// by tests and CI to provoke queue overflow deterministically).
     pub slow_ms: u64,
-    /// Per-connection idle read timeout: a connection that completes no
-    /// request line for this long is closed (0 disables). Protects the
-    /// server from half-open or stalled peers.
-    pub conn_idle_timeout_ms: u64,
     /// Flight-recorder capacity in records; `Server::start` configures the
     /// process-wide recorder with it. 0 leaves the recorder untouched
     /// (disabled unless something else enabled it) — the default, so
     /// embedded servers in tests don't clobber each other's recorders. The
     /// `vega-serve` daemon enables it (default 256, `--flight-cap`).
     pub flight_cap: usize,
-    /// Warm-touch (`madvise` + page-touch) checkpoint mappings on swap, so
-    /// the first post-swap generations don't pay major-fault latency. Only
-    /// affects v2 binary checkpoints loaded through the `swap` op; the
-    /// daemon's initial load has its own `--prefault` flag.
-    pub prefault: bool,
 }
 
 impl Default for ServeConfig {
@@ -76,12 +67,14 @@ impl Default for ServeConfig {
             batch: 0,
             default_deadline_ms: 120_000,
             slow_ms: 0,
-            conn_idle_timeout_ms: 300_000,
             flight_cap: 0,
-            prefault: false,
         }
     }
 }
+
+/// A connection that completes no request line for this long is closed, so
+/// half-open or stalled peers cannot pin a connection thread forever.
+const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// A queued generation job.
 struct Job {
@@ -95,11 +88,11 @@ struct Job {
     /// When the job entered the queue (`timing.queue_ms` measures from
     /// here to dispatch).
     enqueued: Instant,
-    /// The model set this job was keyed against, pinned at submit time. A
-    /// hot swap flips the registry for *new* submissions; jobs already
-    /// queued generate on the engine their cache key came from, so a swap
-    /// never mixes keys and weights and never loses in-flight work.
-    models: Arc<ModelSet>,
+    /// The engine this job was keyed against, pinned at submit time. A hot
+    /// swap flips the registry for *new* submissions; jobs already queued
+    /// generate on the engine their cache key came from, so a swap never
+    /// mixes keys and weights and never loses in-flight work.
+    engine: Arc<Engine>,
 }
 
 /// What a waiter receives when its job resolves.
@@ -183,10 +176,6 @@ pub struct ServeStats {
     /// see `vega_nn::kernel`). Both compute the same bits; the ISA decides
     /// only speed.
     pub kernel: &'static str,
-    /// Heap bytes each replica of the live set owns privately (weights not
-    /// borrowed from a shared checkpoint mapping). Zero after a v2 mmap
-    /// load — the ROADMAP's resident-bytes-per-replica telemetry.
-    pub resident_bytes_per_replica: u64,
 }
 
 impl ServeStats {
@@ -214,40 +203,7 @@ impl ServeStats {
             ("decode_step_p90", Json::num_f64(self.decode_step_p90)),
             ("decode_step_p99", Json::num_f64(self.decode_step_p99)),
             ("kernel", Json::str(self.kernel)),
-            (
-                "resident_bytes_per_replica",
-                Json::num_u64(self.resident_bytes_per_replica),
-            ),
         ])
-    }
-}
-
-/// An engine and its replica pool, swapped as one unit. Replicas share the
-/// engine's weights (checkpoint mapping or heap) — spawning one copies
-/// tensor descriptors, not weight data — so a pool costs O(pool size), not
-/// O(pool size × model size).
-struct ModelSet {
-    engine: Engine,
-    /// Heap bytes a single replica owns privately (tensor data not borrowed
-    /// from a shared checkpoint mapping) — `owned_scalars × 4`. Zero right
-    /// after a v2 mmap load: replicas then cost descriptors only.
-    resident_bytes_per_replica: u64,
-    replicas: Vec<Mutex<CodeBe>>,
-}
-
-impl ModelSet {
-    /// The engine plus `pool` replicas of its model.
-    fn new(engine: Engine, pool: usize) -> Self {
-        let replicas: Vec<Mutex<CodeBe>> =
-            (0..pool).map(|_| Mutex::new(engine.replica())).collect();
-        let resident_bytes_per_replica = replicas
-            .first()
-            .map_or(0, |r| r.lock().unwrap().owned_scalars() as u64 * 4);
-        ModelSet {
-            engine,
-            resident_bytes_per_replica,
-            replicas,
-        }
     }
 }
 
@@ -257,19 +213,19 @@ struct Shared {
     work_cv: Condvar,
     shutdown: AtomicBool,
     local_addr: SocketAddr,
-    /// The live model set. Request paths take the read lock for just long
+    /// The live engine. Request paths take the read lock for just long
     /// enough to clone the `Arc`; a hot swap takes the write lock for just
     /// long enough to store a new one.
-    models: RwLock<Arc<ModelSet>>,
+    engine: RwLock<Arc<Engine>>,
     /// Serializes `swap` operations (loading a checkpoint is slow; two
     /// concurrent swaps must not interleave their load/flip sequences).
     swap_lock: Mutex<()>,
 }
 
-/// The current model set (pinning it keeps its engine and replicas alive
-/// across any concurrent swap).
-fn models(shared: &Shared) -> Arc<ModelSet> {
-    Arc::clone(&shared.models.read().unwrap())
+/// The current engine (pinning it keeps it alive across any concurrent
+/// swap).
+fn live_engine(shared: &Shared) -> Arc<Engine> {
+    Arc::clone(&shared.engine.read().unwrap())
 }
 
 /// A running vega-serve instance.
@@ -306,7 +262,6 @@ impl Server {
                 0.0
             },
         );
-        let model_set = Arc::new(ModelSet::new(engine, cfg.batch));
         let cache = LruCache::new(cfg.cache_cap);
         let shared = Arc::new(Shared {
             cfg,
@@ -325,7 +280,7 @@ impl Server {
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             local_addr,
-            models: RwLock::new(model_set),
+            engine: RwLock::new(Arc::new(engine)),
             swap_lock: Mutex::new(()),
         });
         let dispatcher = {
@@ -389,7 +344,6 @@ fn snapshot(shared: &Shared) -> ServeStats {
     let obs = vega_obs::global();
     let step_hist = obs.histogram("decode.step_seconds");
     let step_q = |q: f64| step_hist.as_ref().map_or(f64::NAN, |h| h.quantile(q));
-    let set = models(shared);
     let st = shared.state.lock().unwrap();
     let (hits, misses) = (st.cache.hits(), st.cache.misses());
     ServeStats {
@@ -415,7 +369,6 @@ fn snapshot(shared: &Shared) -> ServeStats {
         decode_step_p90: step_q(0.9),
         decode_step_p99: step_q(0.99),
         kernel: vega_nn::kernel::active_name(),
-        resident_bytes_per_replica: set.resident_bytes_per_replica,
     }
 }
 
@@ -448,7 +401,6 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
     let obs = vega_obs::global();
-    let idle_cap = Duration::from_millis(shared.cfg.conn_idle_timeout_ms);
     let mut last_line = Instant::now();
     let mut lines = LineBuf::default();
     loop {
@@ -504,7 +456,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !idle_cap.is_zero() && last_line.elapsed() > idle_cap {
+                if last_line.elapsed() > CONN_IDLE_TIMEOUT {
                     obs.counter_add("serve.conn.idle_timeouts", 1);
                     vega_obs::debug!("[vega-serve] closing idle connection");
                     return;
@@ -527,8 +479,7 @@ fn handle_line(shared: &Shared, line: &str) -> String {
             [(
                 "targets",
                 Json::Arr(
-                    models(shared)
-                        .engine
+                    live_engine(shared)
                         .target_names()
                         .into_iter()
                         .map(Json::str)
@@ -541,8 +492,7 @@ fn handle_line(shared: &Shared, line: &str) -> String {
             [(
                 "groups",
                 Json::Arr(
-                    models(shared)
-                        .engine
+                    live_engine(shared)
                         .group_names()
                         .into_iter()
                         .map(Json::str)
@@ -731,10 +681,10 @@ fn handle_backend(
     let _trace_guard = obs.adopt_trace(trace);
     let span = obs.span("serve.request");
     let t0 = Instant::now();
-    // Pin one model set for the whole backend: the group list and every
+    // Pin one engine for the whole backend: the group list and every
     // sub-request stay mutually consistent even if a swap lands mid-way.
-    let set = models(shared);
-    if let Err(e) = set.engine.validate_target(target) {
+    let engine = live_engine(shared);
+    if let Err(e) = engine.validate_target(target) {
         let _ = span.finish();
         return protocol::err_response(id, e.kind, &e.msg);
     }
@@ -742,11 +692,11 @@ fn handle_backend(
     // backend request holds at most one queue slot at a time and repeated
     // backends are served from cache. The deadline spans the whole backend.
     let overall_ms = deadline_ms
-        .unwrap_or(shared.cfg.default_deadline_ms * set.engine.group_names().len().max(1) as u64);
+        .unwrap_or(shared.cfg.default_deadline_ms * engine.group_names().len().max(1) as u64);
     let deadline = t0 + Duration::from_millis(overall_ms);
     let mut functions = Vec::new();
     let mut errors = Vec::new();
-    for group in set.engine.group_names() {
+    for group in engine.group_names() {
         let outcome = match submit(shared, target, &group, deadline, trace) {
             Submit::Cached(payload) => Ok(payload),
             Submit::Wait { rx, .. } => match rx.recv_timeout(
@@ -792,8 +742,8 @@ fn handle_backend(
 /// `(target, group)` signature. Scoring bypasses the cache, coalescing, and
 /// the job queue — the response is a pure function of the request, there is
 /// nothing to coalesce, and the work runs right here on the connection
-/// thread against a fresh replica of the pinned model set (replicas share
-/// weights, so the clone copies tensor descriptors, not weight data).
+/// thread against the pinned engine's model, which every request reads and
+/// none mutates.
 ///
 /// [`Engine::try_score_with`] encodes the signature input once in a decode
 /// session and scores every candidate in one decoder forward over that
@@ -815,9 +765,9 @@ fn handle_score(
     let _trace_guard = obs.adopt_trace(trace);
     let span = obs.span("serve.request");
     let t0 = Instant::now();
-    // Pin one model set for the whole request (a concurrent swap must not
+    // Pin one engine for the whole request (a concurrent swap must not
     // change the weights mid-scoring).
-    let set = models(shared);
+    let engine = live_engine(shared);
     {
         let mut st = shared.state.lock().unwrap();
         st.requests += 1;
@@ -833,10 +783,13 @@ fn handle_score(
     obs.counter_add("serve.score.candidates", candidates.len() as u64);
     let deadline =
         t0 + Duration::from_millis(deadline_ms.unwrap_or(shared.cfg.default_deadline_ms));
-    let mut replica = set.engine.replica();
-    let result = set
-        .engine
-        .try_score_with(&mut replica, target, group, candidates, Some(deadline));
+    let result = engine.try_score_with(
+        engine.vega().model(),
+        target,
+        group,
+        candidates,
+        Some(deadline),
+    );
     let response = match result {
         Ok(scores) => {
             let tokens: u64 = candidates.iter().map(|c| c.len() as u64).sum();
@@ -893,11 +846,10 @@ fn handle_swap(shared: &Shared, id: &Json, path: &str) -> String {
             vega_fault::sites::SERVE_SWAP
         ));
     }
-    let old = models(shared);
-    let config = old.engine.vega().config.clone();
-    let loaded =
-        crate::registry::load_checkpoint_prefault(std::path::Path::new(path), shared.cfg.prefault)
-            .and_then(|c| c.into_engine(config));
+    let old = live_engine(shared);
+    let config = old.vega().config.clone();
+    let loaded = crate::registry::load_checkpoint(std::path::Path::new(path))
+        .and_then(|c| c.into_engine(config));
     let (meta, engine) = match loaded {
         Ok(v) => v,
         Err(e) => {
@@ -905,16 +857,15 @@ fn handle_swap(shared: &Shared, id: &Json, path: &str) -> String {
             return fail(&e.to_string());
         }
     };
-    let digest_changed = engine.model_digest() != old.engine.model_digest();
-    let new_set = Arc::new(ModelSet::new(engine, shared.cfg.batch));
-    *shared.models.write().unwrap() = Arc::clone(&new_set);
+    let digest_changed = engine.model_digest() != old.model_digest();
+    *shared.engine.write().unwrap() = Arc::new(engine);
     // Cache keys embed the model digest, so stale entries can never alias
     // the new model's; clearing on a digest change only frees memory. An
     // unchanged model keeps its cache — and its byte-identical hits.
     if digest_changed {
         shared.state.lock().unwrap().cache.clear();
     }
-    // Jobs pin their model set, so in-flight work on the old model finishes
+    // Jobs pin their engine, so in-flight work on the old model finishes
     // on the old model. Wait (bounded) until every pin is gone: a successful
     // swap response means the old weights are fully retired.
     let drain_deadline = Instant::now() + Duration::from_secs(60);
@@ -972,11 +923,11 @@ fn submit(
     deadline: Instant,
     trace: Option<TraceCtx>,
 ) -> Submit {
-    // Pin the model set first: the cache key and the engine that will
-    // eventually generate must come from the same set, or a swap landing
-    // between the two would cache one model's output under another's key.
-    let set = models(shared);
-    let key = match set.engine.cache_key(target, group) {
+    // Pin the engine first: the cache key and the generation must come
+    // from the same engine, or a swap landing between the two would cache
+    // one model's output under another's key.
+    let engine = live_engine(shared);
+    let key = match engine.cache_key(target, group) {
         Ok(k) => k,
         Err(e) => {
             return Submit::Reject {
@@ -1033,7 +984,7 @@ fn submit(
         deadline,
         trace,
         enqueued: Instant::now(),
-        models: set,
+        engine,
     });
     obs.gauge_set("serve.queue_depth", st.queue.len() as f64);
     drop(st);
@@ -1083,12 +1034,12 @@ type JobRun = (
     f64,
 );
 
-/// Runs one job on replica slot `i` of its pinned model set. The job's
-/// deadline was checked before dispatch; once started, the generation runs
-/// to completion on the replica. The deadline is still handed to
-/// [`Engine::try_generate_with`], which passes it to the replica's decode
-/// backend when one is installed (the local decode path ignores it).
-fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
+/// Runs one job on its pinned engine. The job's deadline was checked before
+/// dispatch; once started, the generation runs to completion. The deadline
+/// is still handed to [`Engine::try_generate`], which passes it to the
+/// model's decode backend when one is installed (the local decode path
+/// ignores it).
+fn run_job(shared: &Shared, job: Job) -> JobRun {
     let worker_obs = vega_obs::global();
     let _trace_guard = worker_obs.adopt_trace(job.trace);
     let gen_span = worker_obs.span("serve.generate");
@@ -1099,17 +1050,11 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
     // Generation runs single-threaded on this worker, so the thread-local
     // tally is an exact per-job decode attribution.
     vega_nn::decode::tally::reset();
-    // The job's pinned set (not the live registry): key, engine and replica
-    // must all describe the same model even mid-swap. Slot `i` is this
-    // worker's own (batch size == pool size), so the lock never contends.
-    let mut replica = job.models.replicas[i].lock().unwrap();
-    let result = job.models.engine.try_generate_with(
-        &mut replica,
-        &job.target,
-        &job.group,
-        Some(job.deadline),
-    );
-    drop(replica);
+    // The job's pinned engine (not the live registry): key and weights must
+    // describe the same model even mid-swap.
+    let result = job
+        .engine
+        .try_generate(&job.target, &job.group, Some(job.deadline));
     let (tokens, decode_s) = vega_nn::decode::tally::snapshot();
     let _ = gen_span.finish();
     (job, result, queue_ms, tokens, decode_s * 1e3)
@@ -1162,9 +1107,9 @@ fn settle_job(shared: &Shared, run: JobRun) {
     }
 }
 
-/// Drains the queue in micro-batches of up to `batch` jobs, fanning each
-/// batch across the replica pool. Exits once the queue is empty after
-/// shutdown began.
+/// Drains the queue in micro-batches of up to `batch` jobs, generating each
+/// batch's jobs concurrently on the shared model. Exits once the queue is
+/// empty after shutdown began.
 fn dispatcher_loop(shared: &Shared) {
     let obs = vega_obs::global();
     loop {
@@ -1197,15 +1142,14 @@ fn dispatcher_loop(shared: &Shared) {
             continue;
         }
         let span = obs.span("serve.batch");
-        // Each job in the batch gets its own replica slot (batch size ==
-        // pool size), so the replica locks never contend; `par_map` returns
-        // results in job order, and jobs settle in that order — cache
-        // insertion order (hence LRU eviction order) is independent of
-        // which worker finishes first. Each worker adopts its job's trace
-        // (the batch as a whole has no single trace) so the
+        // Jobs only read their engine's model, so they share it with no
+        // lock. `par_map` returns results in job order, and jobs settle in
+        // that order — cache insertion order (hence LRU eviction order) is
+        // independent of which worker finishes first. Each worker adopts
+        // its job's trace (the batch as a whole has no single trace) so the
         // `serve.generate` span and decode attribution carry the caller's
         // id.
-        let results = vega_par::par_map(live, |i, job| run_job(shared, i, job));
+        let results = vega_par::par_map(live, |_, job| run_job(shared, job));
         for run in results {
             settle_job(shared, run);
         }

@@ -10,13 +10,13 @@
 //!   carries, and one decoder forward that feeds the candidates' shared
 //!   prefix once: 8 candidates of 10 tokens sharing only BOS score 88
 //!   positions from 81 decoder rows (`decode.scored_rows`).
-//! * On a replica carrying a decode backend, scoring forwards each candidate
-//!   to the backend and returns the same bits as on a replica without one.
+//! * On a model carrying a decode backend, scoring forwards each candidate
+//!   to the backend and returns the same bits as on the model without one.
 //!
 //! One `#[test]`: obs counters are process-global.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use vega::{Vega, VegaConfig};
 use vega_model::{BackendHandle, CodeBe, DecodeAbort, DecodeBackend};
@@ -38,7 +38,7 @@ fn scored() -> (u64, u64) {
 /// A backend that forwards every call to its own backend-free model and
 /// counts the calls — the shape of any interposer (timing, tracing).
 struct Forwarding {
-    model: Mutex<CodeBe>,
+    model: CodeBe,
     calls: Arc<AtomicUsize>,
 }
 
@@ -50,8 +50,7 @@ impl DecodeBackend for Forwarding {
         deadline: Option<Instant>,
     ) -> Result<Vec<usize>, DecodeAbort> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut model = self.model.lock().unwrap();
-        model.try_generate(input, max_len, deadline)
+        self.model.try_generate(input, max_len, deadline)
     }
 
     fn sequence_logprob(
@@ -61,8 +60,7 @@ impl DecodeBackend for Forwarding {
         deadline: Option<Instant>,
     ) -> Result<f32, DecodeAbort> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let mut model = self.model.lock().unwrap();
-        model.try_sequence_logprob(input, output, deadline)
+        self.model.try_sequence_logprob(input, output, deadline)
     }
 }
 
@@ -72,7 +70,7 @@ fn bits(scores: &[f32]) -> Vec<u32> {
 
 #[test]
 fn encoder_runs_once_per_statement_and_once_per_score_request() {
-    let mut vega = Vega::train(VegaConfig::tiny());
+    let vega = Vega::train(VegaConfig::tiny());
 
     // Stage 3: one encoder pass per generated statement.
     let before = encoder_runs();
@@ -95,11 +93,10 @@ fn encoder_runs_once_per_statement_and_once_per_score_request() {
     let candidates: Vec<Vec<usize>> = (0..8)
         .map(|c| (0..10).map(|t| 4 + (c * 7 + t * 3) % 16).collect())
         .collect();
-    let mut replica = engine.replica();
     let before = encoder_runs();
     let (tokens_before, rows_before) = scored();
     let direct = engine
-        .try_score_with(&mut replica, target, group, &candidates, None)
+        .try_score_with(engine.vega().model(), target, group, &candidates, None)
         .expect("direct scoring");
     assert_eq!(
         encoder_runs() - before,
@@ -115,16 +112,16 @@ fn encoder_runs_once_per_statement_and_once_per_score_request() {
     assert_eq!(rows - rows_before, 81, "BOS once, then 8 x 10 forked rows");
     assert_eq!(direct.len(), candidates.len());
 
-    // A replica carrying a forwarding backend: every candidate reaches the
-    // backend, and the bits match the backend-free replica's.
+    // A copy carrying a forwarding backend: every candidate reaches the
+    // backend, and the bits match the backend-free model's.
     let calls = Arc::new(AtomicUsize::new(0));
     let mut forwarded = engine.replica();
     forwarded.set_decode_backend(Some(BackendHandle::new(Forwarding {
-        model: Mutex::new(engine.replica()),
+        model: engine.replica(),
         calls: Arc::clone(&calls),
     })));
     let via_backend = engine
-        .try_score_with(&mut forwarded, target, group, &candidates, None)
+        .try_score_with(&forwarded, target, group, &candidates, None)
         .expect("scoring through the backend");
     assert_eq!(calls.load(Ordering::Relaxed), candidates.len());
     assert_eq!(bits(&via_backend), bits(&direct));

@@ -200,7 +200,7 @@ fn concurrent_coalescing(checkpoint: &CodeBe, t0: &str, g0: &str, expected: &str
     assert_eq!(stats.coalesced + stats.cache_hits, 7);
 }
 
-/// A deliberately slow single-replica server with a one-slot queue: excess
+/// A deliberately slow one-job-at-a-time server with a one-slot queue: excess
 /// concurrent work is shed with `overloaded` (never hung), and a job whose
 /// deadline elapses while queued is answered with `deadline_exceeded`.
 fn backpressure_and_deadlines(checkpoint: &CodeBe, targets: &[String], groups: &[String]) {
@@ -214,8 +214,8 @@ fn backpressure_and_deadlines(checkpoint: &CodeBe, targets: &[String], groups: &
     };
     let (server, addr) = start(checkpoint, cfg);
 
-    // Deadline: occupy the single replica, then queue a job that cannot be
-    // dispatched before its 1 ms deadline.
+    // Deadline: occupy the one dispatch slot, then queue a job that cannot
+    // be dispatched before its 1 ms deadline.
     let slow = {
         let addr = addr.clone();
         let (t, g) = (targets[0].clone(), groups[0].clone());
@@ -428,7 +428,7 @@ fn telemetry_and_flight(checkpoint: &CodeBe, t0: &str, g0: &str, expected: &str)
 }
 
 /// The `score` op: two concurrent connections get score bits equal to
-/// direct in-process scoring on a backend-free replica, `timing.tokens` is
+/// direct in-process scoring on the loaded model, `timing.tokens` is
 /// the summed candidate length, and malformed requests (an out-of-vocabulary
 /// id, an over-long candidate, an unknown group, an empty candidate list)
 /// are rejected explicitly, never decoded. A request line of over 64 KB,
@@ -439,9 +439,8 @@ fn served_score_matches_direct(checkpoint: &CodeBe, t: &str, g: &str) {
     let cand_tokens: u64 = candidates.iter().map(|c| c.len() as u64).sum();
 
     let reference = engine_from(checkpoint);
-    let mut replica = reference.replica();
     let direct = reference
-        .try_score_with(&mut replica, t, g, &candidates, None)
+        .try_score_with(reference.vega().model(), t, g, &candidates, None)
         .expect("direct scoring");
     let direct_render = Json::Arr(direct.into_iter().map(Json::num_f32).collect()).render();
 
@@ -538,7 +537,7 @@ fn served_score_matches_direct(checkpoint: &CodeBe, t: &str, g: &str) {
     server.join_with_stats();
 }
 
-/// Shutdown under load: six clients race a slow two-replica server and a
+/// Shutdown under load: six clients race a slow batch-2 server and a
 /// shutdown lands 30 ms in. Every client gets an answer (a drain that
 /// dropped a queued job would hang its join), at least one generation
 /// completes, and each answer is either byte-identical to direct
@@ -552,7 +551,7 @@ fn drain_under_load(
     let cfg = ServeConfig {
         batch: 2,
         cache_cap: 0,
-        slow_ms: 60, // keep the replicas busy long enough for shutdown to land
+        slow_ms: 60, // keep the dispatcher busy long enough for shutdown to land
         ..ServeConfig::default()
     };
     let (server, addr) = start(checkpoint, cfg);

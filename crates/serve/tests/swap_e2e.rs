@@ -1,7 +1,7 @@
 //! Hot model swap end-to-end: a live server flips from checkpoint A to
 //! checkpoint B without a restart, without losing a single request, and
 //! without ever mixing one model's weights with another's cache key —
-//! at replica-pool sizes 1 and 4, with failed and chaos-injected swaps
+//! at batch sizes 1 and 4, with failed and chaos-injected swaps
 //! leaving the old model serving.
 //!
 //! Everything lives in a single `#[test]` because `vega_par::set_threads`

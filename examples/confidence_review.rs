@@ -13,7 +13,7 @@ fn main() {
     let mut cfg = VegaConfig::tiny();
     cfg.train.finetune_epochs = 4;
     println!("training (tiny) and generating the RI5CY backend …\n");
-    let mut vega = Vega::train(cfg);
+    let vega = Vega::train(cfg);
     let backend = vega.generate_backend("RI5CY");
     let eval = eval_generated_backend(&vega.corpus, &backend);
 

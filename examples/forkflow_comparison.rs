@@ -16,7 +16,7 @@ fn main() {
     let mut cfg = VegaConfig::tiny();
     cfg.train.finetune_epochs = 4;
     println!("training VEGA (tiny) and forking from MIPS for {target} …\n");
-    let mut vega = Vega::train(cfg);
+    let vega = Vega::train(cfg);
 
     let gen = vega.generate_backend(&target);
     let vega_eval = eval_generated_backend(&vega.corpus, &gen);

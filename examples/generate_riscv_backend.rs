@@ -26,7 +26,7 @@ fn main() {
         .unwrap_or(0);
 
     println!("training …");
-    let mut vega = Vega::train(cfg);
+    let vega = Vega::train(cfg);
     println!("generating the RISC-V backend …");
     let backend = vega.generate_backend("RISCV");
     let eval = eval_generated_backend(&vega.corpus, &backend);

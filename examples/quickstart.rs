@@ -15,7 +15,7 @@ fn main() {
     let mut cfg = VegaConfig::tiny();
     cfg.train.finetune_epochs = 3;
     println!("training VEGA (tiny configuration) …");
-    let mut vega = Vega::train(cfg);
+    let vega = Vega::train(cfg);
     println!(
         "  {} function templates, {} training samples, stage 2 in {:.1}s\n",
         vega.templates.len(),

@@ -43,7 +43,7 @@ fn decode_session_matches_per_call_bitwise() {
         (0..40).map(|i| 4 + (i * 5) % (n - 4)).collect(),
         input[3..5].to_vec(),
     ];
-    for mut model in [
+    for model in [
         CodeBe::transformer(vocab.clone(), TransformerConfig::tiny),
         CodeBe::gru(vocab.clone(), GruConfig::tiny),
     ] {
@@ -111,7 +111,7 @@ fn batched_scoring_matches_per_candidate_bitwise() {
         vec![input[..3].to_vec(), long.clone(), long[..10].to_vec()],
     ];
     let encoder_runs = || vega_obs::global().counter("decode.encoder_runs");
-    for mut model in [
+    for model in [
         CodeBe::transformer(vocab.clone(), TransformerConfig::tiny),
         CodeBe::gru(vocab.clone(), GruConfig::tiny),
     ] {
@@ -275,13 +275,13 @@ fn kernel_isas_agree_bitwise() {
 fn v2_checkpoint_round_trips_bitwise_and_rejects_corruption() {
     let _serial = serial();
     let (vocab, input) = line_vocab();
-    let mut model = CodeBe::transformer(vocab, TransformerConfig::tiny);
+    let model = CodeBe::transformer(vocab, TransformerConfig::tiny);
     let dir = std::env::temp_dir().join(format!("vega-contracts-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.ckpt");
     model.save_file_v2(&path).unwrap();
     let raw = std::fs::read(&path).unwrap();
-    let mut loaded = CodeBe::load_file(&path).unwrap();
+    let loaded = CodeBe::load_file(&path).unwrap();
     assert!(
         encode_v2(&loaded) == raw,
         "re-encoding differs from the file"
@@ -379,7 +379,6 @@ fn generation_ranks_each_slot_once() {
     let _serial = serial();
     let vega = Vega::train(VegaConfig::tiny());
     let ix = TgtIndex::build(vega.corpus.tgt_fs("RISCV").expect("RISCV descriptions"));
-    let mut model = vega.model().clone();
     let rankings = || vega_obs::global().counter("generate.slot_rankings");
     let (mut ranked, mut kept, mut dropped) = (0, 0, 0);
     for bundle in vega.templates.values() {
@@ -400,7 +399,7 @@ fn generation_ranks_each_slot_once() {
             .sum();
         let before = rankings();
         let f = generate_function(
-            &mut model,
+            vega.model(),
             "RISCV",
             template,
             feats,

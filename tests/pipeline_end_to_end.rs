@@ -17,7 +17,7 @@ fn tiny_vega() -> Vega {
 
 #[test]
 fn full_pipeline_produces_consistent_artifacts() {
-    let mut vega = tiny_vega();
+    let vega = tiny_vega();
     let gen = vega.generate_backend("RISCV");
     let eval = eval_generated_backend(&vega.corpus, &gen);
 
@@ -55,7 +55,7 @@ fn full_pipeline_produces_consistent_artifacts() {
 
 #[test]
 fn corrected_compiler_is_robust_and_performs_like_base() {
-    let mut vega = tiny_vega();
+    let vega = tiny_vega();
     let gen = vega.generate_backend("RI5CY");
     let eval = eval_generated_backend(&vega.corpus, &gen);
     let corrected = corrected_backend(&vega.corpus, &eval, &gen);
@@ -87,7 +87,7 @@ fn corrected_compiler_is_robust_and_performs_like_base() {
 fn generation_uses_only_description_files() {
     // Generating from the description FS alone (no corpus access by name)
     // must give the same backend as the by-name entry point.
-    let mut vega = tiny_vega();
+    let vega = tiny_vega();
     let desc = vega.corpus.tgt_fs("XCore").unwrap().clone();
     let a = vega.generate_backend("XCore");
     let b = vega.generate_backend_from("XCore", &desc);
@@ -111,7 +111,7 @@ fn pipeline_is_bit_identical_across_thread_counts() {
         vega_par::set_threads(threads);
         let mut cfg = VegaConfig::tiny();
         cfg.train.finetune_epochs = 1;
-        let mut vega = Vega::train(cfg);
+        let vega = Vega::train(cfg);
         let gen = vega.generate_backend("RISCV");
         let model_bytes = vega_model::encode_v2(vega.model());
         let mut lines = Vec::new();
@@ -141,39 +141,49 @@ fn pipeline_is_bit_identical_across_thread_counts() {
     );
 }
 
-/// Every generated function of the three Fig. 7 targets, one line each:
-/// target, module, name, confidence, kept/total statements, and a digest over
-/// the function's served rendering plus every statement record (node, exact
-/// score bits, kept, line). A Stage-3 change that moves any generated byte
+/// One line per generated function of `gen`: target, module, name,
+/// confidence, kept/total statements, and a digest over the function's
+/// served rendering plus every statement record (node, exact score bits,
+/// kept, line).
+fn backend_records(gen: &vega::GeneratedBackend) -> String {
+    let target = &gen.target;
+    let mut lines = String::new();
+    for (module, f) in &gen.functions {
+        let mut record = render_generated(target, &f.name, *module, f).render();
+        for s in &f.stmts {
+            let (node, score, kept) = (s.node, s.score.to_bits(), s.kept);
+            write!(record, "\n{node}\t{score:016x}\t{kept}\t{}", s.line).unwrap();
+        }
+        let kept = f.stmts.iter().filter(|s| s.kept).count();
+        writeln!(
+            lines,
+            "{target}\t{}\t{}\t{:.4}\t{kept}/{}\t{}",
+            module.code(),
+            f.name,
+            f.confidence,
+            f.stmts.len(),
+            digest_str(&record)
+        )
+        .unwrap();
+    }
+    lines
+}
+
+/// Every generated function of the three Fig. 7 targets, one line each
+/// ([`backend_records`]). A Stage-3 change that moves any generated byte
 /// fails here even when pass@1 does not move. On a mismatch the actual file
 /// is written to the test scratch directory (`CARGO_TARGET_TMPDIR`) so the
 /// difference can be reviewed and, for an intended behaviour change, copied
-/// over the golden.
+/// over the golden. Generation only reads the pipeline, so the three
+/// targets generated at once, from threads sharing one `&Vega`, must give
+/// the same records.
 #[test]
 fn generated_backends_match_golden() {
-    let mut vega = tiny_vega();
-    let mut actual = String::new();
-    for target in EVAL_TARGET_NAMES {
-        let gen = vega.generate_backend(target);
-        for (module, f) in &gen.functions {
-            let mut record = render_generated(target, &f.name, *module, f).render();
-            for s in &f.stmts {
-                let (node, score, kept) = (s.node, s.score.to_bits(), s.kept);
-                write!(record, "\n{node}\t{score:016x}\t{kept}\t{}", s.line).unwrap();
-            }
-            let kept = f.stmts.iter().filter(|s| s.kept).count();
-            writeln!(
-                actual,
-                "{target}\t{}\t{}\t{:.4}\t{kept}/{}\t{}",
-                module.code(),
-                f.name,
-                f.confidence,
-                f.stmts.len(),
-                digest_str(&record)
-            )
-            .unwrap();
-        }
-    }
+    let vega = tiny_vega();
+    let actual: String = EVAL_TARGET_NAMES
+        .iter()
+        .map(|target| backend_records(&vega.generate_backend(target)))
+        .collect();
     let golden = include_str!("golden/backends_tiny.txt");
     if actual != golden {
         let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("backends_tiny.txt");
@@ -192,11 +202,28 @@ fn generated_backends_match_golden() {
             out.display()
         );
     }
+
+    let shared = &vega;
+    let concurrent: String = std::thread::scope(|s| {
+        let handles: Vec<_> = EVAL_TARGET_NAMES
+            .iter()
+            .map(|&target| s.spawn(move || backend_records(&shared.generate_backend(target))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("generation thread panicked"))
+            .collect()
+    });
+    assert!(
+        concurrent == actual,
+        "backends generated concurrently from one shared pipeline differ \
+         from the sequential ones"
+    );
 }
 
 #[test]
 fn verification_split_is_disjoint_and_scored() {
-    let mut vega = tiny_vega();
+    let vega = tiny_vega();
     // No (group, node, target) triple may appear in both splits.
     let key = |s: &vega::StatementSample| (s.group.clone(), s.node, s.target.clone());
     let train: std::collections::HashSet<_> = vega.train_samples.iter().map(key).collect();
