@@ -24,14 +24,20 @@
 //! then 8 × 94 tail rows on forks of the session cache) run through each
 //! weight matrix in one forward — the candidate-scoring shape.
 //!
+//! An attention section times one tiny encoder head (48 keys, width 8,
+//! every row) through the fused `kernel::attention` against a bench-local
+//! replay of the per-key loop it replaced, per mode, and an `encoder` row
+//! times a whole tiny-pipeline `begin_decode` pass.
+//!
 //! The timed workloads double as equivalence checks: incremental == graph
 //! token streams within each mode, forked scores == per-candidate scores,
-//! and — every ISA computing the same bits — the wide streams and the
-//! `forks8` score bits equal across modes. The run prints `decode: smoke=ok`
-//! only if the incremental path is at least as fast as the graph path at
-//! prefix 96 in every mode and — when AVX2 is available — the AVX2 kernel
-//! beats scalar by the floors below on the transposed matmul and on
-//! `forks8`.
+//! fused attention == the per-key loop, and — every ISA computing the same
+//! bits — the wide streams and the `forks8` score bits equal across modes.
+//! The run prints `decode: smoke=ok` only if the incremental path is at
+//! least as fast as the graph path at prefix 96 in every mode and — when
+//! AVX2 is available — the AVX2 kernel beats scalar by the floors below on
+//! the transposed matmul and on `forks8`, and the fused attention beats the
+//! per-key loop by its floor.
 
 use std::time::Instant;
 use vega_bench::fmt_secs;
@@ -54,6 +60,13 @@ const AVX2_SPEEDUP_FLOOR: f64 = 1.2;
 /// honest decode ratio on a 2-vCPU AVX2 host. The gate only guards against
 /// AVX2 regressing below scalar.
 const AVX2_DECODE_FLOOR: f64 = 1.05;
+
+/// Smoke floor for the fused attention op against the per-key loop it
+/// replaced, on one tiny encoder head (48 keys, width 8, every row) under
+/// AVX2: 2.35–2.50× in full and fast runs on a 2-vCPU AVX2 host (11–19 µs
+/// against 28–45 µs per head). The gate sits well below that so a noisy
+/// shared core does not flake the build.
+const ATTENTION_FLOOR: f64 = 1.5;
 
 /// Deterministic pseudo-random token ids (splitmix64).
 fn tokens(seed: u64, n: usize, lo: usize, hi: usize) -> Vec<usize> {
@@ -345,6 +358,127 @@ fn main() {
         mm_secs_by_mode.push((kname, t_secs, n_secs));
     }
 
+    // Attention section: one tiny encoder head — 48 keys of width 8, every
+    // row attending over every key — through the fused `kernel::attention`,
+    // against a bench-local replay of the per-key loop it replaced: per row,
+    // one `kernel::dot` per key times the scale, `softmax_row`, then
+    // `row_matmul_into` over the value rows. The outputs must be bit-equal
+    // before anything is timed; the two paths run interleaved, each sample
+    // is ATT_REPS heads, and each path keeps its minimum.
+    const ATT_KEYS: usize = 48;
+    const ATT_WIDTH: usize = 8;
+    const ATT_REPS: usize = 200;
+    println!("== attention (one head: {ATT_KEYS} keys, width {ATT_WIDTH}, every row, 1 thread) ==");
+    let att_vals = |len: usize, mul: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * mul % 37) as f32) * 0.05 - 0.9)
+            .collect()
+    };
+    let att_q = att_vals(ATT_KEYS * ATT_WIDTH, 7);
+    let att_k = Tensor::from_vec(ATT_KEYS, ATT_WIDTH, att_vals(ATT_KEYS * ATT_WIDTH, 11));
+    let att_v = Tensor::from_vec(ATT_KEYS, ATT_WIDTH, att_vals(ATT_KEYS * ATT_WIDTH, 13));
+    let att_keys = kernel::Keys::from_rows(&att_k);
+    let att_scale = 1.0 / (ATT_WIDTH as f32).sqrt();
+    // Path 0 is the fused op, path 1 the per-key loop.
+    const ATT_PATHS: [&str; 2] = ["fused", "per_key"];
+    let run = |path: usize, out: &mut [f32], scores: &mut [f32]| {
+        if path == 0 {
+            let (q, k, v) = (&att_q, &att_keys, &att_v);
+            kernel::attention(q, k, v, ATT_KEYS, att_scale, scores, out, ATT_WIDTH);
+            return;
+        }
+        for (q, out) in att_q
+            .chunks_exact(ATT_WIDTH)
+            .zip(out.chunks_exact_mut(ATT_WIDTH))
+        {
+            for (j, s) in scores.iter_mut().enumerate() {
+                *s = kernel::dot(q, att_k.row(j)) * att_scale;
+            }
+            kernel::softmax_row(scores);
+            kernel::row_matmul_into(scores, &att_v, out);
+        }
+    };
+    let mut att_ratio_by_mode: Vec<(&'static str, f64)> = Vec::new();
+    for mode in available_modes() {
+        kernel::set_mode(mode);
+        let kname = mode.name();
+        let mut scores = vec![0.0f32; ATT_KEYS];
+        let outs: Vec<Vec<f32>> = (0..ATT_PATHS.len())
+            .map(|path| {
+                let mut out = vec![0.0f32; ATT_KEYS * ATT_WIDTH];
+                run(path, &mut out, &mut scores);
+                out
+            })
+            .collect();
+        assert!(
+            outs[0]
+                .iter()
+                .zip(&outs[1])
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "fused attention differs from the per-key loop (kernel {kname})"
+        );
+        let mut out = vec![0.0f32; ATT_KEYS * ATT_WIDTH];
+        let mut best = [f64::INFINITY; 2];
+        for round in 0..mm_samples + 1 {
+            for (path, best) in best.iter_mut().enumerate() {
+                let t0 = Instant::now();
+                for _ in 0..ATT_REPS {
+                    run(path, &mut out, &mut scores);
+                    std::hint::black_box(&mut out);
+                }
+                if round > 0 {
+                    *best = best.min(t0.elapsed().as_secs_f64() / ATT_REPS as f64);
+                }
+            }
+        }
+        let ratio = best[1] / best[0];
+        println!(
+            "[{kname:>6}] fused {:>9}/head | per-key loop {:>9}/head | {ratio:.2}x",
+            fmt_secs(best[0]),
+            fmt_secs(best[1]),
+        );
+        for (path, secs) in ATT_PATHS.into_iter().zip(best) {
+            rows.push(Json::obj([
+                ("bench", Json::str("attention")),
+                ("keys", Json::num_usize(ATT_KEYS)),
+                ("width", Json::num_usize(ATT_WIDTH)),
+                ("path", Json::str(path)),
+                ("kernel", Json::str(kname)),
+                ("seconds_per_head", Json::num_f64(secs)),
+            ]));
+        }
+        att_ratio_by_mode.push((kname, ratio));
+    }
+
+    // One whole tiny encoder pass, as Stage 3 runs it per statement: the
+    // tiny pipeline's transformer (d_model 16, two heads, 48 positions)
+    // through `begin_decode`, which encodes and projects the
+    // cross-attention K/V. An absolute row, under the detected ISA.
+    const ENC_REPS: usize = 50;
+    kernel::set_mode(Isa::detect());
+    let tiny = Transformer::new(TransformerConfig {
+        max_len: SRC_LEN,
+        ..TransformerConfig::tiny(VOCAB)
+    });
+    let enc_src = tokens(401, SRC_LEN, 2, VOCAB);
+    let enc_secs = min_secs(mm_samples, || {
+        for _ in 0..ENC_REPS {
+            std::hint::black_box(tiny.begin_decode(&enc_src));
+        }
+    }) / ENC_REPS as f64;
+    let kname = Isa::detect().name();
+    println!(
+        "[{kname:>6}] tiny begin_decode (src len {SRC_LEN}): {}/pass",
+        fmt_secs(enc_secs)
+    );
+    rows.push(Json::obj([
+        ("bench", Json::str("encoder")),
+        ("config", Json::str("tiny")),
+        ("src_len", Json::num_usize(SRC_LEN)),
+        ("kernel", Json::str(kname)),
+        ("seconds_per_pass", Json::num_f64(enc_secs)),
+    ]));
+
     kernel::set_mode(Isa::detect());
     vega_par::set_threads(0);
 
@@ -375,6 +509,13 @@ fn main() {
         smoke_ok &= matmul_speedup >= AVX2_SPEEDUP_FLOOR;
         smoke_ok &= decode_speedup >= AVX2_DECODE_FLOOR;
     }
+    let attention_speedup = att_ratio_by_mode
+        .iter()
+        .find(|(k, _)| *k == Isa::detect().name())
+        .map_or(1.0, |&(_, r)| r);
+    if avx2_available() {
+        smoke_ok &= attention_speedup >= ATTENTION_FLOOR;
+    }
 
     let out_path =
         std::env::var("VEGA_BENCH_OUT").unwrap_or_else(|_| "BENCH_decode.json".to_string());
@@ -396,6 +537,7 @@ fn main() {
             "avx2_decode_speedup_small",
             Json::num_f64(decode_small_speedup),
         ),
+        ("attention_speedup", Json::num_f64(attention_speedup)),
     ]);
     std::fs::write(&out_path, doc.render()).expect("write bench json");
     println!("wrote {out_path} (decode speedup at prefix 96, 1 thread: {speedup_p96_t1:.1}x)");
@@ -404,7 +546,8 @@ fn main() {
     } else {
         println!(
             "decode: smoke=FAIL (incremental slower than graph at prefix 96, avx2 matmul under \
-             {AVX2_SPEEDUP_FLOOR}x scalar, or avx2 forks8 decode under {AVX2_DECODE_FLOOR}x)"
+             {AVX2_SPEEDUP_FLOOR}x scalar, avx2 forks8 decode under {AVX2_DECODE_FLOOR}x, or \
+             avx2 fused attention under {ATTENTION_FLOOR}x the per-key loop)"
         );
         std::process::exit(1);
     }

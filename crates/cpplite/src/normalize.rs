@@ -102,7 +102,7 @@ fn try_chain_to_switch(s: &Stmt) -> Option<Stmt> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{EmptyEnv, Interp, Value};
+    use crate::eval::{EmptyEnv, Interp};
     use crate::parser::parse_stmts;
 
     #[test]

@@ -44,7 +44,8 @@
 //! f32 operations in the same order. The transformer encoder runs its weight
 //! products on the same k-tiled loop, one row per source position, and so
 //! does every `A·B` of [`Tensor::matmul`], in training and in the graph
-//! references.
+//! references. The encoder attends all its rows in one kernel call per
+//! head.
 //!
 //! # Bit-identity
 //!
@@ -60,9 +61,16 @@
 //! * Row kernels are the *same code* as [`Tensor::matmul`]: its `A·B` is
 //!   `rows_matmul_into` over every row, which accumulates each output
 //!   element one rank-1 update at a time in ascending `k` (with the exact
-//!   zero-skip), and its `A·Bᵀ` takes the same full-length dot per element
-//!   that the decode paths' attention scores take, so the decode and graph
-//!   paths cannot drift apart.
+//!   zero-skip), so the decode and graph paths cannot drift apart.
+//! * Attention, in the encoder and in both decoder attentions, is the
+//!   kernel's fused [`attention`] op, which per query row replays the graph
+//!   path's `A·Bᵀ`, scale, softmax and `A·B`: each score is
+//!   [`Kernel::dot`](crate::Kernel::dot)'s bits (eight keys per vector op
+//!   from a transposed panel, for heads under 32 wide), and the value sum
+//!   is `row_matmul_into`'s ascending-`k` chain with the exact zero-skip.
+//!   The encoder calls it once per head for all rows; each decoder row
+//!   calls it per head, its cross-attention against keys projected once per
+//!   session and shared by every fork.
 //! * The causal mask adds `-1e9` before softmax in the graph path; `exp`
 //!   underflows those lanes to exactly `0.0`, so softmax over the unmasked
 //!   prefix — what the cache computes — yields the identical row, and the
@@ -122,12 +130,12 @@ pub mod tally {
 //
 // The row loops live in `crate::kernel`, dispatched on the CPU's ISA. The
 // decode fast paths and the tensor/graph path call the exact same code, so
-// their f32 sequences cannot drift apart. Attention-weighted sums over
-// cached value rows (`out = scores · v_rows`) are `row_matmul_into` too: its
-// zero-skip drops exactly the softmax lanes that underflowed to zero, as the
-// graph path's matmul does.
+// their f32 sequences cannot drift apart. Attention is the kernel's fused
+// op: its scores are the graph path's `A·Bᵀ` dots, and its value sum keeps
+// `row_matmul_into`'s zero-skip, which drops exactly the softmax lanes that
+// underflowed to zero, as the graph path's matmul does.
 pub(crate) use crate::kernel::{
-    add_assign, dot, layer_norm_row, row_matmul_into, rows_matmul_into,
+    add_assign, attention, layer_norm_row, row_matmul_into, rows_matmul_into, Keys,
 };
 
 /// In-place softmax over one row (re-exported from the kernel tier; see
@@ -225,27 +233,6 @@ fn count_scored(tokens: usize, rows: usize) {
 // Row helpers shared by the transformer encoder and decoder forward
 // ---------------------------------------------------------------------------
 
-/// One head's attention for one row, `out = softmax(q · kᵀ · scale) · v`
-/// over the first `n` rows of `k` and `v`, with `scores` (at least `n`
-/// long) as scratch — the graph path's scale-then-softmax-then-matmul
-/// sequence, per row.
-fn attend(
-    q: &[f32],
-    k: &Tensor,
-    v: &Tensor,
-    n: usize,
-    scale: f32,
-    scores: &mut [f32],
-    out: &mut [f32],
-) {
-    let scores = &mut scores[..n];
-    for (j, sc) in scores.iter_mut().enumerate() {
-        *sc = dot(q, k.row(j)) * scale;
-    }
-    softmax_row(scores);
-    row_matmul_into(scores, v, out);
-}
-
 /// `x[a] += y[a]` for every row `a` in `ids` (both at stride `d`): the
 /// residual connection.
 fn add_rows(ids: &[usize], d: usize, x: &mut [f32], y: &[f32]) {
@@ -324,19 +311,17 @@ impl Transformer {
         let (mut q, mut ff, mut scores) =
             (vec![0.0; n * dh], vec![0.0; n * cfg.d_ff], vec![0.0; n]);
         for layer in &self.enc_layers {
-            // Unmasked self-attention: every row attends over every row.
+            // Unmasked self-attention: every row attends over every row, in
+            // one kernel call per head.
             self.norm_rows(&layer.ln1, &ids, &x, &mut xn);
             let p = &layer.attn;
             for h in 0..cfg.n_heads {
                 let (k, v) = (
-                    self.project(&ids, &xn, p.wk[h]),
+                    Keys::from_rows(&self.project(&ids, &xn, p.wk[h])),
                     self.project(&ids, &xn, p.wv[h]),
                 );
                 rows_matmul_into(&ids, &xn, w(p.wq[h]), &mut q);
-                for r in 0..n {
-                    let out = &mut heads[r * d + h * dh..r * d + (h + 1) * dh];
-                    attend(&q[r * dh..(r + 1) * dh], &k, &v, n, scale, &mut scores, out);
-                }
+                attention(&q, &k, &v, n, scale, &mut scores, &mut heads[h * dh..], d);
             }
             rows_matmul_into(&ids, &heads, w(p.wo), &mut tmp);
             add_rows(&ids, d, &mut x, &tmp);
@@ -358,12 +343,14 @@ impl Transformer {
 #[derive(Default)]
 struct KvCache {
     /// `[layer][head]`: encoder keys/values (`enc_len × d_head`), fixed and
-    /// shared by every fork of the session.
-    cross_k: Arc<Vec<Vec<Tensor>>>,
+    /// shared by every fork of the session. The keys are projected once per
+    /// session into the kernel's [`Keys`] layout (transposed panels for
+    /// narrow heads).
+    cross_k: Arc<Vec<Vec<Keys>>>,
     cross_v: Arc<Vec<Vec<Tensor>>>,
-    /// `[layer][head]`: cached self-attention keys/values, one row per
-    /// decoded position (pre-reserved to `max_len` rows).
-    self_k: Vec<Vec<Tensor>>,
+    /// `[layer][head]`: cached self-attention keys/values, one per decoded
+    /// position (pre-reserved to `max_len`).
+    self_k: Vec<Vec<Keys>>,
     self_v: Vec<Vec<Tensor>>,
     /// Positions fed so far.
     len: usize,
@@ -376,8 +363,12 @@ impl KvCache {
     fn fork_from(&mut self, from: &KvCache) {
         self.cross_k = Arc::clone(&from.cross_k);
         self.cross_v = Arc::clone(&from.cross_v);
-        let pairs = self.self_k.iter_mut().zip(&from.self_k);
-        for (dst, src) in pairs.chain(self.self_v.iter_mut().zip(&from.self_v)) {
+        for (dst, src) in self.self_k.iter_mut().zip(&from.self_k) {
+            for (dst, src) in dst.iter_mut().zip(src) {
+                dst.clone_from(src);
+            }
+        }
+        for (dst, src) in self.self_v.iter_mut().zip(&from.self_v) {
             for (dst, src) in dst.iter_mut().zip(src) {
                 dst.truncate_rows(0);
                 for r in 0..src.rows {
@@ -451,15 +442,12 @@ impl Transformer {
         vega_obs::global().counter_add("decode.encoder_runs", 1);
         let enc = self.encode_fwd(src);
         let ids: Vec<usize> = (0..enc.rows).collect();
-        let project = |ws: &[ParamId]| -> Vec<Tensor> {
-            ws.iter()
-                .map(|&w| self.project(&ids, enc.as_slice(), w))
-                .collect()
-        };
+        let project = |w: &ParamId| self.project(&ids, enc.as_slice(), *w);
         let (mut cross_k, mut cross_v) = (Vec::new(), Vec::new());
         for layer in &self.dec_layers {
-            cross_k.push(project(&layer.cross_attn.wk));
-            cross_v.push(project(&layer.cross_attn.wv));
+            let p = &layer.cross_attn;
+            cross_k.push(p.wk.iter().map(|w| Keys::from_rows(&project(w))).collect());
+            cross_v.push(p.wv.iter().map(project).collect());
         }
         KvCache {
             cross_k: Arc::new(cross_k),
@@ -471,20 +459,18 @@ impl Transformer {
     /// A cache with no cross-attention K/V and empty self-attention
     /// caches, reserved to `max_len` rows per layer and head.
     fn empty_cache(&self) -> KvCache {
-        let dh = self.cfg.d_model / self.cfg.n_heads;
-        let empty = || -> Vec<Vec<Tensor>> {
-            let heads = || {
-                (0..self.cfg.n_heads)
-                    .map(|_| Tensor::with_row_capacity(dh, self.cfg.max_len))
-                    .collect()
-            };
-            self.dec_layers.iter().map(|_| heads()).collect()
-        };
+        let (dh, cap) = (self.cfg.d_model / self.cfg.n_heads, self.cfg.max_len);
         KvCache {
-            self_k: empty(),
-            self_v: empty(),
+            self_k: self.per_head(|| Keys::with_capacity(dh, cap)),
+            self_v: self.per_head(|| Tensor::with_row_capacity(dh, cap)),
             ..KvCache::default()
         }
+    }
+
+    /// `[layer][head]`: one `make()` per decoder layer and head.
+    fn per_head<T>(&self, make: impl Fn() -> T) -> Vec<Vec<T>> {
+        let heads = || (0..self.cfg.n_heads).map(|_| make()).collect();
+        self.dec_layers.iter().map(|_| heads()).collect()
     }
 
     /// The decoder forward behind every transformer decode path: feeds each
@@ -552,7 +538,7 @@ impl Transformer {
                 rows_matmul_into(ids, xn, w(p.wq[h]), q);
                 rows_matmul_into(ids, xn, w(p.wk[h]), kv);
                 for r in rows.iter() {
-                    caches[r.cache].self_k[l][h].push_row(&kv[r.at * dh..(r.at + 1) * dh]);
+                    caches[r.cache].self_k[l][h].push(&kv[r.at * dh..(r.at + 1) * dh]);
                 }
                 rows_matmul_into(ids, xn, w(p.wv[h]), kv);
                 for r in rows.iter() {
@@ -561,8 +547,8 @@ impl Transformer {
                 for r in rows.iter() {
                     let c = &caches[r.cache];
                     let (k, v) = (&c.self_k[l][h], &c.self_v[l][h]);
-                    let q = &q[r.at * dh..(r.at + 1) * dh];
-                    attend(q, k, v, r.pos + 1, scale, scores, &mut heads[head(h, r.at)]);
+                    let (q, out) = (&q[r.at * dh..(r.at + 1) * dh], &mut heads[head(h, r.at)]);
+                    attention(q, k, v, r.pos + 1, scale, scores, out, dh);
                 }
             }
             rows_matmul_into(ids, heads, w(p.wo), tmp_d);
@@ -575,8 +561,8 @@ impl Transformer {
                 for r in rows.iter() {
                     let c = &caches[r.cache];
                     let (k, v) = (&c.cross_k[l][h], &c.cross_v[l][h]);
-                    let q = &q[r.at * dh..(r.at + 1) * dh];
-                    attend(q, k, v, k.rows, scale, scores, &mut heads[head(h, r.at)]);
+                    let (q, out) = (&q[r.at * dh..(r.at + 1) * dh], &mut heads[head(h, r.at)]);
+                    attention(q, k, v, k.len(), scale, scores, out, dh);
                 }
             }
             rows_matmul_into(ids, heads, w(p.wo), tmp_d);
@@ -698,10 +684,11 @@ impl DecodeState<'_> {
     /// encoder-derived cross-attention K/V stay.
     pub fn reset(&mut self) {
         let c = &mut self.cache;
-        for layer in c.self_k.iter_mut().chain(c.self_v.iter_mut()) {
-            for cache in layer.iter_mut() {
-                cache.truncate_rows(0);
-            }
+        for keys in c.self_k.iter_mut().flatten() {
+            keys.clear();
+        }
+        for values in c.self_v.iter_mut().flatten() {
+            values.truncate_rows(0);
         }
         c.len = 0;
     }

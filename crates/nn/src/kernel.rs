@@ -5,8 +5,8 @@
 //! defined here: the two matmul loops, [`row_matmul_into`] for one row and
 //! the k-tiled `rows_matmul_into` for several (the decoder forward and
 //! every `A·B` of [`Tensor::matmul`](crate::Tensor::matmul) run them), the
-//! transposed products' dot, and the softmax/layer-norm reductions. Two
-//! implementations exist:
+//! transposed products' dot, one head's fused [`attention`], and the
+//! softmax/layer-norm reductions. Two implementations exist:
 //!
 //! * [`ScalarKernel`] — portable Rust, and the statement of the order every
 //!   op accumulates in (the callers add the exact `a == 0.0` skip).
@@ -14,8 +14,20 @@
 //!   runtime via `is_x86_feature_detected!("avx2")`. On every other
 //!   architecture (or when detection fails) the scalar kernel serves.
 //!
+//! # Dispatch
+//!
 //! [`active`] picks AVX2 when the CPU has it and scalar otherwise;
-//! [`set_mode`] switches ISA in process for tests and benches.
+//! [`set_mode`] switches ISA in process for tests and benches. Each public
+//! op reads the ISA once per call. The loops — [`row_matmul_into`],
+//! `rows_matmul_into`, the `A·Bᵀ` loop of `Tensor::matmul` and
+//! [`attention`] — are generic `#[inline(always)]` bodies over `K: Kernel`,
+//! and the AVX2 arm enters its body through one
+//! `#[target_feature(enable = "avx2")]` function. The whole loop is then
+//! compiled for AVX2 and the kernel's primitives inline into it; without
+//! that, each primitive stays an out-of-line call, which costs more than
+//! the arithmetic on 8- and 16-wide rows. Only `avx2` is enabled, never
+//! `fma`: Rust never contracts `a * b + c`, so the scalar code inside the
+//! region rounds exactly as it does outside.
 //!
 //! # Determinism contract
 //!
@@ -25,18 +37,25 @@
 //! functions (`exp`, `ln`, `tanh`, `powf`) are not kernel ops: they come
 //! from the platform libm, which this contract does not cover.
 //!
-//! * [`Kernel::axpy`] and [`Kernel::fma_tile`] vectorize over the *output*
-//!   dimension only: each output element receives separately-rounded
-//!   multiply-then-add contributions in ascending order (no FMA
-//!   contraction).
+//! * [`Kernel::axpy`], [`Kernel::fma_tile`] and [`Kernel::weighted_sum`]
+//!   vectorize over the *output* dimension only: each output element
+//!   receives separately-rounded multiply-then-add contributions in
+//!   ascending order (no FMA contraction).
 //! * [`Kernel::dot`], [`Kernel::sum`] and [`Kernel::sq_diff_sum`] accumulate
 //!   in one fixed lane order that depends only on the length: four 8-lane
 //!   accumulators over 32-element blocks, single 8-element blocks into
 //!   accumulator 0, one fixed horizontal tree, then the remaining elements
-//!   in sequence. [`Kernel::max`] keeps 8 lanes under `_mm256_max_ps`'s
+//!   in sequence. [`Kernel::dot_panel`] is eight such dots, one per key of a
+//!   transposed panel. [`Kernel::max`] keeps 8 lanes under `_mm256_max_ps`'s
 //!   rule. The scalar kernel spells these orders out in portable Rust
 //!   without `mul_add`: Rust never fuses `a * b + c`, so each step rounds
 //!   like `_mm256_mul_ps` followed by `_mm256_add_ps`.
+//! * [`attention`] is, per query row, the graph path's sequence: one
+//!   `dot(q, k_j) * scale` per key, [`softmax_row`], then the value sum
+//!   `Σ_j p_j · v_j` in ascending `j` with the exact zero-skip
+//!   ([`row_matmul_into`]'s order). Heads narrower than [`PANEL_WIDTH`]
+//!   score eight keys per [`Kernel::dot_panel`] call, and the value sum
+//!   holds its output in registers; neither moves a bit.
 //! * The graph path and every decode path (single step, multi-position and
 //!   forked, all one decoder forward) stay bit-identical to each other:
 //!   every path calls the same kernel ops over the same slices. The
@@ -58,6 +77,12 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// `k`-dimension block width of the k-tiled multi-row matmul (see
 /// [`Kernel::fma_tile`]).
 pub const K_TILE: usize = 8;
+
+/// Heads narrower than this keep their keys in transposed 8-key panels and
+/// score them with [`Kernel::dot_panel`]; wider heads keep key rows and take
+/// one [`Kernel::dot`] per key. Under 32 elements `dot` fills one 8-lane
+/// accumulator, so a panel needs only eight vector accumulators.
+pub const PANEL_WIDTH: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Mode selection
@@ -164,7 +189,30 @@ macro_rules! with_kernel {
         }
     };
 }
+#[cfg(test)]
 pub(crate) use with_kernel;
+
+/// Runs `$body(&kernel, args…)` — a generic `#[inline(always)]` loop over
+/// `K: Kernel` — once under the active kernel. The AVX2 arm enters the body
+/// through one `#[target_feature(enable = "avx2")]` function, so the loop
+/// is compiled for AVX2 and the kernel's primitives inline into it. The
+/// arguments are listed with their types, which that function's signature
+/// needs.
+macro_rules! dispatch {
+    ($body:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {{
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn avx2_region($($arg: $ty),*) $(-> $ret)? {
+            $body(&Avx2Kernel::new_unchecked(), $($arg),*)
+        }
+        match active() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `set_mode` admits `Avx2` only when the CPU has AVX2.
+            Isa::Avx2 => unsafe { avx2_region($($arg),*) },
+            _ => $body(&ScalarKernel, $($arg),*),
+        }
+    }};
+}
 
 // ---------------------------------------------------------------------------
 // The trait and its two implementations
@@ -201,6 +249,18 @@ pub trait Kernel {
     /// Maximum element (`-inf` for an empty slice). NaN handling is
     /// implementation-defined; callers feed finite data.
     fn max(&self, x: &[f32]) -> f32;
+
+    /// Eight dot products at once: `out[l] = dot(q, key l)` for the eight
+    /// keys of one transposed panel, where `panel[8 * c + l]` is element
+    /// `c` of key `l`. Each is [`Kernel::dot`]'s bits. Only for
+    /// `q.len() < PANEL_WIDTH`, where `dot` uses one accumulator.
+    fn dot_panel(&self, q: &[f32], panel: &[f32], out: &mut [f32; 8]);
+
+    /// `out = Σ_k w[k] · rows[k]` over the first `w.len()` rows of `rows`
+    /// (row-major, `out.len()` wide), each element accumulated from `0.0`
+    /// in ascending `k`, skipping exact-zero weights — [`row_matmul_into`]'s
+    /// order.
+    fn weighted_sum(&self, w: &[f32], rows: &[f32], out: &mut [f32]);
 }
 
 /// The portable kernel: plain Rust that performs each op in the order the
@@ -315,6 +375,52 @@ impl Kernel for ScalarKernel {
         let m = gt(gt(q[0], q[2]), gt(q[1], q[3]));
         tail.iter().fold(m, |m, &t| m.max(t))
     }
+
+    /// The eight dots in lockstep, one key per array lane, in the AVX2
+    /// kernel's `dot_panel` order: `acc[j]` holds lane `j` of
+    /// [`Kernel::dot`]'s accumulator 0 for every key. It starts at the
+    /// first product rather than at `0.0`, which can differ only in the
+    /// sign of a zero; the tree's first step, `+ 0.0` (accumulators 1–3
+    /// are empty under 32 elements), makes every such zero `+0.0` as `dot`
+    /// does. Then the halves `v[j] + v[j + 4]`, the pairs, and the tail in
+    /// sequence.
+    #[inline]
+    fn dot_panel(&self, q: &[f32], panel: &[f32], out: &mut [f32; 8]) {
+        type Lanes = [f32; 8];
+        let width = q.len();
+        assert!(width < PANEL_WIDTH, "dot_panel width {width}");
+        let term = |c: usize| -> Lanes { std::array::from_fn(|l| q[c] * panel[8 * c + l]) };
+        let add = |a: Lanes, b: Lanes| -> Lanes { std::array::from_fn(|l| a[l] + b[l]) };
+        let blocks = width / 8;
+        let mut s = [0.0f32; 8];
+        if blocks > 0 {
+            let mut acc: [Lanes; 8] = std::array::from_fn(term);
+            for b in 1..blocks {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = add(*a, term(8 * b + j));
+                }
+            }
+            let v: [Lanes; 8] = std::array::from_fn(|j| add(acc[j], [0.0; 8]));
+            let h: [Lanes; 4] = std::array::from_fn(|j| add(v[j], v[j + 4]));
+            s = add(add(h[0], h[2]), add(h[1], h[3]));
+        }
+        for c in 8 * blocks..width {
+            s = add(s, term(c));
+        }
+        *out = s;
+    }
+
+    /// One [`Kernel::axpy`] per nonzero weight, into a zeroed `out`.
+    #[inline]
+    fn weighted_sum(&self, w: &[f32], rows: &[f32], out: &mut [f32]) {
+        let width = out.len();
+        out.fill(0.0);
+        for (k, &wk) in w.iter().enumerate() {
+            if wk != 0.0 {
+                self.axpy(wk, &rows[k * width..(k + 1) * width], out);
+            }
+        }
+    }
 }
 
 /// The AVX2 kernel. Only constructible when the CPU supports AVX2
@@ -384,6 +490,21 @@ impl Kernel for Avx2Kernel {
     fn max(&self, x: &[f32]) -> f32 {
         ScalarKernel.max(x)
     }
+
+    #[inline]
+    fn dot_panel(&self, q: &[f32], panel: &[f32], out: &mut [f32; 8]) {
+        assert!(q.len() < PANEL_WIDTH, "dot_panel width {}", q.len());
+        assert!(panel.len() >= 8 * q.len(), "dot_panel panel length");
+        // SAFETY: as above; the asserts bound every panel load.
+        unsafe { avx2::dot_panel(q, panel, out) }
+    }
+
+    #[inline]
+    fn weighted_sum(&self, w: &[f32], rows: &[f32], out: &mut [f32]) {
+        assert!(rows.len() >= w.len() * out.len(), "weighted_sum rows");
+        // SAFETY: as above; the assert bounds every row load.
+        unsafe { avx2::weighted_sum(w, rows, out) }
+    }
 }
 
 /// On non-x86_64 targets the AVX2 kernel is never selected ([`active`]
@@ -410,6 +531,12 @@ impl Kernel for Avx2Kernel {
     }
     fn max(&self, x: &[f32]) -> f32 {
         ScalarKernel.max(x)
+    }
+    fn dot_panel(&self, q: &[f32], panel: &[f32], out: &mut [f32; 8]) {
+        ScalarKernel.dot_panel(q, panel, out)
+    }
+    fn weighted_sum(&self, w: &[f32], rows: &[f32], out: &mut [f32]) {
+        ScalarKernel.weighted_sum(w, rows, out)
     }
 }
 
@@ -440,6 +567,7 @@ mod avx2 {
         _mm_cvtss_f32(s)
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len().min(b.len());
@@ -469,6 +597,7 @@ mod avx2 {
         s
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy(a: f32, x: &[f32], out: &mut [f32]) {
         let n = x.len().min(out.len());
@@ -515,6 +644,7 @@ mod avx2 {
         }
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn fma_tile(avs: &[f32; K_TILE], rows: &[&[f32]; K_TILE], out: &mut [f32]) {
         let n = out.len();
@@ -574,6 +704,7 @@ mod avx2 {
         }
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn sum(x: &[f32]) -> f32 {
         let n = x.len();
@@ -599,6 +730,7 @@ mod avx2 {
         s
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq_diff_sum(x: &[f32], mean: f32) -> f32 {
         let n = x.len();
@@ -626,6 +758,97 @@ mod avx2 {
         }
         s
     }
+
+    /// `dot`'s order for eight keys at once, one key per lane: lane `l` of
+    /// `acc[j]` is lane `j` of `dot`'s accumulator 0 for key `l` (the
+    /// scalar kernel's `dot_panel` spells out the same steps). `dot` starts
+    /// that accumulator at `0.0`; starting at the first product instead
+    /// differs only in the sign of a zero, which the tree's first step
+    /// (`acc0 + acc1` with `acc1` still `0.0`) turns to `+0.0` either way —
+    /// so that step must stay. Then the halves, the pairs and the tail, as
+    /// in `hsum` and `dot`.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2, and `panel.len() >= 8 * q.len()` (every
+    /// panel load is unchecked). `q.len() < 32` is needed for `dot`'s bits.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_panel(q: &[f32], panel: &[f32], out: &mut [f32; 8]) {
+        let n = q.len();
+        let pp = panel.as_ptr();
+        let term = |c: usize| _mm256_mul_ps(_mm256_set1_ps(q[c]), _mm256_loadu_ps(pp.add(8 * c)));
+        let zero = _mm256_setzero_ps();
+        let blocks = n / 8;
+        let mut s = zero;
+        if blocks > 0 {
+            let mut acc: [__m256; 8] = std::array::from_fn(term);
+            for b in 1..blocks {
+                for (l, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, term(8 * b + l));
+                }
+            }
+            let v: [__m256; 8] = std::array::from_fn(|l| _mm256_add_ps(acc[l], zero));
+            let h: [__m256; 4] = std::array::from_fn(|j| _mm256_add_ps(v[j], v[j + 4]));
+            s = _mm256_add_ps(_mm256_add_ps(h[0], h[2]), _mm256_add_ps(h[1], h[3]));
+        }
+        for c in 8 * blocks..n {
+            s = _mm256_add_ps(s, term(c));
+        }
+        _mm256_storeu_ps(out.as_mut_ptr(), s);
+    }
+
+    /// The value sum with the output held in registers: 32 columns (four
+    /// vectors) at a time over every `k`, then 8, then single columns —
+    /// each element's chain is `0.0`, then `+ w[k] * rows[k][c]` for every
+    /// nonzero `w[k]` in ascending `k`.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2, and `rows.len() >= w.len() * out.len()`
+    /// (every row load is unchecked).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn weighted_sum(w: &[f32], rows: &[f32], out: &mut [f32]) {
+        let width = out.len();
+        let (rp, op) = (rows.as_ptr(), out.as_mut_ptr());
+        let mut j = 0;
+        while j + 32 <= width {
+            let mut acc = [_mm256_setzero_ps(); 4];
+            for (k, &wk) in w.iter().enumerate() {
+                if wk == 0.0 {
+                    continue;
+                }
+                let (wv, row) = (_mm256_set1_ps(wk), rp.add(k * width + j));
+                for (t, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, _mm256_loadu_ps(row.add(8 * t))));
+                }
+            }
+            for (t, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(j + 8 * t), *a);
+            }
+            j += 32;
+        }
+        while j + 8 <= width {
+            let mut acc = _mm256_setzero_ps();
+            for (k, &wk) in w.iter().enumerate() {
+                if wk != 0.0 {
+                    let x = _mm256_loadu_ps(rp.add(k * width + j));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wk), x));
+                }
+            }
+            _mm256_storeu_ps(op.add(j), acc);
+            j += 8;
+        }
+        while j < width {
+            let mut acc = 0.0f32;
+            for (k, &wk) in w.iter().enumerate() {
+                if wk != 0.0 {
+                    acc += wk * rows[k * width + j];
+                }
+            }
+            out[j] = acc;
+            j += 1;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -635,30 +858,30 @@ mod avx2 {
 /// `out = a · b` for a single row `a` (len `b.rows`), accumulating in
 /// ascending `k` with the exact `a[k] == 0.0` skip — the semantics every
 /// matmul path shares. Used for weight products (`b` a weight matrix) and
-/// attention-weighted value sums (`b` a K/V cache, where softmax lanes that
-/// underflowed to exact zero must be exact no-ops).
+/// the GRU cell.
 ///
 /// Kept as a plain per-`k` [`Kernel::axpy`] loop rather than the
 /// [`Kernel::fma_tile`] tiling `rows_matmul_into` uses for several rows:
 /// single-row outputs here are short (d_model-ish), so the chained-add tile
 /// is latency-bound and measured slower on AVX2, while the zero-skip
-/// matters (softmax tails). Every one-row matmul is this loop.
+/// matters. Every one-row matmul is this loop.
 pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
-    // `<=` rather than `==`: the decoder forward attends each row over a
-    // causal *prefix* of a K/V cache that already holds every row of its
-    // session fed in the same pass. The loop below only ever reads rows
-    // `< a.len()`, so trailing rows of `b` are simply ignored.
+    // `<=` rather than `==`: the loop reads only rows `< a.len()`, so
+    // trailing rows of `b` are ignored.
     debug_assert!(a.len() <= b.rows, "row matmul inner dim");
     debug_assert_eq!(out.len(), b.cols, "row matmul out dim");
+    dispatch!(row_matmul_body(a: &[f32], b: &Tensor, out: &mut [f32]))
+}
+
+#[inline(always)]
+fn row_matmul_body<K: Kernel>(kr: &K, a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (bs, n) = (b.as_slice(), b.cols);
     out.fill(0.0);
-    with_kernel!(kr => {
-        for (k, &av) in a.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            kr.axpy(av, b.row(k), out);
+    for (k, &av) in a.iter().enumerate() {
+        if av != 0.0 {
+            kr.axpy(av, &bs[k * n..(k + 1) * n], out);
         }
-    });
+    }
 }
 
 /// `out[s] = a[s] · b` for every scratch row `s` in `rows`, where `a` holds
@@ -683,49 +906,238 @@ pub fn row_matmul_into(a: &[f32], b: &Tensor, out: &mut [f32]) {
 /// [`row_matmul_into`] on that row alone; blocking only reorders work
 /// *across* rows, and no f32 op mixes rows.
 pub(crate) fn rows_matmul_into(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
-    let (kdim, odim) = (b.rows, b.cols);
+    dispatch!(rows_matmul_body(rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]))
+}
+
+#[inline(always)]
+fn rows_matmul_body<K: Kernel>(kr: &K, rows: &[usize], a: &[f32], b: &Tensor, out: &mut [f32]) {
+    let (kdim, odim, bs) = (b.rows, b.cols, b.as_slice());
+    let brow = |k: usize| &bs[k * odim..(k + 1) * odim];
     if let [s] = *rows {
         let (a, out) = (
             &a[s * kdim..(s + 1) * kdim],
             &mut out[s * odim..(s + 1) * odim],
         );
-        return row_matmul_into(a, b, out);
+        return row_matmul_body(kr, a, b, out);
     }
     for &s in rows {
         out[s * odim..(s + 1) * odim].fill(0.0);
     }
-    with_kernel!(kr => {
-        let mut kb = 0;
-        while kb + K_TILE <= kdim {
-            let wrows: [&[f32]; K_TILE] = std::array::from_fn(|t| b.row(kb + t));
-            for &s in rows {
-                let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
-                let orow = &mut out[s * odim..(s + 1) * odim];
-                if avs.iter().all(|&av| av != 0.0) {
-                    kr.fma_tile(&avs, &wrows, orow);
-                } else {
-                    for (&av, row) in avs.iter().zip(wrows.iter()) {
-                        if av == 0.0 {
-                            continue;
-                        }
-                        kr.axpy(av, row, orow);
+    let mut kb = 0;
+    while kb + K_TILE <= kdim {
+        let wrows: [&[f32]; K_TILE] = std::array::from_fn(|t| brow(kb + t));
+        for &s in rows {
+            let avs: [f32; K_TILE] = std::array::from_fn(|t| a[s * kdim + kb + t]);
+            let orow = &mut out[s * odim..(s + 1) * odim];
+            if avs.iter().all(|&av| av != 0.0) {
+                kr.fma_tile(&avs, &wrows, orow);
+            } else {
+                for (&av, row) in avs.iter().zip(wrows.iter()) {
+                    if av == 0.0 {
+                        continue;
                     }
+                    kr.axpy(av, row, orow);
                 }
             }
-            kb += K_TILE;
         }
-        // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
-        for k in kb..kdim {
-            let brow = b.row(k);
-            for &s in rows {
-                let av = a[s * kdim + k];
-                if av == 0.0 {
-                    continue;
+        kb += K_TILE;
+    }
+    // Tail rows (kdim % K_TILE), per-k like the plain row kernel.
+    for k in kb..kdim {
+        for &s in rows {
+            let av = a[s * kdim + k];
+            if av == 0.0 {
+                continue;
+            }
+            kr.axpy(av, brow(k), &mut out[s * odim..(s + 1) * odim]);
+        }
+    }
+}
+
+/// `A·Bᵀ` for [`Tensor::matmul`]: one [`Kernel::dot`] per output element,
+/// row by row, returned row-major (`a.rows × b.rows`).
+pub(crate) fn dot_rows(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    dispatch!(dot_rows_body(a: &Tensor, b: &Tensor) -> Vec<f32>)
+}
+
+#[inline(always)]
+fn dot_rows_body<K: Kernel>(kr: &K, a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let (asl, bsl, n) = (a.as_slice(), b.as_slice(), a.cols);
+    let mut out = Vec::with_capacity(a.rows * b.rows);
+    for i in 0..a.rows {
+        let ar = &asl[i * n..(i + 1) * n];
+        for j in 0..b.rows {
+            out.push(kr.dot(ar, &bsl[j * n..(j + 1) * n]));
+        }
+    }
+    out
+}
+
+/// One attention head's keys, laid out for [`attention`]. Heads narrower
+/// than [`PANEL_WIDTH`] store them transposed in panels of eight keys
+/// (`8 × width` floats each, element `c` of key `l` at `8 * c + l`, the
+/// last panel zero-padded); wider heads store plain rows. Grows one key at
+/// a time, like a decoder's self-attention cache.
+#[derive(Debug)]
+pub struct Keys {
+    width: usize,
+    len: usize,
+    data: Vec<f32>,
+}
+
+impl Keys {
+    /// No keys of `width` elements, with room for `cap` before the first
+    /// reallocation.
+    pub fn with_capacity(width: usize, cap: usize) -> Keys {
+        let slots = if width < PANEL_WIDTH {
+            cap.div_ceil(8) * 8
+        } else {
+            cap
+        };
+        Keys {
+            width,
+            len: 0,
+            data: Vec::with_capacity(slots * width),
+        }
+    }
+
+    /// Every row of `k` as a key.
+    pub fn from_rows(k: &Tensor) -> Keys {
+        let mut keys = Keys::with_capacity(k.cols, k.rows);
+        for r in 0..k.rows {
+            keys.push(k.row(r));
+        }
+        keys
+    }
+
+    /// Number of keys held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one key.
+    ///
+    /// # Panics
+    /// Panics if `key` is not `width` long.
+    pub fn push(&mut self, key: &[f32]) {
+        assert_eq!(key.len(), self.width, "key width");
+        if self.width < PANEL_WIDTH {
+            let (panel, l) = (self.len / 8, self.len % 8);
+            if l == 0 {
+                self.data.resize((panel + 1) * 8 * self.width, 0.0);
+            }
+            let panel = &mut self.data[panel * 8 * self.width..];
+            for (c, &x) in key.iter().enumerate() {
+                panel[8 * c + l] = x;
+            }
+        } else {
+            self.data.extend_from_slice(key);
+        }
+        self.len += 1;
+    }
+
+    /// Drops every key, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.data.clear();
+        self.len = 0;
+    }
+}
+
+impl Clone for Keys {
+    fn clone(&self) -> Keys {
+        Keys {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses this set's capacity (a decode fork copies its session's keys
+    /// this way).
+    fn clone_from(&mut self, from: &Keys) {
+        self.width = from.width;
+        self.len = from.len;
+        self.data.clone_from(&from.data);
+    }
+}
+
+/// One head of scaled dot-product attention for a block of query rows:
+/// for each `width`-long row of `q`, `softmax(q · kᵀ · scale) · v` over the
+/// first `n` keys and value rows, written `width` wide at stride
+/// `out_stride` in `out`. `scores` (at least `n` long) is scratch.
+///
+/// Per row this is exactly the graph path's sequence (see the module docs):
+/// `dot(q, k_j) * scale` for every key (eight at a time from panels for
+/// narrow heads), [`softmax_row`], then the value sum in ascending key
+/// order with the exact zero-skip, so exp-underflowed and causally masked
+/// keys are no-ops.
+///
+/// # Panics
+/// Panics if `n` exceeds the keys or value rows held, if the values are not
+/// as wide as the keys, or if `scores` is shorter than `n`.
+#[allow(clippy::too_many_arguments)]
+pub fn attention(
+    q: &[f32],
+    keys: &Keys,
+    v: &Tensor,
+    n: usize,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    assert!(n <= keys.len && n <= v.rows, "attention over {n} keys");
+    assert_eq!(v.cols, keys.width, "attention value width");
+    let scores = &mut scores[..n];
+    dispatch!(attention_body(
+        q: &[f32],
+        keys: &Keys,
+        v: &Tensor,
+        scale: f32,
+        scores: &mut [f32],
+        out: &mut [f32],
+        out_stride: usize,
+    ))
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn attention_body<K: Kernel>(
+    kr: &K,
+    q: &[f32],
+    keys: &Keys,
+    v: &Tensor,
+    scale: f32,
+    scores: &mut [f32],
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let width = keys.width;
+    let values = &v.as_slice()[..scores.len() * width];
+    for (r, q) in q.chunks_exact(width).enumerate() {
+        if width < PANEL_WIDTH {
+            let panels = keys.data.chunks_exact(8 * width);
+            for (chunk, panel) in scores.chunks_mut(8).zip(panels) {
+                let mut dots = [0.0f32; 8];
+                kr.dot_panel(q, panel, &mut dots);
+                for (s, &d) in chunk.iter_mut().zip(&dots) {
+                    *s = d * scale;
                 }
-                kr.axpy(av, brow, &mut out[s * odim..(s + 1) * odim]);
+            }
+        } else {
+            let krows = keys.data.chunks_exact(width);
+            for (s, k) in scores.iter_mut().zip(krows) {
+                *s = kr.dot(q, k) * scale;
             }
         }
-    });
+        softmax_body(kr, scores);
+        let at = r * out_stride;
+        kr.weighted_sum(scores, values, &mut out[at..at + width]);
+    }
 }
 
 /// Dot product under the active kernel (the fixed lane-tree order).
@@ -757,7 +1169,12 @@ pub fn max(x: &[f32]) -> f32 {
 /// break that. The max may use lanes (it returns an exact element), and the
 /// divides are per-element (vector division rounds identically to scalar).
 pub fn softmax_row(row: &mut [f32]) {
-    let maxv = max(row);
+    dispatch!(softmax_body(row: &mut [f32]))
+}
+
+#[inline(always)]
+fn softmax_body<K: Kernel>(kr: &K, row: &mut [f32]) {
+    let maxv = kr.max(row);
     let mut sum = 0.0;
     for v in row.iter_mut() {
         *v = (*v - maxv).exp();
@@ -773,17 +1190,26 @@ pub fn softmax_row(row: &mut [f32]) {
 /// variance reductions dispatch on the active kernel; the normalization is
 /// per-element.
 pub fn layer_norm_row(x: &[f32], gain: &[f32], bias: &[f32], out: &mut [f32]) -> (f32, f32) {
+    dispatch!(layer_norm_body(x: &[f32], gain: &[f32], bias: &[f32], out: &mut [f32]) -> (f32, f32))
+}
+
+#[inline(always)]
+fn layer_norm_body<K: Kernel>(
+    kr: &K,
+    x: &[f32],
+    gain: &[f32],
+    bias: &[f32],
+    out: &mut [f32],
+) -> (f32, f32) {
     const EPS: f32 = 1e-5;
     let d = x.len() as f32;
-    with_kernel!(kr => {
-        let mean = kr.sum(x) / d;
-        let var = kr.sq_diff_sum(x, mean) / d;
-        let std = (var + EPS).sqrt();
-        for c in 0..x.len() {
-            out[c] = (x[c] - mean) / std * gain[c] + bias[c];
-        }
-        (mean, std)
-    })
+    let mean = kr.sum(x) / d;
+    let var = kr.sq_diff_sum(x, mean) / d;
+    let std = (var + EPS).sqrt();
+    for c in 0..x.len() {
+        out[c] = (x[c] - mean) / std * gain[c] + bias[c];
+    }
+    (mean, std)
 }
 
 /// `x += y` elementwise (order-free).

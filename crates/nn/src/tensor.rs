@@ -14,7 +14,7 @@
 //! tensor into owned storage first (copy-on-write), so fine-tuning a mapped
 //! model never writes through the mapping.
 
-use crate::kernel::{self, with_kernel, Kernel};
+use crate::kernel;
 use crate::storage::{ByteRegion, TensorTable};
 use std::sync::Arc;
 use vega_obs::json::{Json, JsonError};
@@ -298,19 +298,15 @@ impl Tensor {
     /// `self`, the k-tiled loop the decoder forward runs: each output element
     /// receives its rank-1 updates one at a time in ascending `k`, with the
     /// exact zero-skip (a no-op for the finite values training produces).
-    /// `A·Bᵀ` takes one full-length [`Kernel::dot`] per output element.
-    /// Either ISA gives the same bits.
+    /// `A·Bᵀ` takes one full-length [`Kernel::dot`](crate::Kernel::dot) per
+    /// output element. Either ISA gives the same bits.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor, transpose_other: bool) -> Tensor {
         if transpose_other {
             assert_eq!(self.cols, other.cols, "matmul(T) inner dim");
-            let mut out = Vec::with_capacity(self.rows * other.rows);
-            with_kernel!(kr => for i in 0..self.rows {
-                let a = self.row(i);
-                out.extend((0..other.rows).map(|j| kr.dot(a, other.row(j))));
-            });
+            let out = kernel::dot_rows(self, other);
             Tensor::from_vec(self.rows, other.rows, out)
         } else {
             assert_eq!(self.cols, other.rows, "matmul inner dim");
@@ -415,6 +411,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{with_kernel, Kernel};
 
     #[test]
     fn matmul_matches_by_hand() {

@@ -442,3 +442,65 @@ fn forced_logprob_prefill_matches_stepwise_loop_bitwise() {
         "prefilled forced_logprob diverged from the stepwise loop"
     );
 }
+
+/// A transformer with `d_model / 2`-wide heads (two heads), room for 48
+/// source positions, and two decoder layers.
+fn two_head_transformer(d_model: usize, vocab: usize) -> Transformer {
+    Transformer::new(TransformerConfig {
+        vocab,
+        d_model,
+        n_heads: 2,
+        d_ff: 2 * d_model,
+        n_enc_layers: 1,
+        n_dec_layers: 2,
+        max_len: 64,
+        seed: 0xA77E,
+    })
+}
+
+#[test]
+fn encoder_and_forked_cross_attention_match_graph_at_panel_widths() {
+    // Head widths 8 (one 8-element block, the tiny pipeline's) and 20 (two
+    // blocks and a 4-element tail); source lengths on both sides of the
+    // 8-key panel edge and the tiny pipeline's 48-position window.
+    for (d_model, vocab) in [(16usize, 40usize), (40, 64)] {
+        let mut t = two_head_transformer(d_model, vocab);
+        for src_len in [1usize, 7, 9, 48] {
+            let src = tokens(700 + src_len as u64, src_len, 2, vocab);
+            // Every step's logits: the encoder fast path, the cached cross-K/V
+            // and one-row cross-attention against the graph's full forward.
+            let feed = tokens(800 + src_len as u64, 6, 2, vocab);
+            let graph = t.logits_rows_graph(&src, &feed);
+            let mut st = t.begin_decode(&src);
+            for (r, &tok) in feed.iter().enumerate() {
+                for (c, &v) in st.step(tok).iter().enumerate() {
+                    assert_eq!(
+                        v.to_bits(),
+                        graph.at(r, c).to_bits(),
+                        "head width {} src len {src_len}: logit ({r}, {c})",
+                        d_model / 2
+                    );
+                }
+            }
+            // Forked scoring: candidates sharing a prefix score on forks of
+            // one session whose cross-K/V they share.
+            let pairs: Vec<(Vec<usize>, Vec<usize>)> = (0..4u64)
+                .map(|c| {
+                    let mut cand = tokens(900 + c, 3 + 2 * c as usize, 2, vocab);
+                    cand[0] = 2;
+                    forced_pair(&cand, 0, 1)
+                })
+                .collect();
+            let forked = st.forced_logprobs(&pairs);
+            for ((tin, tout), fast) in pairs.iter().zip(&forked) {
+                let graph = t.forced_logprob_graph(&src, tin, tout);
+                assert_eq!(
+                    fast.to_bits(),
+                    graph.to_bits(),
+                    "head width {} src len {src_len}: forked score {fast} vs graph {graph}",
+                    d_model / 2
+                );
+            }
+        }
+    }
+}

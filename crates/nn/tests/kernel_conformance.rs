@@ -5,9 +5,13 @@
 //! (lengths straddling 0 / 1 / K_TILE±1 / the 8- and 32-lane block widths /
 //! large, with exact zeros of both signs and subnormals mixed in; the
 //! cross-ISA checks also draw magnitudes up to ~1e6): `Avx2Kernel` agrees
-//! with `ScalarKernel` *bit for bit* on all six `Kernel` ops, and so do the
-//! row ops built on them (`row_matmul_into`, `layer_norm_row`, and the
-//! masked-softmax prefix identity) under each kernel mode.
+//! with `ScalarKernel` *bit for bit* on all eight `Kernel` ops, and so do the
+//! row ops built on them (`row_matmul_into`, `layer_norm_row`, the
+//! masked-softmax prefix identity, and the fused `attention`) under each
+//! kernel mode. `dot_panel` must be one `dot` per key, zeros' signs
+//! included, and `attention` must equal the per-key loop it replaced (one
+//! `dot` per key, `softmax_row`, `row_matmul_into`) at head widths 8–128
+//! and 1–48 keys, with rows whose `exp` underflows to exact zeros.
 //!
 //! Bit equality alone would accept two equal wrong answers, so
 //! `ScalarKernel`'s sums are also checked against an f64 reference with a
@@ -391,5 +395,200 @@ fn layer_norm_row_is_bit_identical_across_modes() {
             &format!("d={d} (mean, std)"),
         );
         assert_bits(&s_out, &a_out, &format!("layer_norm d={d}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Attention: the panel dots, the value sum and the fused op
+// ---------------------------------------------------------------------------
+
+/// Head widths the attention checks cover: panel widths with and without
+/// a tail past the 8-element blocks, and row widths from the panel limit
+/// up.
+const HEAD_WIDTHS: &[usize] = &[8, 16, 20, 24, 32, 64, 128];
+
+/// Key counts around the 8-key panel edge, plus the tiny pipeline's
+/// 47-position encoder rows and a full 48.
+const KEY_COUNTS: &[usize] = &[1, 7, 8, 9, 47, 48];
+
+/// `keys[l]` laid out as one panel: element `c` of key `l` at `8 * c + l`.
+fn panel_of(keys: &[Vec<f32>], width: usize) -> Vec<f32> {
+    let mut panel = vec![0.0f32; 8 * width];
+    for (l, key) in keys.iter().enumerate() {
+        for (c, &x) in key.iter().enumerate() {
+            panel[8 * c + l] = x;
+        }
+    }
+    panel
+}
+
+#[test]
+fn dot_panel_is_one_dot_per_key_in_every_isa() {
+    let avx2 = avx2_or_notice("dot_panel");
+    let mut rng = Mix64::keyed(0xC0DE, "conformance/dot_panel");
+    for width in [0usize, 1, 3, 7, 8, 9, 13, 16, 20, 24, 31] {
+        for rep in 0..12 {
+            let q = gen_wide_vec(&mut rng, width);
+            let mut keys: Vec<Vec<f32>> = (0..8).map(|_| gen_wide_vec(&mut rng, width)).collect();
+            // Keys whose every product with `q` is a zero of either sign:
+            // `dot` returns +0.0 for them, whatever the signs.
+            keys[0] = q
+                .iter()
+                .map(|&x| if x > 0.0 { -0.0 } else { 0.0 })
+                .collect();
+            keys[1] = vec![-0.0; width];
+            let panel = panel_of(&keys, width);
+            let want: Vec<f32> = keys.iter().map(|k| ScalarKernel.dot(&q, k)).collect();
+            let mut got = [0.0f32; 8];
+            ScalarKernel.dot_panel(&q, &panel, &mut got);
+            assert_bits(
+                &want,
+                &got,
+                &format!("scalar dot_panel width={width} rep={rep}"),
+            );
+            if let Some(v) = &avx2 {
+                let mut got = [0.0f32; 8];
+                v.dot_panel(&q, &panel, &mut got);
+                assert_bits(&want, &got, &format!("dot_panel width={width} rep={rep}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn weighted_sum_is_the_zero_skipping_axpy_loop_in_every_isa() {
+    let avx2 = avx2_or_notice("weighted_sum");
+    let mut rng = Mix64::keyed(0xC0DE, "conformance/weighted_sum");
+    for &width in &[1usize, 7, 8, 9, 16, 20, 24, 32, 33, 40, 64, 128] {
+        for &n in &[0usize, 1, 7, 8, 9, 47, 48] {
+            let w = gen_wide_vec(&mut rng, n);
+            let rows = gen_wide_vec(&mut rng, n * width);
+            let mut want = vec![0.0f32; width];
+            for (k, &wk) in w.iter().enumerate() {
+                if wk != 0.0 {
+                    ScalarKernel.axpy(wk, &rows[k * width..(k + 1) * width], &mut want);
+                }
+            }
+            let mut got = vec![f32::NAN; width];
+            ScalarKernel.weighted_sum(&w, &rows, &mut got);
+            assert_bits(&want, &got, &format!("scalar weighted_sum {n}x{width}"));
+            if let Some(v) = &avx2 {
+                let mut got = vec![f32::NAN; width];
+                v.weighted_sum(&w, &rows, &mut got);
+                assert_bits(&want, &got, &format!("weighted_sum {n}x{width}"));
+            }
+        }
+    }
+}
+
+/// The per-key loop the fused op replaced, for one query row: one
+/// `kernel::dot` per key times `scale`, `softmax_row`, then
+/// `row_matmul_into` over the value rows.
+fn attention_per_key(
+    q: &[f32],
+    k: &vega_nn::Tensor,
+    v: &vega_nn::Tensor,
+    n: usize,
+    scale: f32,
+) -> Vec<f32> {
+    let mut scores: Vec<f32> = (0..n).map(|j| kernel::dot(q, k.row(j)) * scale).collect();
+    kernel::softmax_row(&mut scores);
+    let mut out = vec![0.0f32; v.cols];
+    kernel::row_matmul_into(&scores, v, &mut out);
+    out
+}
+
+#[test]
+fn attention_matches_the_per_key_loop_in_every_mode() {
+    let _guard = mode_guard();
+    let isas: &[Isa] = if avx2_available() {
+        &[Isa::Scalar, Isa::Avx2]
+    } else {
+        eprintln!("kernel_conformance::attention: CPU lacks AVX2; checking scalar only");
+        &[Isa::Scalar]
+    };
+    const ROWS: usize = 3;
+    const GAP: usize = 5;
+    let mut rng = Mix64::keyed(0xC0DE, "conformance/attention");
+    let mut underflowed = 0usize;
+    for &width in HEAD_WIDTHS {
+        for &n in KEY_COUNTS {
+            // Three keys past `n`, as in a decoder cache whose later rows a
+            // causal prefix does not read.
+            let held = n + 3;
+            let mut kdata = gen_vec(&mut rng, held * width);
+            // A key of negative zeros: every product with it is a zero.
+            kdata[..width].fill(-0.0);
+            let k = vega_nn::Tensor::from_vec(held, width, kdata);
+            let v = vega_nn::Tensor::from_vec(held, width, gen_vec(&mut rng, held * width));
+            let q = gen_vec(&mut rng, ROWS * width);
+            let keys = kernel::Keys::from_rows(&k);
+            assert_eq!(keys.len(), held);
+            // The model's scale, and a steep one under which most keys'
+            // exp underflows to an exact zero that the value sum skips.
+            for scale in [1.0 / (width as f32).sqrt(), 80.0] {
+                kernel::set_mode(Isa::Scalar);
+                let want: Vec<Vec<f32>> = (0..ROWS)
+                    .map(|r| attention_per_key(&q[r * width..(r + 1) * width], &k, &v, n, scale))
+                    .collect();
+                let mut probs: Vec<f32> = (0..n)
+                    .map(|j| kernel::dot(&q[..width], k.row(j)) * scale)
+                    .collect();
+                kernel::softmax_row(&mut probs);
+                underflowed += probs.iter().filter(|&&p| p == 0.0).count();
+                for &isa in isas {
+                    kernel::set_mode(isa);
+                    let stride = width + GAP;
+                    let mut out = vec![7.5f32; ROWS * stride];
+                    let mut scores = vec![0.0f32; held];
+                    kernel::attention(&q, &keys, &v, n, scale, &mut scores, &mut out, stride);
+                    for (r, want) in want.iter().enumerate() {
+                        let what = format!(
+                            "{} attention width={width} n={n} scale={scale} row {r}",
+                            isa.name()
+                        );
+                        assert_bits(want, &out[r * stride..r * stride + width], &what);
+                        if r + 1 < ROWS {
+                            let gap = &out[r * stride + width..(r + 1) * stride];
+                            assert!(gap.iter().all(|&x| x == 7.5), "{what}: wrote past its row");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(underflowed > 0, "no softmax lane underflowed to zero");
+}
+
+#[test]
+fn keys_pushed_one_at_a_time_equal_keys_from_rows() {
+    let _guard = mode_guard();
+    let mut rng = Mix64::keyed(0xC0DE, "conformance/keys");
+    for &width in &[8usize, 20, 64] {
+        let n = 11;
+        let k = vega_nn::Tensor::from_vec(n, width, gen_vec(&mut rng, n * width));
+        let v = vega_nn::Tensor::from_vec(n, width, gen_vec(&mut rng, n * width));
+        let q = gen_vec(&mut rng, width);
+        let whole = kernel::Keys::from_rows(&k);
+        let mut grown = kernel::Keys::with_capacity(width, 2);
+        // Stale keys from an earlier use must not survive `clear`.
+        grown.push(&vec![3.0; width]);
+        grown.clear();
+        let mut fork = kernel::Keys::with_capacity(width, 0);
+        for j in 0..n {
+            grown.push(k.row(j));
+            fork.clone_from(&grown);
+            let mut scores = vec![0.0f32; n];
+            let (mut a, mut b, mut c) = (
+                vec![0.0f32; width],
+                vec![0.0f32; width],
+                vec![0.0f32; width],
+            );
+            kernel::attention(&q, &whole, &v, j + 1, 0.5, &mut scores, &mut a, width);
+            kernel::attention(&q, &grown, &v, j + 1, 0.5, &mut scores, &mut b, width);
+            kernel::attention(&q, &fork, &v, j + 1, 0.5, &mut scores, &mut c, width);
+            assert_bits(&a, &b, &format!("grown keys width={width} n={}", j + 1));
+            assert_bits(&a, &c, &format!("forked keys width={width} n={}", j + 1));
+        }
     }
 }

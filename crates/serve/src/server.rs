@@ -584,7 +584,8 @@ fn handle_generate(
     let t0 = Instant::now();
     let deadline_ms = deadline_ms.unwrap_or(shared.cfg.default_deadline_ms);
     let deadline = t0 + Duration::from_millis(deadline_ms);
-    let response = match submit(shared, target, group, deadline, trace) {
+    let engine = live_engine(shared);
+    let response = match submit(shared, &engine, target, group, deadline, trace) {
         Submit::Cached(payload) => generate_ok(
             id,
             true,
@@ -697,7 +698,7 @@ fn handle_backend(
     let mut functions = Vec::new();
     let mut errors = Vec::new();
     for group in engine.group_names() {
-        let outcome = match submit(shared, target, &group, deadline, trace) {
+        let outcome = match submit(shared, &engine, target, &group, deadline, trace) {
             Submit::Cached(payload) => Ok(payload),
             Submit::Wait { rx, .. } => match rx.recv_timeout(
                 deadline.saturating_duration_since(Instant::now()) + Duration::from_secs(300),
@@ -916,17 +917,18 @@ enum Submit {
     },
 }
 
+/// Answers one `(target, group)` sub-request on `engine`, which the caller
+/// pinned: the cache key and the generation come from that one engine, so a
+/// swap landing mid-request can neither cache one model's output under
+/// another's key nor mix two models in one `backend` response.
 fn submit(
     shared: &Shared,
+    engine: &Arc<Engine>,
     target: &str,
     group: &str,
     deadline: Instant,
     trace: Option<TraceCtx>,
 ) -> Submit {
-    // Pin the engine first: the cache key and the generation must come
-    // from the same engine, or a swap landing between the two would cache
-    // one model's output under another's key.
-    let engine = live_engine(shared);
     let key = match engine.cache_key(target, group) {
         Ok(k) => k,
         Err(e) => {
@@ -984,7 +986,7 @@ fn submit(
         deadline,
         trace,
         enqueued: Instant::now(),
-        engine,
+        engine: Arc::clone(engine),
     });
     obs.gauge_set("serve.queue_depth", st.queue.len() as f64);
     drop(st);

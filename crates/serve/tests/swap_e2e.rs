@@ -2,7 +2,9 @@
 //! checkpoint B without a restart, without losing a single request, and
 //! without ever mixing one model's weights with another's cache key —
 //! at batch sizes 1 and 4, with failed and chaos-injected swaps
-//! leaving the old model serving.
+//! leaving the old model serving, and with a swap landing in the middle
+//! of a `backend` request, whose groups all come from the model it
+//! started on.
 //!
 //! Everything lives in a single `#[test]` because `vega_par::set_threads`
 //! and the fault plan are process-global.
@@ -105,7 +107,92 @@ fn hot_swap_loses_nothing_and_never_mixes_models() {
         .clone();
 
     swap_sequential(&path_a, &path_b, &probe_pair, &expected);
+    swap_mid_backend(&path_a, &path_b, &targets, &groups, &expected);
     swap_under_concurrent_load(&path_a, &path_b, &probe_pair, &pairs, &expected);
+}
+
+/// Pool size 1: a swap A→B sent from a second connection once a cold
+/// `backend` request is past its first group. The request pinned model A,
+/// so every function it returns must be A's, although the swap landed
+/// before its last group: the swap's cache clear drops the groups cached
+/// before it, so what is cached afterwards is exactly the groups generated
+/// after it.
+fn swap_mid_backend(
+    path_a: &Path,
+    path_b: &Path,
+    targets: &[String],
+    groups: &[String],
+    expected: &BTreeMap<(String, String), (String, String)>,
+) {
+    vega_par::set_threads(1);
+    // The target whose groups model B changes most, so a response that
+    // took its later groups from B cannot pass.
+    let changed = |t: &String| {
+        let differs = |g: &String| {
+            let (a, b) = &expected[&(t.clone(), g.clone())];
+            a != b
+        };
+        groups.iter().filter(|g| differs(g)).count()
+    };
+    let target = targets.iter().max_by_key(|t| changed(t)).unwrap().clone();
+    assert!(
+        changed(&target) * 2 > groups.len(),
+        "model B must change most of {target}'s groups"
+    );
+    let cfg = ServeConfig {
+        batch: 1,
+        // Every group takes at least this long, so the swap (a checkpoint
+        // load) lands well before the request's last group.
+        slow_ms: 10,
+        ..ServeConfig::default()
+    };
+    let (server, addr) = start(path_a, cfg);
+    let request = {
+        let (addr, target) = (addr.clone(), target.clone());
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).unwrap();
+            c.request_raw(&format!(r#"{{"op":"backend","target":"{target}"}}"#))
+                .unwrap()
+        })
+    };
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while server.stats().generated == 0 {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "backend request never started"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let mut c = Client::connect(&addr).unwrap();
+    let swap = c.swap(&path_b.display().to_string()).unwrap();
+    assert!(bool_field(&swap, "swapped"), "{}", swap.render());
+    assert!(bool_field(&swap, "cache_cleared"));
+    assert!(
+        bool_field(&swap, "drained"),
+        "the pinned model A must drain"
+    );
+
+    let resp = Json::parse(&request.join().expect("backend request answered")).unwrap();
+    assert_eq!(resp.field("errors").unwrap().as_array().unwrap().len(), 0);
+    let functions = resp.field("functions").unwrap().as_array().unwrap();
+    assert_eq!(functions.len(), groups.len());
+    for (g, f) in groups.iter().zip(functions) {
+        assert_eq!(
+            f.render(),
+            expected[&(target.clone(), g.clone())].0,
+            "{target}/{g} in a backend request started on model A must be model A"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.generated, groups.len() as u64);
+    assert!(
+        stats.cache_len > 0 && stats.cache_len < groups.len() as u64,
+        "the swap must land mid-request: {} of {} groups cached after its clear",
+        stats.cache_len,
+        groups.len()
+    );
+    server.shutdown();
+    server.join();
 }
 
 /// Pool size 1: swap A→B changes responses and clears the cache, re-swapping
